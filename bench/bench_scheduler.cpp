@@ -1,11 +1,9 @@
-// Compares the two dataflow runtimes (task-graph scheduler vs the legacy
-// stage-sequential executor) on a job built to expose their difference: a
+// Measures the task-graph executor on a job built to expose scheduling: a
 // chain of partition-local operators with skewed per-partition cost over
-// more partitions than workers. The stage-sequential executor inserts a
-// barrier after every operator, so each stage waits for the slowest
-// partition while other workers idle; the task-graph scheduler lets fast
-// partitions run ahead through the whole chain. Identical work, identical
-// answers — only the scheduling differs.
+// more partitions than workers. With no barrier between the local
+// operators, fast partitions run ahead through the whole chain while the
+// slow ones are still working, so wall time tracks the critical path rather
+// than the sum of per-operator maxima.
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
@@ -92,7 +90,7 @@ Job MakeChainJob() {
   return job;
 }
 
-void RunExecutor(benchmark::State& state, ExecutorKind kind) {
+void BM_TaskGraphScheduler(benchmark::State& state) {
   ThreadPool pool(static_cast<size_t>(state.range(0)));
   const ClusterTopology topology{4, 2};  // 8 partitions
   Job job = MakeChainJob();
@@ -101,7 +99,6 @@ void RunExecutor(benchmark::State& state, ExecutorKind kind) {
     ExecContext ctx;
     ctx.pool = &pool;
     ctx.topology = topology;
-    ctx.executor = kind;
     Result<PartitionedRows> out = Executor::Run(job, ctx);
     if (!out.ok()) {
       state.SkipWithError(out.status().ToString().c_str());
@@ -112,35 +109,23 @@ void RunExecutor(benchmark::State& state, ExecutorKind kind) {
   }
   state.counters["rows"] = static_cast<double>(rows);
 
-  // Machine-independent figures from the cluster cost model: the critical
-  // path through the task DAG (what a dependency-scheduled runtime achieves
-  // with enough workers) vs the stage-sum the per-operator barriers impose.
-  // Wall time above depends on the host's core count; these do not.
+  // Machine-independent figure from the cluster cost model: the critical
+  // path through the task DAG, what the executor achieves with enough
+  // workers. Wall time above depends on the host's core count; this does
+  // not.
   ExecStats stats;
   ExecContext ctx;
   ctx.pool = &pool;
   ctx.topology = topology;
-  ctx.executor = kind;
   ctx.stats = &stats;
   Result<PartitionedRows> out = Executor::Run(job, ctx);
   if (out.ok()) {
     cluster::MakespanReport model =
         cluster::ComputeMakespan(stats, topology);
     state.counters["model_critical_path_s"] = model.critical_path_seconds;
-    state.counters["model_stage_sum_s"] = model.stage_sum_seconds();
   }
 }
-
-void BM_TaskGraphScheduler(benchmark::State& state) {
-  RunExecutor(state, ExecutorKind::kScheduler);
-}
 BENCHMARK(BM_TaskGraphScheduler)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
-
-void BM_StageSequential(benchmark::State& state) {
-  RunExecutor(state, ExecutorKind::kStageSequential);
-}
-BENCHMARK(BM_StageSequential)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 }  // namespace

@@ -12,7 +12,6 @@
 #include "hyracks/ops_index.h"
 #include "hyracks/ops_join.h"
 #include "hyracks/ops_scan.h"
-#include "hyracks/scheduler.h"
 
 namespace simdb::analysis {
 
@@ -164,7 +163,7 @@ class JobChecker {
     }
 
     return DagVerifier::VerifySteals(job_,
-                                     hyracks::Scheduler::PlannedSteals(job_));
+                                     hyracks::Executor::PlannedSteals(job_));
   }
 
  private:

@@ -13,7 +13,7 @@ namespace {
 
 /// Modeled seconds to push `remote_bytes` through the per-node NICs: bytes
 /// flow roughly evenly, frame latency is charged per 32 KiB frame, also
-/// spread across nodes. Shared by the stage-sum and critical-path figures.
+/// spread across nodes. Shared by network_seconds and the critical path.
 double NetworkSeconds(uint64_t remote_bytes, int nodes,
                       const NetworkModel& net) {
   if (remote_bytes == 0) return 0;
@@ -104,19 +104,15 @@ MakespanReport ComputeMakespan(const hyracks::ExecStats& stats,
     report.measured_network_seconds += op.transport_seconds;
     report.remote_compute_seconds += op.remote_compute_seconds;
   }
-  if (stats.has_task_dag) {
-    report.has_critical_path = true;
-    NetworkModel effective = net;
-    if (stats.network_measured) {
-      // Zero out the modeled barrier charge; ship time is inside
-      // partition_seconds already.
-      effective.bandwidth_bytes_per_sec =
-          std::numeric_limits<double>::infinity();
-      effective.frame_latency_sec = 0;
-    }
-    report.critical_path_seconds = CriticalPathSeconds(
-        stats, std::max(1, topology.total_partitions()), nodes, effective);
+  NetworkModel effective = net;
+  if (stats.network_measured) {
+    // Zero out the modeled barrier charge; ship time is inside
+    // partition_seconds already.
+    effective.bandwidth_bytes_per_sec = std::numeric_limits<double>::infinity();
+    effective.frame_latency_sec = 0;
   }
+  report.critical_path_seconds = CriticalPathSeconds(
+      stats, std::max(1, topology.total_partitions()), nodes, effective);
   return report;
 }
 
@@ -130,32 +126,22 @@ std::string FormatMakespan(const MakespanReport& report) {
   if (report.network_measured) {
     if (report.remote_compute_seconds > 0) {
       std::snprintf(buf, sizeof(buf),
-                    "%.3fs %s (measured network %.3fs, remote compute %.3fs "
-                    "inside compute)",
-                    report.total_seconds(),
-                    report.has_critical_path ? "critical path" : "stage-sum",
-                    report.measured_network_seconds,
+                    "%.3fs critical path (measured network %.3fs, remote "
+                    "compute %.3fs inside compute)",
+                    report.total_seconds(), report.measured_network_seconds,
                     report.remote_compute_seconds);
       return buf;
     }
     std::snprintf(buf, sizeof(buf),
-                  "%.3fs %s (measured network %.3fs inside compute)",
-                  report.total_seconds(),
-                  report.has_critical_path ? "critical path" : "stage-sum",
-                  report.measured_network_seconds);
+                  "%.3fs critical path (measured network %.3fs inside "
+                  "compute)",
+                  report.total_seconds(), report.measured_network_seconds);
     return buf;
   }
-  if (report.has_critical_path) {
-    std::snprintf(buf, sizeof(buf),
-                  "%.3fs critical path (stage-sum %.3fs = compute %.3fs + "
-                  "network %.3fs)",
-                  report.critical_path_seconds, report.stage_sum_seconds(),
-                  report.compute_seconds, report.network_seconds);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.3fs (compute %.3fs + network %.3fs)",
-                  report.total_seconds(), report.compute_seconds,
-                  report.network_seconds);
-  }
+  std::snprintf(buf, sizeof(buf),
+                "%.3fs critical path (compute %.3fs, network %.3fs)",
+                report.total_seconds(), report.compute_seconds,
+                report.network_seconds);
   return buf;
 }
 

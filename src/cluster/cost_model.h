@@ -19,30 +19,24 @@ struct NetworkModel {
 /// A simulated parallel execution time ("makespan") derived from measured
 /// per-partition compute times and counted exchange traffic.
 ///
-/// Two figures are computed:
-///   - stage-sum (`compute_seconds` + `network_seconds`): the legacy
-///     stage-sequential model — sum over operators of
-///     max-over-nodes(sum of that node's partition compute seconds), plus the
-///     modeled time to move each exchange's remote bytes through the
-///     per-node NICs. Kept as the comparison figure.
-///   - critical path (`critical_path_seconds`): the longest dependency chain
-///     through the per-(node, partition) task DAG, available when the stats
-///     carry DAG shape (ExecStats::has_task_dag). A partition-local task is
-///     ready when the same partition of each input is done; a barrier
-///     (exchange / whole-node operator) waits for every partition of every
-///     input and additionally pays its network time before its outputs
-///     start. This is the makespan a dependency-scheduled runtime achieves
-///     with unbounded workers.
+/// The makespan (`critical_path_seconds`, also `total_seconds()`) is the
+/// longest dependency chain through the per-(node, partition) task DAG that
+/// OpStats::node_id / input_ops describe. A partition-local task is ready
+/// when the same partition of each input is done; a barrier (exchange /
+/// whole-node operator) waits for every partition of every input and
+/// additionally pays its network time before its outputs start. This is the
+/// makespan a dependency-scheduled runtime achieves with unbounded workers,
+/// and it preserves the paper's scale-out/speed-up shapes on a single
+/// machine (see DESIGN.md).
 ///
-/// Both preserve the paper's scale-out/speed-up shapes on a single machine
-/// (see DESIGN.md); `total_seconds()` prefers the critical path.
+/// Two components are reported beside it: `compute_seconds` sums over
+/// operators the max-over-nodes of each node's partition compute seconds,
+/// and `network_seconds` is the modeled time to move every exchange's remote
+/// bytes through the per-node NICs.
 struct MakespanReport {
   double compute_seconds = 0;
   double network_seconds = 0;
   double critical_path_seconds = 0;
-  /// True when the stats carried task-DAG shape and the critical path was
-  /// computed; false for hand-built or legacy stats (stage-sum only).
-  bool has_critical_path = false;
   /// True when the run shipped its exchange traffic through a wall-clock
   /// transport backend (ExecStats::network_measured). The shipping time is
   /// then already inside the exchange partition_seconds — charging the
@@ -60,10 +54,7 @@ struct MakespanReport {
   /// path. Nonzero only when destinations were actually built remotely.
   double remote_compute_seconds = 0;
 
-  double stage_sum_seconds() const { return compute_seconds + network_seconds; }
-  double total_seconds() const {
-    return has_critical_path ? critical_path_seconds : stage_sum_seconds();
-  }
+  double total_seconds() const { return critical_path_seconds; }
 };
 
 MakespanReport ComputeMakespan(const hyracks::ExecStats& stats,
@@ -71,7 +62,7 @@ MakespanReport ComputeMakespan(const hyracks::ExecStats& stats,
                                const NetworkModel& net = {});
 
 /// Modeled seconds to push `remote_bytes` through the per-node NICs — the
-/// exact figure both makespan variants charge an exchange. Exposed so the
+/// exact figure the makespan charges an exchange. Exposed so the
 /// observability layer can emit the same modeled network time as trace spans
 /// next to the measured compute spans.
 double ModeledNetworkSeconds(uint64_t remote_bytes, int nodes,

@@ -219,7 +219,6 @@ Status QueryProcessor::RunQuery(const aql::AExprPtr& query,
   ctx.posting_cache_enabled = options_.posting_cache_enabled;
   ctx.batch_execution = options_.batch_execution;
   ctx.batch_size = options_.batch_size;
-  ctx.executor = options_.executor;
   ctx.transport = transport_.get();
   if (gov != nullptr) {
     ctx.cancel = gov->cancel;

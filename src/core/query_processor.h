@@ -40,9 +40,6 @@ struct EngineOptions {
   bool batch_execution = true;
   /// Rows per columnar scratch batch on the batch path.
   int batch_size = 1024;
-  /// Dataflow runtime: dependency-scheduled task graph (default) or the
-  /// legacy stage-sequential loop. The two are answer-identical.
-  hyracks::ExecutorKind executor = hyracks::ExecutorKind::kScheduler;
   /// Exchange transport backend (see transport/transport.h and
   /// docs/TRANSPORT.md). kModeled is the paper-figure default; the
   /// SIMDB_TRANSPORT environment variable overrides it at engine
@@ -76,7 +73,7 @@ struct CompileStats {
 };
 
 /// Per-query serving controls threaded from the serving layer down into the
-/// executors. Both pointers are owned by the caller (the serving layer's
+/// executor. Both pointers are owned by the caller (the serving layer's
 /// QueryTicket) and must outlive the query. Null members disable the
 /// corresponding control.
 struct QueryGovernor {
@@ -167,13 +164,6 @@ class QueryProcessor {
 
   /// Rows per columnar scratch batch (batch path only).
   void set_batch_size(int rows) { options_.batch_size = rows; }
-
-  /// Switches the dataflow runtime for subsequent queries. The task-graph
-  /// scheduler and the stage-sequential executor must be answer-identical;
-  /// the differential fuzz harness runs both per execution variant.
-  void set_executor(hyracks::ExecutorKind executor) {
-    options_.executor = executor;
-  }
 
   /// Toggles query profiling for subsequent queries (see
   /// EngineOptions::profile_queries). Profiling must not change answers —

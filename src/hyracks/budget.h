@@ -9,7 +9,7 @@
 
 namespace simdb::hyracks {
 
-/// Per-query resource quotas, charged cooperatively by the executors:
+/// Per-query resource quotas, charged cooperatively by the executor:
 ///   - memory: approximate bytes of live intermediate partitions (TupleBytes
 ///     of everything the scheduler currently holds). Charged when a task's
 ///     output is stored, released when the last consumer frees the

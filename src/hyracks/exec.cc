@@ -1,15 +1,8 @@
 #include "hyracks/exec.h"
 
 #include <algorithm>
-#include <atomic>
-#include <mutex>
 
 #include "common/logging.h"
-#include "common/stopwatch.h"
-#include "hyracks/ops_exchange.h"
-#include "hyracks/scheduler.h"
-#include "observability/trace.h"
-#include "transport/transport.h"
 
 namespace simdb::hyracks {
 
@@ -42,49 +35,6 @@ std::vector<int> ComputeStages(const Job& job) {
   return stages;
 }
 
-Status RunPerPartition(ExecContext& ctx, int num_partitions, OpStats* stats,
-                       const std::function<Status(int)>& fn) {
-  if (num_partitions <= 0) return Status::OK();
-  if (stats != nullptr) {
-    stats->partition_seconds.assign(static_cast<size_t>(num_partitions), 0.0);
-  }
-  // Every partition runs to completion and records its outcome in its own
-  // slot — no shared mutable error state — so the error returned below does
-  // not depend on thread scheduling: the lowest failing partition index wins,
-  // with or without a stats sink, under any pool size.
-  std::vector<Status> statuses(static_cast<size_t>(num_partitions));
-  if (num_partitions == 1 || ctx.pool == nullptr) {
-    for (int p = 0; p < num_partitions; ++p) {
-      Stopwatch sw;
-      statuses[static_cast<size_t>(p)] = fn(p);
-      if (stats != nullptr) {
-        stats->partition_seconds[static_cast<size_t>(p)] = sw.ElapsedSeconds();
-      }
-    }
-  } else {
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(static_cast<size_t>(num_partitions));
-    for (int p = 0; p < num_partitions; ++p) {
-      tasks.push_back([&, p] {
-        Stopwatch sw;
-        statuses[static_cast<size_t>(p)] = fn(p);
-        if (stats != nullptr) {
-          stats->partition_seconds[static_cast<size_t>(p)] = sw.ElapsedSeconds();
-        }
-      });
-    }
-    ctx.pool->RunAll(std::move(tasks));
-  }
-  for (int p = 0; p < num_partitions; ++p) {
-    const Status& s = statuses[static_cast<size_t>(p)];
-    if (!s.ok()) {
-      return Status(s.code(),
-                    "partition " + std::to_string(p) + ": " + s.message());
-    }
-  }
-  return Status::OK();
-}
-
 Status PartitionOperator::ValidateInputArity(size_t provided) const {
   int expected = num_inputs();
   if (expected < 0) {
@@ -98,62 +48,6 @@ Status PartitionOperator::ValidateInputArity(size_t provided) const {
                             " input(s), got " + std::to_string(provided));
   }
   return Status::OK();
-}
-
-Result<PartitionedRows> PartitionOperator::Execute(
-    ExecContext& ctx, const std::vector<const PartitionedRows*>& inputs,
-    OpStats* stats) {
-  SIMDB_RETURN_IF_ERROR(ValidateInputArity(inputs.size()));
-  SIMDB_RETURN_IF_ERROR(Prepare(ctx));
-  size_t parts = inputs.empty()
-                     ? static_cast<size_t>(ctx.topology.total_partitions())
-                     : inputs[0]->size();
-  for (const PartitionedRows* in : inputs) {
-    if (in->size() != parts) {
-      return Status::Internal(name() + " partition mismatch");
-    }
-  }
-  PartitionedRows out(parts);
-  // Profiling gives every partition task a private counter sink (merged in
-  // partition order below) and records a span; the off path is untouched.
-  const bool profiling = ctx.trace != nullptr;
-  std::vector<OpCounterSink> sinks;
-  if (profiling) sinks.resize(parts);
-  SIMDB_RETURN_IF_ERROR(RunPerPartition(
-      ctx, static_cast<int>(parts), stats, [&](int p) -> Status {
-        std::vector<const Rows*> slice;
-        slice.reserve(inputs.size());
-        for (const PartitionedRows* in : inputs) {
-          slice.push_back(&(*in)[static_cast<size_t>(p)]);
-        }
-        if (!profiling) {
-          SIMDB_ASSIGN_OR_RETURN(out[static_cast<size_t>(p)],
-                                 ExecutePartition(ctx, p, slice));
-          return Status::OK();
-        }
-        ExecContext task_ctx = ctx;
-        task_ctx.counters = &sinks[static_cast<size_t>(p)];
-        int64_t start = ctx.trace->NowMicros();
-        SIMDB_ASSIGN_OR_RETURN(out[static_cast<size_t>(p)],
-                               ExecutePartition(task_ctx, p, slice));
-        obs::TraceEvent ev;
-        ev.category = "task";
-        ev.name = name();
-        ev.start_us = start;
-        ev.dur_us = ctx.trace->NowMicros() - start;
-        ev.pid = ctx.topology.NodeOfPartition(p);
-        ev.tid = p % ctx.topology.partitions_per_node;
-        ev.args = {{"node", stats != nullptr ? stats->node_id : -1},
-                   {"partition", p},
-                   {"rows",
-                    static_cast<int64_t>(out[static_cast<size_t>(p)].size())}};
-        ctx.trace->Record(std::move(ev));
-        return Status::OK();
-      }));
-  if (profiling && stats != nullptr) {
-    for (const OpCounterSink& sink : sinks) MergeCounterSink(*stats, sink);
-  }
-  return out;
 }
 
 int Job::Add(std::unique_ptr<Operator> op, std::vector<int> inputs,
@@ -177,178 +71,6 @@ std::string Job::ToString() const {
     out += "] " + nodes_[i].schema.ToString() + "\n";
   }
   return out;
-}
-
-Status WrapNodeError(int node, const std::string& op_name, const Status& s) {
-  return Status(s.code(), "node " + std::to_string(node) + " (" + op_name +
-                              "): " + s.message());
-}
-
-Result<PartitionedRows> Executor::Run(const Job& job, ExecContext& ctx) {
-  if (ctx.executor == ExecutorKind::kStageSequential) {
-    return RunStageSequential(job, ctx);
-  }
-  return Scheduler::Run(job, ctx);
-}
-
-Result<PartitionedRows> Executor::RunStageSequential(const Job& job,
-                                                     ExecContext& ctx) {
-  const auto& nodes = job.nodes();
-  if (nodes.empty()) return Status::PlanError("empty job");
-  if (ctx.stats != nullptr && ctx.transport != nullptr &&
-      ctx.transport->measures_wall_clock()) {
-    ctx.stats->network_measured = true;
-  }
-
-  // Reference counts so intermediate outputs are freed when every consumer
-  // has run (the root output always survives).
-  std::vector<int> refcount(nodes.size(), 0);
-  for (const auto& node : nodes) {
-    for (int in : node.inputs) ++refcount[static_cast<size_t>(in)];
-  }
-  ++refcount[static_cast<size_t>(job.root())];
-
-  Stopwatch sw;
-  std::vector<int> stages = ComputeStages(job);
-  std::vector<PartitionedRows> outputs(nodes.size());
-  // Serving accounting at node granularity (this executor has no finer
-  // tasks): bytes charged per live node output, and executed/skipped node
-  // counts so executed + skipped == total holds here too.
-  std::vector<int64_t> charged(nodes.size(), 0);
-  uint64_t executed_nodes = 0;
-  auto cleanup = [&] {
-    if (ctx.budget != nullptr) {
-      for (int64_t& c : charged) {
-        if (c != 0) {
-          ctx.budget->ReleaseMemory(c);
-          c = 0;
-        }
-      }
-    }
-    if (ctx.stats != nullptr) {
-      ctx.stats->tasks_total += nodes.size();
-      ctx.stats->tasks_executed += executed_nodes;
-      ctx.stats->tasks_skipped += nodes.size() - executed_nodes;
-    }
-  };
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    // Cooperative serving checks, node-at-a-time (coarser than the
-    // scheduler's per-task polls, but the same client-visible statuses).
-    if (ctx.cancel != nullptr || ctx.budget != nullptr) {
-      Status admit =
-          ctx.cancel != nullptr ? ctx.cancel->Check() : Status::OK();
-      if (admit.ok() && ctx.budget != nullptr) admit = ctx.budget->ChargeTask();
-      if (!admit.ok()) {
-        cleanup();
-        if (ctx.stats != nullptr) {
-          ctx.stats->has_task_dag = true;
-          ctx.stats->wall_seconds += sw.ElapsedSeconds();
-        }
-        return admit;
-      }
-    }
-    std::vector<const PartitionedRows*> inputs;
-    inputs.reserve(nodes[i].inputs.size());
-    for (int in : nodes[i].inputs) {
-      inputs.push_back(&outputs[static_cast<size_t>(in)]);
-    }
-    OpStats op_stats;
-    op_stats.name = nodes[i].op->name();
-    op_stats.node_id = static_cast<int>(i);
-    op_stats.input_ops = nodes[i].inputs;
-    op_stats.barrier = !nodes[i].op->partition_local();
-    op_stats.stage = stages[i];
-    for (const PartitionedRows* in : inputs) op_stats.rows_in += RowsCount(*in);
-    // An exchange that is the sole remaining consumer of its input may move
-    // tuples out of it instead of copying (the input is released right after
-    // anyway). The root's extra refcount keeps the final answer unstolen.
-    PartitionedRows* steal = nullptr;
-    auto* exchange = dynamic_cast<ExchangeOperator*>(nodes[i].op.get());
-    if (exchange != nullptr && nodes[i].inputs.size() == 1 &&
-        refcount[static_cast<size_t>(nodes[i].inputs[0])] == 1) {
-      steal = &outputs[static_cast<size_t>(nodes[i].inputs[0])];
-    }
-    // Barrier non-exchange operators (RANK-ASSIGN, LIMIT) run whole-node;
-    // give them one span here. Partition-local operators get per-partition
-    // spans inside the PartitionOperator adapter, exchanges inside
-    // RunExchange.
-    const bool barrier_span = ctx.trace != nullptr && op_stats.barrier &&
-                              exchange == nullptr;
-    int64_t span_start = barrier_span ? ctx.trace->NowMicros() : 0;
-    Result<PartitionedRows> executed =
-        exchange != nullptr
-            ? RunExchange(ctx, *exchange, inputs, steal, &op_stats)
-            : nodes[i].op->Execute(ctx, inputs, &op_stats);
-    if (barrier_span) {
-      obs::TraceEvent ev;
-      ev.category = "task";
-      ev.name = op_stats.name;
-      ev.start_us = span_start;
-      ev.dur_us = ctx.trace->NowMicros() - span_start;
-      ev.args = {{"node", static_cast<int64_t>(i)}};
-      ctx.trace->Record(std::move(ev));
-    }
-    ++executed_nodes;
-    if (!executed.ok()) {
-      // Keep the partial stats trail and identify the failing node: error
-      // reports stay deterministic and attributable instead of dropping the
-      // per-partition context on the floor.
-      cleanup();
-      if (ctx.stats != nullptr) {
-        ctx.stats->has_task_dag = true;
-        ctx.stats->ops.push_back(std::move(op_stats));
-        ctx.stats->wall_seconds += sw.ElapsedSeconds();
-      }
-      return WrapNodeError(static_cast<int>(i), nodes[i].op->name(),
-                           executed.status());
-    }
-    outputs[i] = std::move(executed).value();
-    // Normalize: every operator must emit exactly total_partitions parts.
-    if (static_cast<int>(outputs[i].size()) != ctx.topology.total_partitions()) {
-      cleanup();
-      return Status::Internal("operator " + nodes[i].op->name() +
-                              " produced wrong partition count");
-    }
-    if (ctx.budget != nullptr) {
-      int64_t bytes = 0;
-      for (const Rows& part : outputs[i]) {
-        for (const Tuple& t : part) bytes += static_cast<int64_t>(TupleBytes(t));
-      }
-      Status s = ctx.budget->ChargeMemory(bytes);
-      if (!s.ok()) {
-        cleanup();
-        if (ctx.stats != nullptr) {
-          ctx.stats->has_task_dag = true;
-          ctx.stats->ops.push_back(std::move(op_stats));
-          ctx.stats->wall_seconds += sw.ElapsedSeconds();
-        }
-        return s;
-      }
-      charged[i] = bytes;
-    }
-    op_stats.rows_out = RowsCount(outputs[i]);
-    op_stats.partition_rows.reserve(outputs[i].size());
-    for (const Rows& part : outputs[i]) {
-      op_stats.partition_rows.push_back(part.size());
-    }
-    if (ctx.stats != nullptr) ctx.stats->ops.push_back(std::move(op_stats));
-    // Release inputs that are no longer needed.
-    for (int in : nodes[i].inputs) {
-      if (--refcount[static_cast<size_t>(in)] == 0) {
-        outputs[static_cast<size_t>(in)] = PartitionedRows();
-        if (ctx.budget != nullptr && charged[static_cast<size_t>(in)] != 0) {
-          ctx.budget->ReleaseMemory(charged[static_cast<size_t>(in)]);
-          charged[static_cast<size_t>(in)] = 0;
-        }
-      }
-    }
-  }
-  cleanup();
-  if (ctx.stats != nullptr) {
-    ctx.stats->has_task_dag = true;
-    ctx.stats->wall_seconds += sw.ElapsedSeconds();
-  }
-  return std::move(outputs[static_cast<size_t>(job.root())]);
 }
 
 }  // namespace simdb::hyracks

@@ -51,16 +51,16 @@ struct OpCounterSink {
 struct OpStats {
   std::string name;
   /// Job node id and input node ids: the task-DAG shape the cost model needs
-  /// to compute a critical-path makespan. -1 / empty when the stats were not
-  /// produced by a job executor (hand-built stats, direct operator calls).
+  /// to compute a critical-path makespan. -1 / empty in hand-built stats,
+  /// which the critical path then ignores.
   int node_id = -1;
   std::vector<int> input_ops;
   /// True for pipeline barriers (exchanges and whole-node operators): every
   /// input partition must be complete before any output partition exists.
   bool barrier = false;
   /// Pipeline stage: the number of barrier operators on the longest path
-  /// from any source to this node (sources are stage 0). Set by both
-  /// executors via ComputeStages.
+  /// from any source to this node (sources are stage 0). Set by the
+  /// executor via ComputeStages.
   int stage = 0;
   /// Measured compute seconds for each partition's work. For exchanges this
   /// is the per-destination build time (plus routing time spread evenly).
@@ -103,16 +103,12 @@ void MergeCounterSink(OpStats& stats, const OpCounterSink& sink);
 struct ExecStats {
   std::vector<OpStats> ops;
   double wall_seconds = 0;
-  /// True when `ops` carries node/input DAG info (set by both executors);
-  /// enables the cost model's critical-path makespan.
-  bool has_task_dag = false;
   /// True when the run shipped exchange traffic through a wall-clock
   /// transport backend (shm, socket): transport time is then already inside
   /// the exchange partition_seconds, and the cost model must report the
   /// measured seconds instead of charging its modeled network formula.
   bool network_measured = false;
-  /// Task accounting (task-graph scheduler; the stage-sequential executor
-  /// counts whole nodes). Every planned task is either executed or skipped —
+  /// Task accounting. Every planned task is either executed or skipped —
   /// executed + skipped == total proves the graph drained, which is what the
   /// cancellation tests assert: no task is left behind after a cancel.
   uint64_t tasks_total = 0;
@@ -134,17 +130,6 @@ struct ExecStats {
     for (const OpStats& op : ops) total += op.remote_compute_seconds;
     return total;
   }
-};
-
-/// Which dataflow runtime executes jobs. The two must be answer-identical
-/// (the differential fuzz harness cross-checks them on every CI run).
-enum class ExecutorKind {
-  /// Per-(node, partition) task graph scheduled on the thread pool: a
-  /// partition pipelines through chains of local operators while sibling
-  /// partitions and independent plan branches run concurrently.
-  kScheduler,
-  /// Legacy node-at-a-time execution with a global barrier per operator.
-  kStageSequential,
 };
 
 /// One remote-eligible exchange build task, as seen by the scheduler's
@@ -189,26 +174,25 @@ struct ExecContext {
   bool batch_execution = true;
   /// Rows per columnar scratch batch on the batch path.
   int batch_size = 1024;
-  ExecutorKind executor = ExecutorKind::kScheduler;
   /// Exchange transport backend. Null behaves exactly like the modeled
   /// backend: destinations are built in place and no bytes are shipped.
   /// When non-null, every built exchange destination is offered to
   /// Transport::ShouldShip and round-tripped through Transport::Ship inside
-  /// the build task (see BuildAndShipDestination in ops_exchange.h).
+  /// the build task (see BuildAndShipDestination in scheduler.cc).
   transport::Transport* transport = nullptr;
-  /// Non-null enables query profiling: executors record per-task spans here
-  /// and operators emit their specific counters. Null (the default) is the
-  /// zero-overhead path — operators test this single pointer and skip all
-  /// counter work.
+  /// Non-null enables query profiling: the executor records per-task spans
+  /// here and operators emit their specific counters. Null (the default) is
+  /// the zero-overhead path — operators test this single pointer and skip
+  /// all counter work.
   obs::TraceCollector* trace = nullptr;
   /// Per-task counter sink, valid only for the duration of the current
-  /// partition task. Set by the executors (on a per-task copy of the
+  /// partition task. Set by the executor (on a per-task copy of the
   /// context) when profiling; operators write through it via CountOp.
   OpCounterSink* counters = nullptr;
-  /// Cooperative cancellation: when non-null, both executors poll it before
-  /// starting each task (scheduler) / node (stage-sequential). Tasks already
-  /// running finish; everything else is skipped, partial outputs released.
-  /// Null (the default) is the zero-overhead single-query path.
+  /// Cooperative cancellation: when non-null, the executor polls it before
+  /// starting each task. Tasks already running finish; everything else is
+  /// skipped, partial outputs released. Null (the default) is the
+  /// zero-overhead single-query path.
   const CancellationToken* cancel = nullptr;
   /// Per-query resource quotas (memory held in live intermediate partitions,
   /// task count). Null (the default) disables all accounting.
@@ -229,28 +213,30 @@ inline void CountOp(ExecContext& ctx, const char* name, uint64_t delta) {
   if (ctx.counters != nullptr) ctx.counters->Add(name, delta);
 }
 
-/// A physical operator. Operators consume fully materialized partitioned
-/// inputs and produce partitioned output; partition-local operators
-/// additionally expose a per-partition hook (see PartitionOperator) that the
-/// task-graph scheduler drives directly.
+/// A physical operator. Every operator derives from exactly one of the three
+/// kinds the executor schedules — the private constructor admits no others:
+/// PartitionOperator (one task per partition), ExchangeOperator
+/// (hyracks/ops_exchange.h: one routing task, then one build task per
+/// destination) or BarrierOperator (one whole-node task).
 class Operator {
  public:
   virtual ~Operator() = default;
   virtual std::string name() const = 0;
-  virtual Result<PartitionedRows> Execute(
-      ExecContext& ctx, const std::vector<const PartitionedRows*>& inputs,
-      OpStats* stats) = 0;
   /// True when output partition p is a pure function of partition p of each
   /// input (scan, select, project, join, ...). False for pipeline barriers
   /// (exchanges, rank-assign, limit).
   virtual bool partition_local() const { return false; }
+
+ private:
+  Operator() = default;
+  friend class PartitionOperator;
+  friend class ExchangeOperator;
+  friend class BarrierOperator;
 };
 
-/// A partition-local physical operator: implements ExecutePartition and
-/// inherits a stage-materialized Execute adapter that fans ExecutePartition
-/// out over all partitions via RunPerPartition. The task-graph scheduler
-/// calls ExecutePartition directly, so one partition can flow through a
-/// chain of local operators while sibling partitions run concurrently.
+/// A partition-local physical operator. The executor calls ExecutePartition
+/// once per partition, so one partition can flow through a chain of local
+/// operators while sibling partitions run concurrently.
 class PartitionOperator : public Operator {
  public:
   bool partition_local() const final { return true; }
@@ -260,7 +246,7 @@ class PartitionOperator : public Operator {
 
   /// Runs once per job execution before any partition task: resolve catalog
   /// objects, validate the plan. Errors here are node-level (no partition
-  /// prefix). Called single-threaded by both executors.
+  /// prefix). Called single-threaded by the executor's graph builder.
   virtual Status Prepare(ExecContext& ctx) {
     (void)ctx;
     return Status::OK();
@@ -272,21 +258,20 @@ class PartitionOperator : public Operator {
   virtual Result<Rows> ExecutePartition(
       ExecContext& ctx, int p, const std::vector<const Rows*>& inputs) = 0;
 
-  /// Adapter for the stage-sequential executor and direct operator calls.
-  Result<PartitionedRows> Execute(
-      ExecContext& ctx, const std::vector<const PartitionedRows*>& inputs,
-      OpStats* stats) final;
-
-  /// Arity + partition-count validation shared by the adapter and the
-  /// scheduler's graph builder.
+  /// Arity validation shared by the executor's graph builder and the DAG
+  /// verifier.
   Status ValidateInputArity(size_t provided) const;
 };
 
-/// Runs `fn(p)` for every partition on the context's thread pool, recording
-/// per-partition compute seconds into `stats` (when non-null). Returns the
-/// first error encountered.
-Status RunPerPartition(ExecContext& ctx, int num_partitions, OpStats* stats,
-                       const std::function<Status(int)>& fn);
+/// A pipeline barrier that needs every partition of every input at once
+/// (RANK-ASSIGN, LIMIT). The executor runs Execute as a single task after all
+/// inputs are complete; it must return exactly total_partitions partitions.
+class BarrierOperator : public Operator {
+ public:
+  virtual Result<PartitionedRows> Execute(
+      ExecContext& ctx, const std::vector<const PartitionedRows*>& inputs,
+      OpStats* stats) = 0;
+};
 
 /// A dataflow DAG of operators. Nodes must be added in topological order
 /// (inputs referencing earlier nodes only); the last node is the root whose
@@ -315,24 +300,40 @@ class Job {
   std::vector<Node> nodes_;
 };
 
-/// Executes a Job and returns the root node's partitioned output. Dispatches
-/// on ctx.executor: the dependency-scheduled task graph (default, see
-/// hyracks/scheduler.h) or the legacy stage-sequential loop. Both executors
-/// are answer-identical and report errors identically: the lowest failing
-/// (node, partition) wins regardless of thread interleaving.
+/// Executes a Job as a dependency-scheduled task graph and returns the root
+/// node's partitioned output (implemented in hyracks/scheduler.cc).
+///
+/// The job DAG of operators is expanded into a finer task graph:
+///   - a partition-local node becomes one kLocal task per partition
+///     (ExecutePartition), depending only on the same partition of each
+///     input — a partition pipelines through a chain of local operators
+///     without waiting for its siblings;
+///   - an exchange becomes one kRoute task (Route, after every input
+///     partition) plus one kBuild task per destination partition
+///     (BuildDestination), all builds running in parallel;
+///   - a barrier operator becomes a single kBarrier task (Execute) over its
+///     fully materialized inputs.
+///
+/// Ready tasks are submitted to the context's thread pool; intermediate
+/// partitions are released as soon as their per-partition reference count
+/// drops to zero. With no pool (or when invoked from a pool worker) the graph
+/// runs inline in deterministic topological order.
+///
+/// Answers and errors are identical under any pool size — the differential
+/// tests use pool 1 as the serial oracle for pool N. Every runnable task
+/// completes (tasks downstream of a failure are skipped, never aborted
+/// mid-flight), then the failure of the lowest node id — and within it the
+/// lowest partition — is reported as "node N (NAME): [partition P: ]message".
 class Executor {
  public:
   static Result<PartitionedRows> Run(const Job& job, ExecContext& ctx);
 
-  /// Node-at-a-time execution with a barrier after every operator.
-  static Result<PartitionedRows> RunStageSequential(const Job& job,
-                                                    ExecContext& ctx);
+  /// The tuple-steal plan Run uses: steals[i] is true iff node i is an
+  /// exchange whose single input has exactly one consumer edge. Exposed so
+  /// the DAG verifier can check steal legality against the same decision the
+  /// executor makes.
+  static std::vector<bool> PlannedSteals(const Job& job);
 };
-
-/// Formats a task failure exactly like the stage-sequential executor:
-/// "node N (NAME): [partition P: ]message". Shared with the scheduler so
-/// error strings are byte-identical across executors and pool sizes.
-Status WrapNodeError(int node, const std::string& op_name, const Status& s);
 
 /// Pipeline stage per job node: stage(n) = max over inputs i of
 /// (stage(i) + barrier(i)), with sources at stage 0. Barriers count on the

@@ -174,7 +174,7 @@ Result<transport::FragmentReply> InterpretFragmentOrError(
 /// Installs the interpreter during static initialization: single-threaded,
 /// pre-main, and therefore before any socket worker is forked — the children
 /// inherit the installed pointer. This translation unit is always linked
-/// because ops_exchange.cc calls TryBuildRemote.
+/// because scheduler.cc calls TryBuildRemote.
 [[maybe_unused]] const bool kInterpreterInstalled = [] {
   transport::InstallFragmentInterpreter(&InterpretFragment);
   return true;
@@ -296,7 +296,7 @@ Status TryBuildRemote(ExecContext& ctx, ExchangeOperator& op, int dst,
                                          request, &reply, &seconds);
   if (dispatched.code() == StatusCode::kCancelled) {
     // The worker refused a cancelled query's fragment. Fall back to the
-    // local build: the executors' own cancellation polling decides the
+    // local build: the executor's own cancellation polling decides the
     // query's fate, so answers and errors stay identical across backends.
     return Status::OK();
   }

@@ -12,7 +12,7 @@
 
 namespace simdb::hyracks::fragment {
 
-/// Job-fragment serde and execution: the bridge between the executors'
+/// Job-fragment serde and execution: the bridge between the executor's
 /// exchange builds and the socket transport's worker processes.
 ///
 /// A fragment is one per-(node, partition) task closure — "build destination

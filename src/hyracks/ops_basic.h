@@ -122,7 +122,7 @@ class UnionAllOp : public PartitionOperator {
 /// already be gathered into partition 0 (used to materialize the global token
 /// order of the three-stage join's stage 1; AQL's `at $i` is 1-based).
 /// A pipeline barrier: the whole input must exist before ranks are assigned.
-class RankAssignOp : public Operator {
+class RankAssignOp : public BarrierOperator {
  public:
   explicit RankAssignOp(int64_t start = 0) : start_(start) {}
   std::string name() const override { return "RANK-ASSIGN"; }
@@ -137,7 +137,7 @@ class RankAssignOp : public Operator {
 /// Caps the total number of output rows (first `limit` rows by partition
 /// order; apply after a gather for deterministic results). A pipeline
 /// barrier: the cap spans partitions.
-class LimitOp : public Operator {
+class LimitOp : public BarrierOperator {
  public:
   explicit LimitOp(int64_t limit) : limit_(limit) {}
   std::string name() const override {

@@ -1,12 +1,6 @@
 #include "hyracks/ops_exchange.h"
 
-#include <algorithm>
 #include <queue>
-
-#include "common/stopwatch.h"
-#include "hyracks/fragment.h"
-#include "observability/trace.h"
-#include "transport/transport.h"
 
 namespace simdb::hyracks {
 
@@ -50,146 +44,6 @@ Tuple TakeRow(const PartitionedRows& in, PartitionedRows* steal, size_t src,
 Result<ExchangeOperator::Routing> ExchangeOperator::Route(
     ExecContext&, const PartitionedRows&) {
   return Routing{};
-}
-
-Result<Rows> BuildAndShipDestination(ExecContext& ctx, ExchangeOperator& op,
-                                     int dst, const PartitionedRows& in,
-                                     const ExchangeOperator::Routing& routing,
-                                     PartitionedRows* steal, OpStats* stats) {
-  // Remote-first: when the transport executes fragments, the destination is
-  // *computed* in the worker that owns its node and only the result crosses
-  // back — the parent never materializes it. A handled remote build consumed
-  // no tuples from `steal` (its slice is disjoint from every other
-  // destination's), so concurrent stealing builds are unaffected. Falls
-  // through to the local build + echo-ship path when remote execution is
-  // off, the operator has no closure, the slice is empty, or the fragment
-  // was refused as cancelled.
-  if (ctx.transport != nullptr && ctx.transport->remote_execution() &&
-      (ctx.cancel == nullptr || ctx.cancel->Check().ok())) {
-    Rows remote_rows;
-    bool handled = false;
-    SIMDB_RETURN_IF_ERROR(fragment::TryBuildRemote(
-        ctx, op, dst, in, routing, stats, &remote_rows, &handled));
-    if (handled) return remote_rows;
-  }
-  SIMDB_ASSIGN_OR_RETURN(Rows rows,
-                         op.BuildDestination(ctx, dst, in, routing, steal,
-                                             stats));
-  transport::Transport* t = ctx.transport;
-  if (t != nullptr &&
-      t->ShouldShip(rows.size(), stats != nullptr ? stats->remote_bytes : 0) &&
-      (ctx.cancel == nullptr || ctx.cancel->Check().ok())) {
-    double seconds = 0;
-    SIMDB_RETURN_IF_ERROR(
-        t->Ship(ctx.topology.NodeOfPartition(dst), &rows, &seconds));
-    if (stats != nullptr) stats->transport_seconds += seconds;
-  }
-  return rows;
-}
-
-Result<PartitionedRows> ExchangeOperator::Execute(
-    ExecContext& ctx, const std::vector<const PartitionedRows*>& inputs,
-    OpStats* stats) {
-  return RunExchange(ctx, *this, inputs, /*steal=*/nullptr, stats);
-}
-
-Result<PartitionedRows> RunExchange(
-    ExecContext& ctx, ExchangeOperator& op,
-    const std::vector<const PartitionedRows*>& inputs, PartitionedRows* steal,
-    OpStats* stats) {
-  if (inputs.size() != 1) {
-    return Status::Internal(op.name() + " expects exactly one input");
-  }
-  const PartitionedRows& in = *inputs[0];
-  int parts = static_cast<int>(in.size());
-  if (parts == 0) return PartitionedRows();
-
-  const bool profiling = ctx.trace != nullptr;
-  const int node_id = stats != nullptr ? stats->node_id : -1;
-  const int stage = stats != nullptr ? stats->stage : 0;
-  Stopwatch route_sw;
-  int64_t route_start = profiling ? ctx.trace->NowMicros() : 0;
-  SIMDB_ASSIGN_OR_RETURN(ExchangeOperator::Routing routing,
-                         op.Route(ctx, in));
-  double route_seconds = route_sw.ElapsedSeconds();
-  if (profiling) {
-    obs::TraceEvent ev;
-    ev.category = "exchange";
-    ev.name = op.name() + ":route";
-    ev.start_us = route_start;
-    ev.dur_us = ctx.trace->NowMicros() - route_start;
-    ev.args = {{"node", node_id}, {"stage", stage}};
-    ctx.trace->Record(std::move(ev));
-  }
-
-  // Destination builds run in parallel; each accounts its own traffic into a
-  // private sink. Merging in destination order keeps the counters identical
-  // under any pool size.
-  PartitionedRows out(static_cast<size_t>(parts));
-  std::vector<OpStats> dest_stats(static_cast<size_t>(parts));
-  // Profiling gives every destination task a private counter sink (remote
-  // fragment dispatch emits exec.remote.* through it), merged in destination
-  // order below; the off path is untouched.
-  std::vector<OpCounterSink> sinks;
-  if (profiling) sinks.resize(static_cast<size_t>(parts));
-  SIMDB_RETURN_IF_ERROR(
-      RunPerPartition(ctx, parts, stats, [&](int dst) -> Status {
-        ExecContext task_ctx = ctx;
-        if (profiling) task_ctx.counters = &sinks[static_cast<size_t>(dst)];
-        int64_t start = profiling ? ctx.trace->NowMicros() : 0;
-        SIMDB_ASSIGN_OR_RETURN(
-            out[static_cast<size_t>(dst)],
-            BuildAndShipDestination(task_ctx, op, dst, in, routing, steal,
-                                    &dest_stats[static_cast<size_t>(dst)]));
-        if (profiling) {
-          obs::TraceEvent ev;
-          ev.category = "exchange";
-          ev.name = op.name() + ":build";
-          ev.start_us = start;
-          ev.dur_us = ctx.trace->NowMicros() - start;
-          ev.pid = ctx.topology.NodeOfPartition(dst);
-          ev.tid = dst % ctx.topology.partitions_per_node;
-          ev.args = {
-              {"node", node_id},
-              {"partition", dst},
-              {"stage", stage},
-              {"rows",
-               static_cast<int64_t>(out[static_cast<size_t>(dst)].size())}};
-          ctx.trace->Record(std::move(ev));
-        }
-        return Status::OK();
-      }));
-  if (stats != nullptr) {
-    if (profiling) {
-      for (const OpCounterSink& sink : sinks) MergeCounterSink(*stats, sink);
-    }
-    for (int dst = 0; dst < parts; ++dst) {
-      const OpStats& d = dest_stats[static_cast<size_t>(dst)];
-      stats->local_bytes += d.local_bytes;
-      stats->remote_bytes += d.remote_bytes;
-      stats->remote_transfers += d.remote_transfers;
-      stats->transport_seconds += d.transport_seconds;
-      stats->remote_compute_seconds += d.remote_compute_seconds;
-      stats->remote_builds += d.remote_builds;
-    }
-    if (ctx.stats != nullptr) {
-      // Stage-sequential task accounting counts whole nodes; remote builds
-      // are still counted per destination so both executors agree on
-      // tasks_remote.
-      ctx.stats->tasks_remote += stats->remote_builds;
-    }
-    // Routing runs over the sources once; spread its cost evenly the way the
-    // cluster would (each source partition routes its own rows). Implicit-
-    // routing exchanges (broadcast, gather, merge-gather) computed no per-row
-    // destinations, so their idle destinations are not charged: a
-    // merge-gather's whole merge belongs to the destination-0 worker that
-    // steals the tuples, never to the victims it steals from.
-    if (!routing.destinations.empty()) {
-      double spread = route_seconds / parts;
-      for (double& s : stats->partition_seconds) s += spread;
-    }
-  }
-  return out;
 }
 
 Result<ExchangeOperator::Routing> HashExchangeOp::Route(

@@ -20,7 +20,7 @@ namespace simdb::hyracks {
 ///      destinations in parallel and merges the per-destination counters in
 ///      destination order, so OpStats are identical under any pool size.
 ///
-/// When the executor exclusively owns the input (this exchange is its last
+/// When the executor exclusively owns the input (this exchange is its sole
 /// consumer) it passes a mutable `steal` view: builds may then move tuples
 /// out of it instead of copying. Destinations own disjoint rows (a tuple is
 /// moved only by the destination it routes to), so concurrent moves are safe.
@@ -44,33 +44,7 @@ class ExchangeOperator : public Operator {
                                         const Routing& routing,
                                         PartitionedRows* steal,
                                         OpStats* stats) = 0;
-
-  /// Adapter: RunExchange without tuple stealing.
-  Result<PartitionedRows> Execute(
-      ExecContext& ctx, const std::vector<const PartitionedRows*>& inputs,
-      OpStats* stats) final;
 };
-
-/// Builds destination `dst` and, when the context carries a transport whose
-/// ShouldShip accepts the destination (judged on its row count and accounted
-/// remote bytes), round-trips the built rows through Transport::Ship. This is
-/// the single seam both executors go through, so all backends see identical
-/// shipping decisions; it runs inside the build task's stopwatch, so shipped
-/// seconds land in the exchange's partition time (also recorded separately in
-/// `stats->transport_seconds`). A tripped cancellation token skips the ship —
-/// the round trip is a value identity, so the answer is unchanged either way.
-Result<Rows> BuildAndShipDestination(ExecContext& ctx, ExchangeOperator& op,
-                                     int dst, const PartitionedRows& in,
-                                     const ExchangeOperator::Routing& routing,
-                                     PartitionedRows* steal, OpStats* stats);
-
-/// Runs an exchange: Route once, then all destination builds in parallel on
-/// the context's pool, merging per-destination traffic counters and
-/// partition build times deterministically. `steal` may be null.
-Result<PartitionedRows> RunExchange(
-    ExecContext& ctx, ExchangeOperator& op,
-    const std::vector<const PartitionedRows*>& inputs, PartitionedRows* steal,
-    OpStats* stats);
 
 /// Repartitions rows by the hash of the listed key columns. Tuples with
 /// equal keys land on the same partition ("Hash repartition" in the paper's

@@ -1,11 +1,11 @@
-#include "hyracks/scheduler.h"
-
 #include <deque>
 #include <utility>
 
 #include "common/logging.h"
 #include "common/stopwatch.h"
 #include "common/thread_annotations.h"
+#include "hyracks/exec.h"
+#include "hyracks/fragment.h"
 #include "hyracks/ops_exchange.h"
 #include "observability/trace.h"
 #include "transport/transport.h"
@@ -15,6 +15,50 @@ namespace simdb::hyracks {
 namespace {
 
 enum class TaskKind { kLocal, kRoute, kBuild, kBarrier };
+
+/// Builds destination `dst` of an exchange (a kBuild task) and, when the
+/// context carries a transport whose ShouldShip accepts the destination
+/// (judged on its row count and accounted remote bytes), round-trips the
+/// built rows through Transport::Ship. Every backend goes through this one
+/// seam, so all see identical shipping decisions; it runs inside the build
+/// task's stopwatch, so shipped seconds land in the exchange's partition time
+/// (also recorded separately in `stats->transport_seconds`). A tripped
+/// cancellation token skips the ship — the round trip is a value identity, so
+/// the answer is unchanged either way.
+Result<Rows> BuildAndShipDestination(ExecContext& ctx, ExchangeOperator& op,
+                                     int dst, const PartitionedRows& in,
+                                     const ExchangeOperator::Routing& routing,
+                                     PartitionedRows* steal, OpStats* stats) {
+  // Remote-first: when the transport executes fragments, the destination is
+  // *computed* in the worker that owns its node and only the result crosses
+  // back — the parent never materializes it. A handled remote build consumed
+  // no tuples from `steal` (its slice is disjoint from every other
+  // destination's), so concurrent stealing builds are unaffected. Falls
+  // through to the local build + echo-ship path when remote execution is
+  // off, the operator has no closure, the slice is empty, or the fragment
+  // was refused as cancelled.
+  if (ctx.transport != nullptr && ctx.transport->remote_execution() &&
+      (ctx.cancel == nullptr || ctx.cancel->Check().ok())) {
+    Rows remote_rows;
+    bool handled = false;
+    SIMDB_RETURN_IF_ERROR(fragment::TryBuildRemote(
+        ctx, op, dst, in, routing, stats, &remote_rows, &handled));
+    if (handled) return remote_rows;
+  }
+  SIMDB_ASSIGN_OR_RETURN(Rows rows,
+                         op.BuildDestination(ctx, dst, in, routing, steal,
+                                             stats));
+  transport::Transport* t = ctx.transport;
+  if (t != nullptr &&
+      t->ShouldShip(rows.size(), stats != nullptr ? stats->remote_bytes : 0) &&
+      (ctx.cancel == nullptr || ctx.cancel->Check().ok())) {
+    double seconds = 0;
+    SIMDB_RETURN_IF_ERROR(
+        t->Ship(ctx.topology.NodeOfPartition(dst), &rows, &seconds));
+    if (stats != nullptr) stats->transport_seconds += seconds;
+  }
+  return rows;
+}
 
 struct Task {
   TaskKind kind;
@@ -39,7 +83,7 @@ struct NodeRun {
   // Failure bookkeeping. Within a node the lowest partition wins;
   // partition -1 is a node-level failure (validation, routing) and beats all.
   bool failed = false;
-  bool unwrapped = false;  // reported without the "node N (NAME): " prefix
+  bool unwrapped = false;  // serving refusal: no "node N (NAME): " prefix
   int fail_partition = 0;
   Status fail_status = Status::OK();
 
@@ -107,7 +151,7 @@ class SchedulerRun {
 
     // Tuples may be moved out of an exchange's input only when the exchange
     // is the input's sole consumer.
-    std::vector<bool> planned_steals = Scheduler::PlannedSteals(job_);
+    std::vector<bool> planned_steals = Executor::PlannedSteals(job_);
     std::vector<int> stages = ComputeStages(job_);
 
     for (int i = 0; i < n; ++i) {
@@ -183,7 +227,7 @@ class SchedulerRun {
             ++refcount_[static_cast<size_t>(in)][static_cast<size_t>(p)];
           }
         }
-      } else {
+      } else {  // a BarrierOperator, the only other kind of Operator
         int tid = AddTask(TaskKind::kBarrier, i, -1);
         for (int p = 0; p < parts_; ++p) {
           producer_[static_cast<size_t>(i)][static_cast<size_t>(p)] = tid;
@@ -483,7 +527,8 @@ class SchedulerRun {
         nr.stats.rows_in = rows_in;
         const bool profiling = ctx_.trace != nullptr;
         int64_t start = profiling ? ctx_.trace->NowMicros() : 0;
-        Result<PartitionedRows> r = jn.op->Execute(ctx_, ins, &nr.stats);
+        auto* op = static_cast<BarrierOperator*>(jn.op.get());
+        Result<PartitionedRows> r = op->Execute(ctx_, ins, &nr.stats);
         if (profiling && r.ok()) {
           obs::TraceEvent ev;
           ev.category = "task";
@@ -503,11 +548,12 @@ class SchedulerRun {
         }
         PartitionedRows out = std::move(r).value();
         if (static_cast<int>(out.size()) != parts_) {
-          // Stage-sequential reports this check without the node prefix.
           RecordFailure(t.node, -1,
-                        Status::Internal("operator " + jn.op->name() +
-                                         " produced wrong partition count"),
-                        /*unwrapped=*/true);
+                        Status::Internal("produced " +
+                                         std::to_string(out.size()) +
+                                         " partitions, expected " +
+                                         std::to_string(parts_)),
+                        /*unwrapped=*/false);
           CompleteLocked(tid, /*bad=*/true);
           return;
         }
@@ -535,6 +581,12 @@ class SchedulerRun {
   static Status WrapPartitionError(int p, const Status& s) {
     return Status(s.code(),
                   "partition " + std::to_string(p) + ": " + s.message());
+  }
+
+  static Status WrapNodeError(int node, const std::string& op_name,
+                              const Status& s) {
+    return Status(s.code(), "node " + std::to_string(node) + " (" + op_name +
+                                "): " + s.message());
   }
 
   /// Marks `tid` finished (`bad` = failed or skipped), releases its input
@@ -660,7 +712,6 @@ class SchedulerRun {
         }
         ctx_.stats->ops.push_back(std::move(nr.stats));
       }
-      ctx_.stats->has_task_dag = true;
       if (ctx_.transport != nullptr && ctx_.transport->measures_wall_clock()) {
         ctx_.stats->network_measured = true;
       }
@@ -711,11 +762,11 @@ class SchedulerRun {
 
 }  // namespace
 
-Result<PartitionedRows> Scheduler::Run(const Job& job, ExecContext& ctx) {
+Result<PartitionedRows> Executor::Run(const Job& job, ExecContext& ctx) {
   return SchedulerRun(job, ctx).Go();
 }
 
-std::vector<bool> Scheduler::PlannedSteals(const Job& job) {
+std::vector<bool> Executor::PlannedSteals(const Job& job) {
   const auto& jnodes = job.nodes();
   size_t n = jnodes.size();
   std::vector<int> consumer_edges(n, 0);

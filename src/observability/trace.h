@@ -35,7 +35,7 @@ struct TraceEvent {
 /// oldest events are overwritten and counted as dropped — recording never
 /// blocks and never allocates after the ring exists.
 ///
-/// Drain() must not race with Record(): the executors only drain after every
+/// Drain() must not race with Record(): the executor only drains after every
 /// task of the job has completed, which is exactly the quiescent point.
 class TraceCollector {
  public:

@@ -121,10 +121,21 @@ Result<std::unique_ptr<SortedRunReader>> SortedRunReader::Open(
 
   ByteReader br(index_block);
   SIMDB_ASSIGN_OR_RETURN(uint32_t n, br.GetU32());
+  // Every sparse entry holds at least a u32 key length and a u64 offset, so
+  // a count the block cannot hold is corrupt; reject it before it sizes the
+  // reserve.
+  if (n > br.remaining() / (4 + 8)) {
+    return Status::Corruption("sparse index count " + std::to_string(n) +
+                              " exceeds its block: " + reader->path_);
+  }
   reader->sparse_.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
     SIMDB_ASSIGN_OR_RETURN(std::string_view kbytes, br.GetString());
     SIMDB_ASSIGN_OR_RETURN(uint64_t off, br.GetU64());
+    if (off > reader->data_end_) {
+      return Status::Corruption("sparse index offset past data end: " +
+                                reader->path_);
+    }
     SIMDB_ASSIGN_OR_RETURN(CompositeKey key, DecodeKey(kbytes));
     reader->sparse_.push_back(
         {std::move(key), off, static_cast<uint64_t>(i) * interval});
@@ -134,8 +145,18 @@ Result<std::unique_ptr<SortedRunReader>> SortedRunReader::Open(
 
 SortedRunReader::Iterator::Iterator(const SortedRunReader* run,
                                     uint64_t offset, uint64_t index)
-    : run_(run), in_(run->path_, std::ios::binary), next_index_(index) {
+    : run_(run),
+      in_(run->path_, std::ios::binary),
+      offset_(offset),
+      next_index_(index) {
   in_.seekg(static_cast<std::streamoff>(offset));
+}
+
+bool SortedRunReader::Iterator::ReadBounded(char* dst, uint64_t n) {
+  if (n > BytesLeft()) return false;
+  in_.read(dst, static_cast<std::streamsize>(n));
+  offset_ += n;
+  return static_cast<bool>(in_);
 }
 
 Status SortedRunReader::Iterator::ReadEntry() {
@@ -144,22 +165,35 @@ Status SortedRunReader::Iterator::ReadEntry() {
     return Status::OK();
   }
   if (!in_) return Status::IOError("iterator stream bad: " + run_->path_);
-  char kind_byte;
-  in_.read(&kind_byte, 1);
-  uint32_t klen;
-  char lenbuf[4];
-  in_.read(lenbuf, 4);
-  std::memcpy(&klen, lenbuf, 4);
+  auto truncated = [this] {
+    return Status::Corruption("truncated entry at offset " +
+                              std::to_string(offset_) + " in " + run_->path_);
+  };
+  // Entry: [u8 kind][u32 klen][k][u32 vlen][v]. Both lengths come from disk:
+  // each is bounded by the bytes left before the sparse index block before
+  // it sizes a buffer, so a corrupt run cannot demand a huge allocation.
+  char head[5];
+  if (!ReadBounded(head, sizeof(head))) return truncated();
+  const uint8_t kind = static_cast<uint8_t>(head[0]);
+  if (kind > static_cast<uint8_t>(EntryKind::kTombstone)) {
+    return Status::Corruption("bad entry kind " + std::to_string(kind) +
+                              " in " + run_->path_);
+  }
+  uint32_t klen = 0;
+  std::memcpy(&klen, head + 1, 4);
+  if (klen > BytesLeft()) return truncated();
   std::string kbytes(klen, '\0');
-  in_.read(kbytes.data(), klen);
-  uint32_t vlen;
-  in_.read(lenbuf, 4);
+  char lenbuf[4];
+  if (!ReadBounded(kbytes.data(), klen) || !ReadBounded(lenbuf, 4)) {
+    return truncated();
+  }
+  uint32_t vlen = 0;
   std::memcpy(&vlen, lenbuf, 4);
+  if (vlen > BytesLeft()) return truncated();
   value_.resize(vlen);
-  if (vlen > 0) in_.read(value_.data(), vlen);
-  if (!in_) return Status::Corruption("truncated entry in " + run_->path_);
+  if (!ReadBounded(value_.data(), vlen)) return truncated();
   SIMDB_ASSIGN_OR_RETURN(key_, DecodeKey(kbytes));
-  kind_ = static_cast<EntryKind>(kind_byte);
+  kind_ = static_cast<EntryKind>(kind);
   ++next_index_;
   valid_ = true;
   return Status::OK();

@@ -69,9 +69,15 @@ class SortedRunReader {
     Iterator(const SortedRunReader* run, uint64_t offset, uint64_t index);
 
     Status ReadEntry();
+    /// Bytes between the stream position and the run's data end.
+    uint64_t BytesLeft() const { return run_->data_end_ - offset_; }
+    /// Reads `n` bytes; false when they would cross the data end or the
+    /// stream fails.
+    bool ReadBounded(char* dst, uint64_t n);
 
     const SortedRunReader* run_;
     std::ifstream in_;
+    uint64_t offset_;      // file offset of the stream position
     uint64_t next_index_;  // index of the entry ReadEntry will produce
     bool valid_ = false;
     CompositeKey key_;

@@ -27,7 +27,6 @@ void ApplyVariant(QueryProcessor& engine, const ExecVariant& v) {
   engine.set_t_occurrence_algorithm(v.t_occurrence);
   engine.set_posting_cache_enabled(v.posting_cache);
   engine.set_batch_execution(v.batch_execution);
-  engine.set_executor(v.executor);
   if (engine.transport_kind() != v.transport) engine.set_transport(v.transport);
 }
 
@@ -46,15 +45,16 @@ Result<std::vector<std::string>> RunNormalized(QueryProcessor& engine,
   return rows;
 }
 
-/// Builds a fresh engine over `records` (prefix of the case's stream).
+/// Builds a fresh engine over `records` (prefix of the case's stream) with
+/// `num_threads` executor threads (0: the harness default of 2).
 Result<std::unique_ptr<QueryProcessor>> BuildEngine(
     const FuzzCase& c, const hyracks::ClusterTopology& topology,
-    const std::string& dir, int num_records) {
+    const std::string& dir, int num_records, size_t num_threads) {
   storage::RemoveAllBestEffort(dir);
   EngineOptions options;
   options.data_dir = dir;
   options.topology = topology;
-  options.num_threads = 2;
+  options.num_threads = num_threads != 0 ? num_threads : 2;
   // Every fuzz compilation doubles as a verifier workload: rule contracts,
   // logical-plan invariants, and task-graph well-formedness are checked on
   // each seed; violations surface as query failures with --replay repros.
@@ -94,8 +94,10 @@ struct Mismatch {
 int MinimizeRecords(const FuzzCase& c, const Mismatch& m,
                     const std::string& scratch, int full_count) {
   auto mismatches_at = [&](int count) -> bool {
-    auto base = BuildEngine(c, m.baseline_topology, scratch + "/min_a", count);
-    auto other = BuildEngine(c, m.topology, scratch + "/min_b", count);
+    auto base = BuildEngine(c, m.baseline_topology, scratch + "/min_a", count,
+                            m.baseline_variant.num_threads);
+    auto other = BuildEngine(c, m.topology, scratch + "/min_b", count,
+                             m.variant.num_threads);
     if (!base.ok() || !other.ok()) return false;
     ApplyVariant(**base, m.baseline_variant);
     ApplyVariant(**other, m.variant);
@@ -204,15 +206,15 @@ std::vector<ExecVariant> PlanVariantMatrix() {
   nocache.posting_cache = false;
   variants.push_back(nocache);
 
-  // The dataflow runtime must be invisible to results: run the full indexed
-  // configuration once more on the legacy stage-sequential executor. Every
-  // other variant (including the scan ground truth) runs on the task-graph
-  // scheduler, so any scheduling, routing, or tuple-stealing bug shows up
-  // as a variant mismatch here.
-  ExecVariant stageseq = indexed;
-  stageseq.label = "indexed-stageseq";
-  stageseq.executor = hyracks::ExecutorKind::kStageSequential;
-  variants.push_back(stageseq);
+  // Task interleaving must be invisible to results: run the full indexed
+  // configuration once more on a 1-thread pool, where tasks run one at a
+  // time in submission order. Every other variant runs on 2 threads, so any
+  // scheduling, routing, or tuple-stealing race shows up as a variant
+  // mismatch here.
+  ExecVariant pool1 = indexed;
+  pool1.label = "indexed-pool1";
+  pool1.num_threads = 1;
+  variants.push_back(pool1);
   return variants;
 }
 
@@ -250,9 +252,8 @@ std::vector<ExecVariant> BatchVariantMatrix() {
 std::vector<ExecVariant> TransportVariantMatrix() {
   // The fully-indexed shape reaches every exchange kind (hash repartition,
   // broadcast, gather, merge-gather). Each backend must agree bit-for-bit
-  // with the modeled baseline; shared-memory additionally runs on the
-  // stage-sequential executor, since both executors drive the same
-  // BuildAndShipDestination seam.
+  // with the modeled baseline; shared-memory additionally runs on a 1-thread
+  // pool, where no two destination builds ship concurrently.
   std::vector<ExecVariant> variants;
   const std::pair<const char*, transport::TransportKind> backends[] = {
       {"indexed-modeled", transport::TransportKind::kModeled},
@@ -264,11 +265,11 @@ std::vector<ExecVariant> TransportVariantMatrix() {
     v.transport = kind;
     variants.push_back(v);
   }
-  ExecVariant stageseq;
-  stageseq.label = "indexed-shm-stageseq";
-  stageseq.transport = transport::TransportKind::kSharedMemory;
-  stageseq.executor = hyracks::ExecutorKind::kStageSequential;
-  variants.push_back(stageseq);
+  ExecVariant pool1;
+  pool1.label = "indexed-shm-pool1";
+  pool1.transport = transport::TransportKind::kSharedMemory;
+  pool1.num_threads = 1;
+  variants.push_back(pool1);
   return variants;
 }
 
@@ -303,18 +304,33 @@ DifferentialReport RunDifferential(const FuzzCase& c,
   for (const hyracks::ClusterTopology& topo : options.topologies) {
     std::string dir = options.scratch_dir + "/topo_" + TopologyLabel(topo);
     Result<std::unique_ptr<QueryProcessor>> engine =
-        BuildEngine(c, topo, dir, c.num_records);
+        BuildEngine(c, topo, dir, c.num_records, 0);
     if (!engine.ok()) {
       return fail("SIMDB_FUZZ_FAILURE " + DescribeFuzzCase(c) +
                   "\n  engine build failed on " + TopologyLabel(topo) + ": " +
                   engine.status().ToString());
     }
     for (const ExecVariant& variant : options.variants) {
-      ApplyVariant(**engine, variant);
+      // A variant with its own pool size runs on an engine of its own.
+      std::unique_ptr<QueryProcessor> own;
+      if (variant.num_threads != 0) {
+        Result<std::unique_ptr<QueryProcessor>> built =
+            BuildEngine(c, topo, dir + "_" + variant.label, c.num_records,
+                        variant.num_threads);
+        if (!built.ok()) {
+          return fail("SIMDB_FUZZ_FAILURE " + DescribeFuzzCase(c) +
+                      "\n  engine build failed for " +
+                      VariantAt(variant, topo) + ": " +
+                      built.status().ToString());
+        }
+        own = std::move(built).value();
+      }
+      QueryProcessor& run_engine = own != nullptr ? *own : **engine;
+      ApplyVariant(run_engine, variant);
       for (size_t qi = 0; qi < c.queries.size(); ++qi) {
         const FuzzQuery& query = c.queries[qi];
         Result<std::vector<std::string>> rows =
-            RunNormalized(**engine, query.aql);
+            RunNormalized(run_engine, query.aql);
         if (!rows.ok()) {
           return fail("SIMDB_FUZZ_FAILURE " + DescribeFuzzCase(c) +
                       "\n  query[" + query.label + "]: " + query.aql +

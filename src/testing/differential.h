@@ -28,9 +28,10 @@ struct ExecVariant {
   /// Columnar/SIMD batch execution in the hot similarity operators. Batch
   /// and tuple execution must be answer-identical on every query.
   bool batch_execution = true;
-  /// Dataflow runtime executing the job (task-graph scheduler vs legacy
-  /// stage-sequential). Both must be answer-identical on every query.
-  hyracks::ExecutorKind executor = hyracks::ExecutorKind::kScheduler;
+  /// Executor pool size. 0 runs on the harness's shared 2-thread engine;
+  /// any other value gets an engine of its own with that many threads. Pool
+  /// 1 is the serial oracle: every pool size must be answer-identical.
+  size_t num_threads = 0;
   /// Exchange transport backend (modeled / shared-memory / socket). All
   /// backends must be answer- and error-identical on every query: the rows
   /// round-trip losslessly through the wire frame, so shipping is an
@@ -47,8 +48,8 @@ struct ExecVariant {
 ///   threestage        - index joins off; Jaccard joins go three-stage
 ///   indexed-heapmerge - all rewrites on, heap-merge T-occurrence
 ///   indexed-nocache   - all rewrites on, posting-list cache disabled
-///   indexed-stageseq  - all rewrites on, legacy stage-sequential executor
-///                       (cross-checks the task-graph scheduler)
+///   indexed-pool1     - all rewrites on, 1-thread executor pool (the serial
+///                       oracle for the 2-thread runs)
 std::vector<ExecVariant> PlanVariantMatrix();
 
 /// The batch-execution differential matrix: the three plan shapes that
@@ -58,10 +59,10 @@ std::vector<ExecVariant> PlanVariantMatrix();
 std::vector<ExecVariant> BatchVariantMatrix();
 
 /// The transport differential matrix: the fully-indexed plan shape run under
-/// every transport backend (modeled / shared-memory / socket) on the
-/// task-graph scheduler, plus shared-memory on the stage-sequential executor
-/// (both executors drive the same BuildAndShipDestination seam). All
-/// variants must be bit-identical per query — results and errors.
+/// every transport backend (modeled / shared-memory / socket), plus
+/// shared-memory on a 1-thread executor pool (builds and ships then run one
+/// at a time). All variants must be bit-identical per query — results and
+/// errors.
 std::vector<ExecVariant> TransportVariantMatrix();
 
 /// Cluster shapes the matrix runs under: 1x1, 2x2, 4x2

@@ -25,7 +25,7 @@
 //
 // Determinism: workers are pure functions of their input message, requests
 // are synchronous request-reply under a per-worker mutex, and a worker
-// failure surfaces as the build task's error, where the executors'
+// failure surfaces as the build task's error, where the executor's
 // lowest-(node, partition)-wins rule already makes error selection
 // deterministic. A vanished worker (EOF/EPIPE/ECONNRESET) is always
 // kUnavailable, so worker-death failures are programmatically recognizable.

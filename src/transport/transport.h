@@ -29,7 +29,7 @@ namespace simdb::transport {
 ///
 /// All three backends must be answer- and error-identical: row serialization
 /// is lossless, so the round trip is an identity on values, and ship
-/// failures surface through the exchange build task, where the executors'
+/// failures surface through the exchange build task, where the executor's
 /// lowest-(node, partition)-wins rule keeps errors deterministic.
 enum class TransportKind { kModeled, kSharedMemory, kSocket };
 
@@ -80,7 +80,7 @@ class Transport {
 
   /// True when this backend executes fragment closures inside remote worker
   /// processes (socket backend with fragment dispatch enabled; see
-  /// SIMDB_SOCKET_FRAGMENTS in docs/DISTRIBUTED.md). The executors consult
+  /// SIMDB_SOCKET_FRAGMENTS in docs/DISTRIBUTED.md). The executor consults
   /// this before attempting a remote build; the default backends compute
   /// every destination locally.
   virtual bool remote_execution() const { return false; }

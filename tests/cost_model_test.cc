@@ -48,8 +48,8 @@ TEST(ComputeMakespanTest, SlowestNodeBoundsTheStage) {
   EXPECT_DOUBLE_EQ(report.compute_seconds, 0.7);
 }
 
-TEST(ComputeMakespanTest, StagesAreSequential) {
-  // The executor is stage-sequential: operator makespans add up.
+TEST(ComputeMakespanTest, ComputeSumsPerOperatorMaxima) {
+  // compute_seconds adds up each operator's slowest-node time.
   ExecStats stats;
   OpStats a, b;
   a.partition_seconds = {0.4, 0.1};  // 1 node -> 0.5
@@ -97,24 +97,11 @@ TEST(ComputeMakespanTest, LocalBytesAreFree) {
   EXPECT_EQ(report.network_seconds, 0.0);
 }
 
-TEST(CriticalPathTest, LegacyStatsKeepStageSum) {
-  // Stats without task-DAG shape (hand-built, or from old recordings) must
-  // keep the stage-sum total and the legacy format string.
-  ExecStats stats;
-  OpStats op;
-  op.partition_seconds = {0.4, 0.1};
-  stats.ops.push_back(op);
-  MakespanReport report = ComputeMakespan(stats, ClusterTopology{1, 2});
-  EXPECT_FALSE(report.has_critical_path);
-  EXPECT_DOUBLE_EQ(report.total_seconds(), 0.5);
-}
-
 TEST(CriticalPathTest, ChainOfLocalOpsFollowsSlowestPartitionChain) {
   // Two chained partition-local ops: the critical path is the slowest
-  // per-partition chain (0.4 + 0.2 = 0.6), not the stage-sum of per-stage
-  // maxima — partitions overlap across stages in the task-graph runtime.
+  // per-partition chain (0.4 + 0.2 = 0.6), not the sum of per-stage maxima
+  // — partitions overlap across stages in the task-graph runtime.
   ExecStats stats;
-  stats.has_task_dag = true;
   OpStats a, b;
   a.name = "SCAN";
   a.node_id = 0;
@@ -126,18 +113,16 @@ TEST(CriticalPathTest, ChainOfLocalOpsFollowsSlowestPartitionChain) {
   stats.ops.push_back(a);
   stats.ops.push_back(b);
   MakespanReport report = ComputeMakespan(stats, ClusterTopology{1, 2});
-  ASSERT_TRUE(report.has_critical_path);
   EXPECT_DOUBLE_EQ(report.critical_path_seconds, 0.6);
   EXPECT_DOUBLE_EQ(report.total_seconds(), 0.6);
-  // Stage-sum charges 0.5 + 0.4 = 0.9 for the same stats.
-  EXPECT_DOUBLE_EQ(report.stage_sum_seconds(), 0.9);
+  // The per-operator maxima add up to 0.5 + 0.4 = 0.9 for the same stats.
+  EXPECT_DOUBLE_EQ(report.compute_seconds, 0.9);
 }
 
 TEST(CriticalPathTest, BarrierWaitsForAllPartitionsOfAllInputs) {
   // A barrier op cannot start any partition until every input partition is
   // done: ready = max(0.4, 0.1) = 0.4, then its own partition times.
   ExecStats stats;
-  stats.has_task_dag = true;
   OpStats a, b;
   a.node_id = 0;
   a.partition_seconds = {0.4, 0.1};
@@ -148,7 +133,6 @@ TEST(CriticalPathTest, BarrierWaitsForAllPartitionsOfAllInputs) {
   stats.ops.push_back(a);
   stats.ops.push_back(b);
   MakespanReport report = ComputeMakespan(stats, ClusterTopology{1, 2});
-  ASSERT_TRUE(report.has_critical_path);
   EXPECT_DOUBLE_EQ(report.critical_path_seconds, 0.7);
 }
 
@@ -156,7 +140,6 @@ TEST(CriticalPathTest, BarrierChargesNetworkBeforeItsOutputs) {
   // An exchange's modeled network time delays the start of its outputs on
   // the critical path (and is charged once, not per partition).
   ExecStats stats;
-  stats.has_task_dag = true;
   OpStats a, x;
   a.node_id = 0;
   a.partition_seconds = {0.1, 0.1};
@@ -176,28 +159,28 @@ TEST(CriticalPathTest, BarrierChargesNetworkBeforeItsOutputs) {
   const int nodes = 2;
   MakespanReport report =
       ComputeMakespan(stats, ClusterTopology{nodes, 1}, net);
-  ASSERT_TRUE(report.has_critical_path);
   // 0.1 compute, then 2 MiB spread over 2 NICs at 1 MiB/s = 1.0s.
   EXPECT_DOUBLE_EQ(report.critical_path_seconds, 1.1);
 }
 
-TEST(FormatMakespanTest, RendersCriticalPathWhenPresent) {
+TEST(CriticalPathTest, HandBuiltStatsWithoutNodeIdsHaveNoPath) {
+  // Stats without task-DAG shape contribute compute but no critical path.
+  ExecStats stats;
+  OpStats op;
+  op.partition_seconds = {0.4, 0.1};
+  stats.ops.push_back(op);
+  MakespanReport report = ComputeMakespan(stats, ClusterTopology{1, 2});
+  EXPECT_DOUBLE_EQ(report.compute_seconds, 0.5);
+  EXPECT_EQ(report.total_seconds(), 0.0);
+}
+
+TEST(FormatMakespanTest, RendersCriticalPathAndComponents) {
   MakespanReport report;
   report.compute_seconds = 1.25;
   report.network_seconds = 0.75;
   report.critical_path_seconds = 1.5;
-  report.has_critical_path = true;
   std::string s = FormatMakespan(report);
   EXPECT_NE(s.find("1.500s critical path"), std::string::npos);
-  EXPECT_NE(s.find("stage-sum 2.000s"), std::string::npos);
-}
-
-TEST(FormatMakespanTest, RendersAllComponents) {
-  MakespanReport report;
-  report.compute_seconds = 1.25;
-  report.network_seconds = 0.75;
-  std::string s = FormatMakespan(report);
-  EXPECT_NE(s.find("2.000s"), std::string::npos);
   EXPECT_NE(s.find("compute 1.250s"), std::string::npos);
   EXPECT_NE(s.find("network 0.750s"), std::string::npos);
 }

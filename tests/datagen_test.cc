@@ -179,7 +179,7 @@ TEST(CostModelTest, MoreNodesReduceNetworkTime) {
 }
 
 TEST(CostModelTest, FormatIsReadable) {
-  cluster::MakespanReport report{1.5, 0.25};
+  cluster::MakespanReport report{1.5, 0.25, 1.75};
   std::string s = cluster::FormatMakespan(report);
   EXPECT_NE(s.find("1.75"), std::string::npos);
 }

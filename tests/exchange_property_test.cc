@@ -13,6 +13,7 @@
 #include "hyracks/ops_exchange.h"
 #include "hyracks/ops_group.h"
 #include "hyracks/ops_join.h"
+#include "testing/operators.h"
 #include "transport/transport.h"
 
 namespace simdb::hyracks {
@@ -39,6 +40,16 @@ class ExchangeProperty : public ::testing::TestWithParam<uint64_t> {
     return rows;
   }
 
+  /// Runs `op` over `inputs` through the executor (testing::RunOperator).
+  PartitionedRows Run(std::unique_ptr<Operator> op,
+                      std::vector<const PartitionedRows*> inputs,
+                      OpStats* stats = nullptr) {
+    Result<PartitionedRows> out =
+        testing::RunOperator(ctx_, std::move(op), inputs, stats);
+    EXPECT_TRUE(out.ok()) << out.status().ToString();
+    return out.ok() ? std::move(out).value() : PartitionedRows();
+  }
+
   std::multiset<std::string> Flatten(const PartitionedRows& rows) {
     std::multiset<std::string> out;
     for (const Rows& part : rows) {
@@ -59,10 +70,9 @@ TEST_P(ExchangeProperty, HashExchangePreservesMultiset) {
   Random rng(GetParam());
   for (int iter = 0; iter < 20; ++iter) {
     PartitionedRows in = RandomRows(rng, 60);
-    HashExchangeOp op({0});
-    OpStats stats;
-    auto out = *op.Execute(ctx_, {&in}, &stats);
-    EXPECT_EQ(Flatten(in), Flatten(*&out));
+    PartitionedRows out =
+        Run(std::make_unique<HashExchangeOp>(std::vector<int>{0}), {&in});
+    EXPECT_EQ(Flatten(in), Flatten(out));
     // Co-location: equal keys in one partition.
     std::map<int64_t, std::set<size_t>> where;
     for (size_t p = 0; p < out.size(); ++p) {
@@ -77,9 +87,9 @@ TEST_P(ExchangeProperty, HashExchangePreservesMultiset) {
 TEST_P(ExchangeProperty, BroadcastReplicatesExactly) {
   Random rng(GetParam() + 100);
   PartitionedRows in = RandomRows(rng, 30);
-  BroadcastExchangeOp op;
   OpStats stats;
-  auto out = *op.Execute(ctx_, {&in}, &stats);
+  PartitionedRows out =
+      Run(std::make_unique<BroadcastExchangeOp>(), {&in}, &stats);
   std::multiset<std::string> original = Flatten(in);
   for (const Rows& part : out) {
     PartitionedRows single(1);
@@ -98,9 +108,7 @@ TEST_P(ExchangeProperty, BroadcastReplicatesExactly) {
 TEST_P(ExchangeProperty, GatherMovesEverythingToPartitionZero) {
   Random rng(GetParam() + 200);
   PartitionedRows in = RandomRows(rng, 40);
-  GatherOp op;
-  OpStats stats;
-  auto out = *op.Execute(ctx_, {&in}, &stats);
+  PartitionedRows out = Run(std::make_unique<GatherOp>(), {&in});
   EXPECT_EQ(Flatten(in), Flatten(out));
   for (size_t p = 1; p < out.size(); ++p) EXPECT_TRUE(out[p].empty());
 }
@@ -108,12 +116,11 @@ TEST_P(ExchangeProperty, GatherMovesEverythingToPartitionZero) {
 TEST_P(ExchangeProperty, MergeGatherProducesGlobalOrder) {
   Random rng(GetParam() + 300);
   PartitionedRows in = RandomRows(rng, 50);
-  SortOp sort({{0, true}});
-  OpStats s1;
-  auto sorted = *sort.Execute(ctx_, {&in}, &s1);
-  MergeGatherOp merge({{0, true}});
-  OpStats s2;
-  auto out = *merge.Execute(ctx_, {&sorted}, &s2);
+  PartitionedRows sorted =
+      Run(std::make_unique<SortOp>(std::vector<SortKey>{{0, true}}), {&in});
+  PartitionedRows out = Run(
+      std::make_unique<MergeGatherOp>(std::vector<SortKey>{{0, true}}),
+      {&sorted});
   EXPECT_EQ(Flatten(in), Flatten(out));
   for (size_t i = 1; i < out[0].size(); ++i) {
     EXPECT_LE(out[0][i - 1][0].AsInt64(), out[0][i][0].AsInt64());
@@ -129,12 +136,13 @@ TEST_P(ExchangeProperty, GroupByCountsMatchNaive) {
     for (const Tuple& t : part) ++expected[t[0].AsInt64()];
   }
   // Exchange + group pipeline (what the job generator emits).
-  HashExchangeOp exchange({0});
-  OpStats s1;
-  auto shuffled = *exchange.Execute(ctx_, {&in}, &s1);
-  HashGroupOp group({Col(0, "k")}, {{AggSpec::Kind::kCount, nullptr, "n"}});
-  OpStats s2;
-  auto grouped = *group.Execute(ctx_, {&shuffled}, &s2);
+  PartitionedRows shuffled =
+      Run(std::make_unique<HashExchangeOp>(std::vector<int>{0}), {&in});
+  PartitionedRows grouped = Run(
+      std::make_unique<HashGroupOp>(
+          std::vector<ExprPtr>{Col(0, "k")},
+          std::vector<AggSpec>{{AggSpec::Kind::kCount, nullptr, "n"}}),
+      {&shuffled});
   std::map<int64_t, int64_t> actual;
   for (const Rows& part : grouped) {
     for (const Tuple& t : part) actual[t[0].AsInt64()] = t[1].AsInt64();
@@ -157,12 +165,13 @@ TEST_P(ExchangeProperty, HashJoinMatchesNaiveJoin) {
       }
     }
   }
-  HashExchangeOp ex_left({0}), ex_right({0});
-  OpStats s;
-  auto l = *ex_left.Execute(ctx_, {&left}, &s);
-  auto r = *ex_right.Execute(ctx_, {&right}, &s);
-  HashJoinOp join({0}, {0});
-  auto out = *join.Execute(ctx_, {&l, &r}, &s);
+  PartitionedRows l =
+      Run(std::make_unique<HashExchangeOp>(std::vector<int>{0}), {&left});
+  PartitionedRows r =
+      Run(std::make_unique<HashExchangeOp>(std::vector<int>{0}), {&right});
+  PartitionedRows out = Run(std::make_unique<HashJoinOp>(std::vector<int>{0},
+                                                         std::vector<int>{0}),
+                            {&l, &r});
   EXPECT_EQ(static_cast<int64_t>(RowsCount(out)), expected);
 }
 
@@ -180,32 +189,31 @@ TEST_P(ExchangeProperty, ModeledAndSharedMemoryAccountingAgree) {
   std::unique_ptr<transport::Transport> shm =
       transport::MakeTransport(transport::TransportKind::kSharedMemory,
                                ctx_.topology.num_nodes);
+  auto make = [](int kind) -> std::unique_ptr<Operator> {
+    if (kind == 0) return std::make_unique<HashExchangeOp>(std::vector<int>{0});
+    if (kind == 1) return std::make_unique<BroadcastExchangeOp>();
+    return std::make_unique<GatherOp>();
+  };
   for (int iter = 0; iter < 10; ++iter) {
     PartitionedRows in = RandomRows(rng, 50);
-    auto run = [&](ExchangeOperator& op, transport::Transport* t,
-                   OpStats* stats) {
+    auto run = [&](int kind, transport::Transport* t, OpStats* stats) {
       ExecContext ctx = ctx_;
       ctx.transport = t;
-      PartitionedRows copy = in;  // private steal-able copy per run
-      return RunExchange(ctx, op, {&copy}, /*steal=*/nullptr, stats);
+      return testing::RunOperator(ctx, make(kind), {&in}, stats);
     };
-    HashExchangeOp hash({0});
-    BroadcastExchangeOp bcast;
-    GatherOp gather;
-    ExchangeOperator* ops[] = {&hash, &bcast, &gather};
-    for (ExchangeOperator* op : ops) {
+    for (int kind = 0; kind < 3; ++kind) {
       OpStats m_stats, s_stats;
-      auto m = run(*op, modeled.get(), &m_stats);
-      auto s = run(*op, shm.get(), &s_stats);
-      ASSERT_TRUE(m.ok() && s.ok()) << op->name();
-      EXPECT_EQ(Flatten(*m), Flatten(*s)) << op->name();
-      EXPECT_EQ(m_stats.local_bytes, s_stats.local_bytes) << op->name();
-      EXPECT_EQ(m_stats.remote_bytes, s_stats.remote_bytes) << op->name();
-      EXPECT_EQ(m_stats.remote_transfers, s_stats.remote_transfers)
-          << op->name();
+      auto m = run(kind, modeled.get(), &m_stats);
+      auto s = run(kind, shm.get(), &s_stats);
+      const std::string& name = m_stats.name;
+      ASSERT_TRUE(m.ok() && s.ok()) << name;
+      EXPECT_EQ(Flatten(*m), Flatten(*s)) << name;
+      EXPECT_EQ(m_stats.local_bytes, s_stats.local_bytes) << name;
+      EXPECT_EQ(m_stats.remote_bytes, s_stats.remote_bytes) << name;
+      EXPECT_EQ(m_stats.remote_transfers, s_stats.remote_transfers) << name;
       // Only the real backend spent ship time.
-      EXPECT_EQ(m_stats.transport_seconds, 0.0) << op->name();
-      EXPECT_GT(s_stats.transport_seconds, 0.0) << op->name();
+      EXPECT_EQ(m_stats.transport_seconds, 0.0) << name;
+      EXPECT_GT(s_stats.transport_seconds, 0.0) << name;
     }
   }
 }

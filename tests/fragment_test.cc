@@ -1,6 +1,6 @@
 // Job-fragment dispatch tests: the wire serde (header / closure / result /
 // error payloads), the worker-side interpreter's bit-identity with a local
-// BuildDestination (rows *and* traffic accounting), the socket transport's
+// destination build (rows *and* traffic accounting), the socket transport's
 // fragment round trip into a genuinely forked worker process (proven by
 // pid), the per-worker cancel ledger, the scheduler's remote-task lease
 // callback, and the engine-level seam (tasks_remote / exec.remote.* profile
@@ -28,6 +28,7 @@
 #include "hyracks/ops_scan.h"
 #include "observability/metrics.h"
 #include "storage/file_util.h"
+#include "testing/operators.h"
 #include "transport/transport.h"
 
 namespace simdb::hyracks {
@@ -159,49 +160,60 @@ std::vector<OpCase> MakeOpCases() {
   return cases;
 }
 
+/// Executes fragments in-process through the interpreter a socket worker
+/// runs, so Executor::Run builds every non-empty destination "remotely"
+/// without forking. Single-threaded use only (run it without a pool).
+class LoopbackTransport : public transport::Transport {
+ public:
+  transport::TransportKind kind() const override {
+    return transport::TransportKind::kSocket;
+  }
+  bool measures_wall_clock() const override { return false; }
+  bool ShouldShip(size_t, uint64_t) const override { return false; }
+  Status Ship(int, Rows*, double*) override { return Status::OK(); }
+  Status Drain(double) override { return Status::OK(); }
+  bool remote_execution() const override { return true; }
+  Status ExecuteFragment(int, const std::string& request, std::string* reply,
+                         double* seconds) override {
+    transport::FragmentReply r = fragment::InterpretFragment(request);
+    if (!r.ok) return adm::DecodeFragmentError(r.payload);
+    *reply = std::move(r.payload);
+    *seconds = 0;
+    return Status::OK();
+  }
+};
+
 /// The remote build must be bit-identical to the local one — same rows in
 /// the same order AND the same local/remote byte accounting — for every
 /// operator kind and every destination. This is the invariant that keeps the
 /// modeled backend a valid differential oracle for fragment dispatch.
 TEST(FragmentInterpreterTest, MatchesLocalBuildExactly) {
   PartitionedRows in = MakeInput();
-  ExecContext ctx;
-  ctx.topology = {2, 2};
-  for (OpCase& c : MakeOpCases()) {
-    SCOPED_TRACE(c.label);
-    Result<ExchangeOperator::Routing> routing = c.op->Route(ctx, in);
-    ASSERT_TRUE(routing.ok());
-    adm::FragmentClosure closure;
-    ASSERT_TRUE(fragment::ClosureFor(*c.op, &closure));
-    for (int dst = 0; dst < 4; ++dst) {
-      SCOPED_TRACE("dst " + std::to_string(dst));
-      OpStats local_stats;
-      Result<Rows> local = c.op->BuildDestination(ctx, dst, in, *routing,
-                                                  nullptr, &local_stats);
-      ASSERT_TRUE(local.ok());
-      std::string request;
-      size_t slice_rows = 0;
-      fragment::EncodeFragmentRequest(ctx.topology, 77, closure, dst, in,
-                                      *routing, &request, &slice_rows);
-      if (slice_rows == 0) {
-        // The caller skips the round trip; the local build must be trivial.
-        EXPECT_TRUE(local->empty());
-        EXPECT_EQ(local_stats.local_bytes + local_stats.remote_bytes, 0u);
-        continue;
-      }
-      transport::FragmentReply reply = fragment::InterpretFragment(request);
-      ASSERT_TRUE(reply.ok) << adm::DecodeFragmentError(reply.payload)
-                                   .ToString();
-      Result<fragment::RemoteBuildResult> remote =
-          fragment::DecodeFragmentResult(reply.payload);
-      ASSERT_TRUE(remote.ok()) << remote.status().ToString();
-      EXPECT_TRUE(RowsEqual(*local, remote->rows));
-      EXPECT_EQ(remote->header.query_id, 77u);
-      EXPECT_EQ(remote->header.local_bytes, local_stats.local_bytes);
-      EXPECT_EQ(remote->header.remote_bytes, local_stats.remote_bytes);
-      EXPECT_EQ(remote->header.remote_transfers,
-                local_stats.remote_transfers);
+  std::vector<OpCase> local_ops = MakeOpCases();
+  std::vector<OpCase> remote_ops = MakeOpCases();
+  LoopbackTransport loopback;
+  for (size_t k = 0; k < local_ops.size(); ++k) {
+    SCOPED_TRACE(local_ops[k].label);
+    ExecContext ctx;
+    ctx.topology = {2, 2};
+    OpStats local_stats, remote_stats;
+    Result<PartitionedRows> local = testing::RunOperator(
+        ctx, std::move(local_ops[k].op), {&in}, &local_stats);
+    ctx.transport = &loopback;
+    Result<PartitionedRows> remote = testing::RunOperator(
+        ctx, std::move(remote_ops[k].op), {&in}, &remote_stats);
+    ASSERT_TRUE(local.ok()) << local.status().ToString();
+    ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+    ASSERT_EQ(local->size(), 4u);
+    ASSERT_EQ(remote->size(), 4u);
+    for (size_t dst = 0; dst < 4; ++dst) {
+      EXPECT_TRUE(RowsEqual((*local)[dst], (*remote)[dst])) << "dst " << dst;
     }
+    EXPECT_EQ(local_stats.remote_builds, 0u);
+    EXPECT_GT(remote_stats.remote_builds, 0u);
+    EXPECT_EQ(remote_stats.local_bytes, local_stats.local_bytes);
+    EXPECT_EQ(remote_stats.remote_bytes, local_stats.remote_bytes);
+    EXPECT_EQ(remote_stats.remote_transfers, local_stats.remote_transfers);
   }
 }
 
@@ -209,15 +221,14 @@ TEST(FragmentInterpreterTest, RejectsTrailingGarbage) {
   PartitionedRows in = MakeInput();
   ExecContext ctx;
   ctx.topology = {2, 2};
-  HashExchangeOp op(std::vector<int>{0});
-  Result<ExchangeOperator::Routing> routing = op.Route(ctx, in);
-  ASSERT_TRUE(routing.ok());
+  GatherOp op;
   adm::FragmentClosure closure;
   ASSERT_TRUE(fragment::ClosureFor(op, &closure));
   std::string request;
   size_t slice_rows = 0;
-  fragment::EncodeFragmentRequest(ctx.topology, 1, closure, 0, in, *routing,
-                                  &request, &slice_rows);
+  fragment::EncodeFragmentRequest(ctx.topology, 1, closure, 0, in,
+                                  ExchangeOperator::Routing{}, &request,
+                                  &slice_rows);
   request += "junk";
   transport::FragmentReply reply = fragment::InterpretFragment(request);
   ASSERT_FALSE(reply.ok);
@@ -235,18 +246,22 @@ TEST(TransportFragmentTest, ExecutesInsideForkedWorkerProcess) {
   PartitionedRows in = MakeInput();
   ExecContext ctx;
   ctx.topology = {2, 2};
-  HashExchangeOp op(std::vector<int>{0});
-  Result<ExchangeOperator::Routing> routing = op.Route(ctx, in);
-  ASSERT_TRUE(routing.ok());
+  // Broadcast routes implicitly: every destination's slice is the whole
+  // input, so no routing table is needed to encode the requests.
+  BroadcastExchangeOp op;
   adm::FragmentClosure closure;
   ASSERT_TRUE(fragment::ClosureFor(op, &closure));
+  Result<PartitionedRows> local = testing::RunOperator(
+      ctx, std::make_unique<BroadcastExchangeOp>(), {&in});
+  ASSERT_TRUE(local.ok()) << local.status().ToString();
   std::vector<int> pids = t->worker_pids();
   ASSERT_EQ(pids.size(), 2u);
   for (int dst = 0; dst < 4; ++dst) {
     std::string request;
     size_t slice_rows = 0;
     fragment::EncodeFragmentRequest(ctx.topology, 5, closure, dst, in,
-                                    *routing, &request, &slice_rows);
+                                    ExchangeOperator::Routing{}, &request,
+                                    &slice_rows);
     ASSERT_GT(slice_rows, 0u);
     int node = ctx.topology.NodeOfPartition(dst);
     std::string reply;
@@ -262,11 +277,8 @@ TEST(TransportFragmentTest, ExecutesInsideForkedWorkerProcess) {
     EXPECT_NE(std::find(pids.begin(), pids.end(),
                         static_cast<int>(remote->header.worker_pid)),
               pids.end());
-    OpStats local_stats;
-    Result<Rows> local =
-        op.BuildDestination(ctx, dst, in, *routing, nullptr, &local_stats);
-    ASSERT_TRUE(local.ok());
-    EXPECT_TRUE(RowsEqual(*local, remote->rows)) << "dst " << dst;
+    EXPECT_TRUE(RowsEqual((*local)[static_cast<size_t>(dst)], remote->rows))
+        << "dst " << dst;
   }
   EXPECT_TRUE(t->Drain().ok());
 }
@@ -277,16 +289,15 @@ TEST(TransportFragmentTest, CancelLedgerRefusesCancelledQueriesOnly) {
   PartitionedRows in = MakeInput();
   ExecContext ctx;
   ctx.topology = {2, 2};
-  HashExchangeOp op(std::vector<int>{0});
-  Result<ExchangeOperator::Routing> routing = op.Route(ctx, in);
-  ASSERT_TRUE(routing.ok());
+  GatherOp op;
   adm::FragmentClosure closure;
   ASSERT_TRUE(fragment::ClosureFor(op, &closure));
   auto execute = [&](uint64_t query_id) {
     std::string request;
     size_t slice_rows = 0;
     fragment::EncodeFragmentRequest(ctx.topology, query_id, closure, 0, in,
-                                    *routing, &request, &slice_rows);
+                                    ExchangeOperator::Routing{}, &request,
+                                    &slice_rows);
     std::string reply;
     double seconds = 0;
     return t->ExecuteFragment(0, request, &reply, &seconds);
@@ -335,27 +346,10 @@ TEST(TransportFragmentTest, NonSocketBackendsHaveNoRemoteExecution) {
 
 // --- Scheduler remote-task leases -----------------------------------------
 
-class IntSourceOp : public PartitionOperator {
- public:
-  explicit IntSourceOp(int per_partition) : per_partition_(per_partition) {}
-  std::string name() const override { return "INT-SOURCE"; }
-  int num_inputs() const override { return 0; }
-  Result<Rows> ExecutePartition(ExecContext&, int p,
-                                const std::vector<const Rows*>&) override {
-    Rows rows;
-    for (int i = 0; i < per_partition_; ++i) {
-      rows.push_back({Value::Int64(p * 1000 + i)});
-    }
-    return rows;
-  }
-
- private:
-  int per_partition_;
-};
-
 TEST(RemoteTaskLeaseTest, EveryBuildReportsOneClosedLease) {
   Job job;
-  int src = job.Add(std::make_unique<IntSourceOp>(40), {}, RowSchema({"v"}));
+  int src = job.Add(std::make_unique<testing::IntSourceOp>(40), {},
+                    RowSchema({"v"}));
   job.Add(std::make_unique<HashExchangeOp>(std::vector<int>{0}), {src},
           RowSchema({"v"}));
 
@@ -374,7 +368,6 @@ TEST(RemoteTaskLeaseTest, EveryBuildReportsOneClosedLease) {
   ctx.pool = &pool;
   ctx.topology = {2, 2};
   ctx.stats = &stats;
-  ctx.executor = ExecutorKind::kScheduler;
   ctx.transport = t.get();
   ctx.on_lease_complete = &on_complete;
   Result<PartitionedRows> out = Executor::Run(job, ctx);

@@ -74,7 +74,7 @@ void RunSeedBatch(uint64_t seed) {
 
 /// The exchange transport must be invisible to results: the same seed's
 /// queries run under every transport backend (modeled / shared-memory /
-/// socket, plus shared-memory on the stage-sequential executor) and every
+/// socket, plus shared-memory on a 1-thread executor pool) and every
 /// combination must return bit-identical order-normalized rows — the wire
 /// round-trip is an identity on values. Topologies include 1x1 (where the
 /// shm backend still ships everything) and 4x2 (where the socket backend

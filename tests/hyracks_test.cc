@@ -14,6 +14,7 @@
 #include "hyracks/ops_join.h"
 #include "hyracks/ops_scan.h"
 #include "storage/file_util.h"
+#include "testing/operators.h"
 
 namespace simdb::hyracks {
 namespace {
@@ -58,10 +59,10 @@ class HyracksTest : public ::testing::Test {
     return out;
   }
 
-  Result<PartitionedRows> RunOp(Operator& op,
-                                std::vector<const PartitionedRows*> inputs) {
-    OpStats stats;
-    return op.Execute(ctx_, inputs, &stats);
+  Result<PartitionedRows> RunOp(std::unique_ptr<Operator> op,
+                                std::vector<const PartitionedRows*> inputs,
+                                OpStats* stats = nullptr) {
+    return testing::RunOperator(ctx_, std::move(op), inputs, stats);
   }
 
   std::string dir_;
@@ -105,23 +106,27 @@ TEST_F(HyracksTest, FieldAccess) {
 
 TEST_F(HyracksTest, SelectFilters) {
   PartitionedRows in = MakeInts({1, 2, 3, 4, 5, 6, 7, 8});
-  SelectOp op(*Call("gt", {Col(0, "v"), Lit(Value::Int64(4))}));
-  auto out = *RunOp(op, {&in});
+  auto out = *RunOp(std::make_unique<SelectOp>(
+                        *Call("gt", {Col(0, "v"), Lit(Value::Int64(4))})),
+                    {&in});
   EXPECT_EQ(CollectInts(out), (std::vector<int64_t>{5, 6, 7, 8}));
 }
 
 TEST_F(HyracksTest, AssignAppendsColumns) {
   PartitionedRows in = MakeInts({1, 2});
-  AssignOp op({*Call("mul", {Col(0, "v"), Lit(Value::Int64(10))})}, {"v10"});
-  auto out = *RunOp(op, {&in});
+  auto out = *RunOp(
+      std::make_unique<AssignOp>(
+          std::vector<ExprPtr>{
+              *Call("mul", {Col(0, "v"), Lit(Value::Int64(10))})},
+          std::vector<std::string>{"v10"}),
+      {&in});
   EXPECT_EQ(CollectInts(out, 1), (std::vector<int64_t>{10, 20}));
 }
 
 TEST_F(HyracksTest, ProjectReorders) {
   PartitionedRows in(4);
   in[0].push_back({Value::Int64(1), Value::String("a")});
-  ProjectOp op({1, 0});
-  auto out = *RunOp(op, {&in});
+  auto out = *RunOp(std::make_unique<ProjectOp>(std::vector<int>{1, 0}), {&in});
   EXPECT_EQ(out[0][0][0].AsString(), "a");
   EXPECT_EQ(out[0][0][1].AsInt64(), 1);
 }
@@ -129,8 +134,8 @@ TEST_F(HyracksTest, ProjectReorders) {
 TEST_F(HyracksTest, SortPerPartition) {
   PartitionedRows in(4);
   in[1] = {{Value::Int64(3)}, {Value::Int64(1)}, {Value::Int64(2)}};
-  SortOp op({{0, true}});
-  auto out = *RunOp(op, {&in});
+  auto out =
+      *RunOp(std::make_unique<SortOp>(std::vector<SortKey>{{0, true}}), {&in});
   EXPECT_EQ(out[1][0][0].AsInt64(), 1);
   EXPECT_EQ(out[1][2][0].AsInt64(), 3);
 }
@@ -139,8 +144,9 @@ TEST_F(HyracksTest, UnnestWithPosition) {
   PartitionedRows in(4);
   in[0].push_back({Value::MakeArray(
       {Value::String("x"), Value::String("y"), Value::String("z")})});
-  UnnestOp op(Col(0, "list"), /*with_position=*/true);
-  auto out = *RunOp(op, {&in});
+  auto out = *RunOp(
+      std::make_unique<UnnestOp>(Col(0, "list"), /*with_position=*/true),
+      {&in});
   ASSERT_EQ(out[0].size(), 3u);
   EXPECT_EQ(out[0][0][1].AsString(), "x");
   EXPECT_EQ(out[0][0][2].AsInt64(), 1);  // positions are 1-based
@@ -150,16 +156,16 @@ TEST_F(HyracksTest, UnnestWithPosition) {
 TEST_F(HyracksTest, UnnestSkipsMissing) {
   PartitionedRows in(4);
   in[0].push_back({Value::Missing()});
-  UnnestOp op(Col(0, "list"), false);
-  auto out = *RunOp(op, {&in});
+  auto out =
+      *RunOp(std::make_unique<UnnestOp>(Col(0, "list"), false), {&in});
   EXPECT_EQ(RowsCount(out), 0u);
 }
 
 TEST_F(HyracksTest, HashExchangeGroupsEqualKeys) {
   PartitionedRows in = MakeInts({1, 2, 3, 1, 2, 3, 1, 2});
-  HashExchangeOp op({0});
   OpStats stats;
-  auto out = *op.Execute(ctx_, {&in}, &stats);
+  auto out = *RunOp(std::make_unique<HashExchangeOp>(std::vector<int>{0}),
+                    {&in}, &stats);
   // Equal keys must land in the same partition.
   for (int64_t key : {1, 2, 3}) {
     std::set<size_t> parts;
@@ -176,17 +182,15 @@ TEST_F(HyracksTest, HashExchangeGroupsEqualKeys) {
 
 TEST_F(HyracksTest, BroadcastReplicatesEverywhere) {
   PartitionedRows in = MakeInts({7, 8});
-  BroadcastExchangeOp op;
   OpStats stats;
-  auto out = *op.Execute(ctx_, {&in}, &stats);
+  auto out = *RunOp(std::make_unique<BroadcastExchangeOp>(), {&in}, &stats);
   for (const Rows& part : out) EXPECT_EQ(part.size(), 2u);
   EXPECT_GT(stats.remote_bytes, 0u);  // crosses the 2-node boundary
 }
 
 TEST_F(HyracksTest, GatherCollectsIntoPartitionZero) {
   PartitionedRows in = MakeInts({1, 2, 3, 4, 5});
-  GatherOp op;
-  auto out = *RunOp(op, {&in});
+  auto out = *RunOp(std::make_unique<GatherOp>(), {&in});
   EXPECT_EQ(out[0].size(), 5u);
   EXPECT_TRUE(out[1].empty() && out[2].empty() && out[3].empty());
 }
@@ -197,8 +201,8 @@ TEST_F(HyracksTest, MergeGatherKeepsGlobalOrder) {
   in[1] = {{Value::Int64(2)}, {Value::Int64(6)}};
   in[2] = {{Value::Int64(3)}};
   in[3] = {{Value::Int64(0)}, {Value::Int64(4)}};
-  MergeGatherOp op({{0, true}});
-  auto out = *RunOp(op, {&in});
+  auto out = *RunOp(
+      std::make_unique<MergeGatherOp>(std::vector<SortKey>{{0, true}}), {&in});
   ASSERT_EQ(out[0].size(), 7u);
   for (size_t i = 0; i < out[0].size(); ++i) {
     EXPECT_EQ(out[0][i][0].AsInt64(), static_cast<int64_t>(i));
@@ -208,16 +212,14 @@ TEST_F(HyracksTest, MergeGatherKeepsGlobalOrder) {
 TEST_F(HyracksTest, RankAssignNumbersRows) {
   PartitionedRows in(4);
   in[0] = {{Value::String("a")}, {Value::String("b")}};
-  RankAssignOp op;
-  auto out = *RunOp(op, {&in});
+  auto out = *RunOp(std::make_unique<RankAssignOp>(), {&in});
   EXPECT_EQ(out[0][0][1].AsInt64(), 0);
   EXPECT_EQ(out[0][1][1].AsInt64(), 1);
 }
 
 TEST_F(HyracksTest, RankAssignRejectsUngatheredInput) {
   PartitionedRows in = MakeInts({1, 2, 3, 4, 5});
-  RankAssignOp op;
-  EXPECT_FALSE(RunOp(op, {&in}).ok());
+  EXPECT_FALSE(RunOp(std::make_unique<RankAssignOp>(), {&in}).ok());
 }
 
 TEST_F(HyracksTest, HashGroupCountsAndListifies) {
@@ -226,12 +228,14 @@ TEST_F(HyracksTest, HashGroupCountsAndListifies) {
   in[0] = {{Value::String("a"), Value::Int64(1)},
            {Value::String("b"), Value::Int64(2)},
            {Value::String("a"), Value::Int64(3)}};
-  HashGroupOp op({Col(0, "k")},
-                 {{AggSpec::Kind::kCount, nullptr, "cnt"},
-                  {AggSpec::Kind::kListify, Col(1, "v"), "vals"},
-                  {AggSpec::Kind::kSum, Col(1, "v"), "sum"},
-                  {AggSpec::Kind::kMin, Col(1, "v"), "min"}});
-  auto out = *RunOp(op, {&in});
+  auto out = *RunOp(std::make_unique<HashGroupOp>(
+                        std::vector<ExprPtr>{Col(0, "k")},
+                        std::vector<AggSpec>{
+                            {AggSpec::Kind::kCount, nullptr, "cnt"},
+                            {AggSpec::Kind::kListify, Col(1, "v"), "vals"},
+                            {AggSpec::Kind::kSum, Col(1, "v"), "sum"},
+                            {AggSpec::Kind::kMin, Col(1, "v"), "min"}}),
+                    {&in});
   ASSERT_EQ(out[0].size(), 2u);
   for (const Tuple& row : out[0]) {
     if (row[0].AsString() == "a") {
@@ -252,8 +256,9 @@ TEST_F(HyracksTest, HashJoinMatchesEqualKeys) {
              {Value::Int64(2), Value::String("l2")}};
   right[0] = {{Value::Int64(2), Value::String("r2")},
               {Value::Int64(3), Value::String("r3")}};
-  HashJoinOp op({0}, {0});
-  auto out = *RunOp(op, {&left, &right});
+  auto out = *RunOp(std::make_unique<HashJoinOp>(std::vector<int>{0},
+                                                 std::vector<int>{0}),
+                    {&left, &right});
   ASSERT_EQ(RowsCount(out), 1u);
   EXPECT_EQ(out[0][0][1].AsString(), "l2");
   EXPECT_EQ(out[0][0][3].AsString(), "r2");
@@ -263,8 +268,9 @@ TEST_F(HyracksTest, HashJoinSkipsMissingKeys) {
   PartitionedRows left(4), right(4);
   left[0] = {{Value::Missing()}};
   right[0] = {{Value::Missing()}};
-  HashJoinOp op({0}, {0});
-  auto out = *RunOp(op, {&left, &right});
+  auto out = *RunOp(std::make_unique<HashJoinOp>(std::vector<int>{0},
+                                                 std::vector<int>{0}),
+                    {&left, &right});
   EXPECT_EQ(RowsCount(out), 0u);
 }
 
@@ -273,8 +279,10 @@ TEST_F(HyracksTest, HashJoinResidualFilters) {
   left[0] = {{Value::Int64(1), Value::Int64(10)}};
   right[0] = {{Value::Int64(1), Value::Int64(10)},
               {Value::Int64(1), Value::Int64(99)}};
-  HashJoinOp op({0}, {0}, *Call("eq", {Col(1, "lv"), Col(3, "rv")}));
-  auto out = *RunOp(op, {&left, &right});
+  auto out = *RunOp(
+      std::make_unique<HashJoinOp>(std::vector<int>{0}, std::vector<int>{0},
+                                   *Call("eq", {Col(1, "lv"), Col(3, "rv")})),
+      {&left, &right});
   EXPECT_EQ(RowsCount(out), 1u);
 }
 
@@ -282,8 +290,9 @@ TEST_F(HyracksTest, NestedLoopJoinThetaPredicate) {
   PartitionedRows left(4), right(4);
   left[0] = {{Value::Int64(1)}, {Value::Int64(5)}};
   right[0] = {{Value::Int64(3)}};
-  NestedLoopJoinOp op(*Call("lt", {Col(0, "l"), Col(1, "r")}));
-  auto out = *RunOp(op, {&left, &right});
+  auto out = *RunOp(std::make_unique<NestedLoopJoinOp>(
+                        *Call("lt", {Col(0, "l"), Col(1, "r")})),
+                    {&left, &right});
   ASSERT_EQ(RowsCount(out), 1u);
   EXPECT_EQ(out[0][0][0].AsInt64(), 1);
 }
@@ -291,15 +300,13 @@ TEST_F(HyracksTest, NestedLoopJoinThetaPredicate) {
 TEST_F(HyracksTest, UnionAllConcatenates) {
   PartitionedRows a = MakeInts({1, 2});
   PartitionedRows b = MakeInts({3});
-  UnionAllOp op;
-  auto out = *RunOp(op, {&a, &b});
+  auto out = *RunOp(std::make_unique<UnionAllOp>(), {&a, &b});
   EXPECT_EQ(CollectInts(out), (std::vector<int64_t>{1, 2, 3}));
 }
 
 TEST_F(HyracksTest, LimitCapsRows) {
   PartitionedRows in = MakeInts({1, 2, 3, 4, 5, 6});
-  LimitOp op(4);
-  auto out = *RunOp(op, {&in});
+  auto out = *RunOp(std::make_unique<LimitOp>(4), {&in});
   EXPECT_EQ(RowsCount(out), 4u);
 }
 
@@ -331,40 +338,41 @@ storage::Dataset* MakeReviews(storage::Catalog& catalog, int partitions) {
 
 TEST_F(HyracksTest, DataScanReadsAllPartitions) {
   MakeReviews(*catalog_, 4);
-  DataScanOp op("reviews");
-  auto out = *RunOp(op, {});
+  auto out = *RunOp(std::make_unique<DataScanOp>("reviews"), {});
   EXPECT_EQ(RowsCount(out), 5u);
 }
 
 TEST_F(HyracksTest, DataScanPartitionMismatchFails) {
   auto ds = catalog_->CreateDataset({"tiny", "id", 3});
   ASSERT_TRUE(ds.ok());
-  DataScanOp op("tiny");
-  EXPECT_FALSE(RunOp(op, {}).ok());
+  EXPECT_FALSE(RunOp(std::make_unique<DataScanOp>("tiny"), {}).ok());
 }
 
 TEST_F(HyracksTest, InvertedSearchPlusLookupSelectsSimilarNames) {
   MakeReviews(*catalog_, 4);
   // Plan fragment of Figure 7: constant -> broadcast -> secondary search ->
   // sort pk -> primary lookup -> verify.
-  ConstantSourceOp source({{Value::String("marla")}});
-  auto rows = *RunOp(source, {});
-  BroadcastExchangeOp broadcast;
-  auto bcast = *RunOp(broadcast, {&rows});
-  InvertedIndexSearchOp search(
-      "reviews", "nix", Col(0, "c"),
-      {SimSearchSpec::Fn::kEditDistance, 1.0});
-  auto candidates = *RunOp(search, {&bcast});
+  auto rows = *RunOp(std::make_unique<ConstantSourceOp>(
+                         std::vector<Tuple>{{Value::String("marla")}}),
+                     {});
+  auto bcast = *RunOp(std::make_unique<BroadcastExchangeOp>(), {&rows});
+  auto candidates = *RunOp(
+      std::make_unique<InvertedIndexSearchOp>(
+          "reviews", "nix", Col(0, "c"),
+          SimSearchSpec{SimSearchSpec::Fn::kEditDistance, 1.0}),
+      {&bcast});
   EXPECT_GE(RowsCount(candidates), 3u);  // mary, mario, maria candidates
-  SortOp sort({{1, true}});
-  auto sorted = *RunOp(sort, {&candidates});
-  PrimaryLookupOp lookup("reviews", 1);
-  auto records = *RunOp(lookup, {&sorted});
-  SelectOp verify(*Call("edit-distance-check",
-                        {*Call("get-field", {Col(2, "rec"),
-                                             Lit(Value::String("reviewerName"))}),
-                         Col(0, "c"), Lit(Value::Int64(1))}));
-  auto verified = *RunOp(verify, {&records});
+  auto sorted = *RunOp(
+      std::make_unique<SortOp>(std::vector<SortKey>{{1, true}}), {&candidates});
+  auto records =
+      *RunOp(std::make_unique<PrimaryLookupOp>("reviews", 1), {&sorted});
+  auto verified = *RunOp(
+      std::make_unique<SelectOp>(*Call(
+          "edit-distance-check",
+          {*Call("get-field",
+                 {Col(2, "rec"), Lit(Value::String("reviewerName"))}),
+           Col(0, "c"), Lit(Value::Int64(1))})),
+      {&records});
   ASSERT_EQ(RowsCount(verified), 1u);
   for (const Rows& part : verified) {
     for (const Tuple& t : part) {
@@ -376,13 +384,14 @@ TEST_F(HyracksTest, InvertedSearchPlusLookupSelectsSimilarNames) {
 TEST_F(HyracksTest, InvertedSearchSkipsCornerCaseRows) {
   MakeReviews(*catalog_, 4);
   // "ab" with k=2: T = 1 - 2*2 <= 0, so the index path must emit nothing.
-  ConstantSourceOp source({{Value::String("ab")}});
-  auto rows = *RunOp(source, {});
-  BroadcastExchangeOp broadcast;
-  auto bcast = *RunOp(broadcast, {&rows});
-  InvertedIndexSearchOp search("reviews", "nix", Col(0, "c"),
-                               {SimSearchSpec::Fn::kEditDistance, 2.0});
-  auto out = *RunOp(search, {&bcast});
+  auto rows = *RunOp(std::make_unique<ConstantSourceOp>(
+                         std::vector<Tuple>{{Value::String("ab")}}),
+                     {});
+  auto bcast = *RunOp(std::make_unique<BroadcastExchangeOp>(), {&rows});
+  auto out = *RunOp(std::make_unique<InvertedIndexSearchOp>(
+                        "reviews", "nix", Col(0, "c"),
+                        SimSearchSpec{SimSearchSpec::Fn::kEditDistance, 2.0}),
+                    {&bcast});
   EXPECT_EQ(RowsCount(out), 0u);
 }
 
@@ -397,12 +406,12 @@ TEST_F(HyracksTest, BtreeSearchOp) {
   ASSERT_TRUE(
       ds->CreateIndex({"bt", "grp", similarity::IndexKind::kBtree, 0, false})
           .ok());
-  ConstantSourceOp source({{Value::Int64(1)}});
-  auto rows = *RunOp(source, {});
-  BroadcastExchangeOp broadcast;
-  auto bcast = *RunOp(broadcast, {&rows});
-  BtreeSearchOp search("users", "bt", Col(0, "c"));
-  auto out = *RunOp(search, {&bcast});
+  auto rows = *RunOp(std::make_unique<ConstantSourceOp>(
+                         std::vector<Tuple>{{Value::Int64(1)}}),
+                     {});
+  auto bcast = *RunOp(std::make_unique<BroadcastExchangeOp>(), {&rows});
+  auto out = *RunOp(
+      std::make_unique<BtreeSearchOp>("users", "bt", Col(0, "c")), {&bcast});
   EXPECT_EQ(RowsCount(out), 3u);  // ids 1, 4, 7
 }
 
@@ -447,42 +456,6 @@ TEST_F(HyracksTest, ExecutorReportsOperatorErrors) {
   // Errors name the failing node so multi-operator jobs stay diagnosable.
   EXPECT_NE(result.status().message().find("node 0"), std::string::npos)
       << result.status().ToString();
-}
-
-TEST_F(HyracksTest, RunPerPartitionReturnsLowestFailingPartition) {
-  // Multiple partitions fail concurrently; the reported error must always be
-  // the lowest partition index, independent of thread scheduling and of
-  // whether a stats sink is attached.
-  OpStats op_stats;
-  for (int trial = 0; trial < 20; ++trial) {
-    for (OpStats* stats : {static_cast<OpStats*>(nullptr), &op_stats}) {
-      Status s = RunPerPartition(ctx_, 4, stats, [&](int p) -> Status {
-        if (p >= 1) {
-          return Status::Internal("boom " + std::to_string(p));
-        }
-        return Status::OK();
-      });
-      ASSERT_FALSE(s.ok());
-      EXPECT_EQ(s.message(), "partition 1: boom 1");
-    }
-  }
-}
-
-TEST_F(HyracksTest, RunPerPartitionRecordsTimingsDespiteErrors) {
-  OpStats stats;
-  Status s = RunPerPartition(ctx_, 4, &stats, [&](int p) -> Status {
-    return p == 2 ? Status::Internal("bad partition") : Status::OK();
-  });
-  EXPECT_FALSE(s.ok());
-  EXPECT_EQ(s.message(), "partition 2: bad partition");
-  // Every partition ran to completion and recorded its slot.
-  ASSERT_EQ(stats.partition_seconds.size(), 4u);
-}
-
-TEST_F(HyracksTest, RunPerPartitionZeroPartitionsIsOk) {
-  EXPECT_TRUE(RunPerPartition(ctx_, 0, nullptr, [](int) {
-                return Status::Internal("never called");
-              }).ok());
 }
 
 }  // namespace

@@ -24,11 +24,13 @@
 #include "observability/profile.h"
 #include "observability/trace.h"
 #include "storage/file_util.h"
+#include "testing/operators.h"
 
 namespace simdb {
 namespace {
 
 using adm::Value;
+using testing::IntSourceOp;
 
 // ---------- metrics ----------
 
@@ -161,26 +163,6 @@ TEST(TraceTest, ChromeTraceJsonIsValidAndNamesTracks) {
 
 // ---------- per-operator accounting on a hand-built 2x2 job ----------
 
-/// Deterministic source: `per_partition` ints per partition.
-class IntSourceOp : public hyracks::PartitionOperator {
- public:
-  explicit IntSourceOp(int per_partition) : per_partition_(per_partition) {}
-  std::string name() const override { return "INT-SOURCE"; }
-  int num_inputs() const override { return 0; }
-  Result<hyracks::Rows> ExecutePartition(
-      hyracks::ExecContext&, int p,
-      const std::vector<const hyracks::Rows*>&) override {
-    hyracks::Rows rows;
-    for (int i = 0; i < per_partition_; ++i) {
-      rows.push_back({Value::Int64(p * 1000 + i)});
-    }
-    return rows;
-  }
-
- private:
-  int per_partition_;
-};
-
 /// source -> hash exchange -> gather, on 2 nodes x 2 partitions with 10
 /// rows per partition: every exchange's tuple counts are known exactly.
 hyracks::Job MakeExchangeJob() {
@@ -200,13 +182,12 @@ struct ProfiledRun {
   std::vector<obs::TraceEvent> events;
 };
 
-ProfiledRun RunProfiled(const hyracks::Job& job, hyracks::ExecutorKind kind) {
+ProfiledRun RunProfiled(const hyracks::Job& job) {
   ProfiledRun run;
   obs::TraceCollector collector;
   hyracks::ExecContext ctx;
   ctx.topology = {2, 2};
   ctx.stats = &run.stats;
-  ctx.executor = kind;
   ctx.trace = &collector;
   Result<hyracks::PartitionedRows> out = hyracks::Executor::Run(job, ctx);
   EXPECT_TRUE(out.ok()) << out.status().ToString();
@@ -224,46 +205,43 @@ const hyracks::OpStats* FindOp(const hyracks::ExecStats& stats,
 
 TEST(ObservabilityTest, ExchangeTupleCountsExactOnKnownJob) {
   hyracks::Job job = MakeExchangeJob();
-  for (hyracks::ExecutorKind kind : {hyracks::ExecutorKind::kScheduler,
-                                     hyracks::ExecutorKind::kStageSequential}) {
-    ProfiledRun run = RunProfiled(job, kind);
+  ProfiledRun run = RunProfiled(job);
 
-    const hyracks::OpStats* src = FindOp(run.stats, "INT-SOURCE");
-    ASSERT_NE(src, nullptr);
-    EXPECT_EQ(src->stage, 0);
-    EXPECT_EQ(src->rows_in, 0u);
-    EXPECT_EQ(src->rows_out, 40u);
-    EXPECT_EQ(src->partition_rows,
-              (std::vector<uint64_t>{10, 10, 10, 10}));
+  const hyracks::OpStats* src = FindOp(run.stats, "INT-SOURCE");
+  ASSERT_NE(src, nullptr);
+  EXPECT_EQ(src->stage, 0);
+  EXPECT_EQ(src->rows_in, 0u);
+  EXPECT_EQ(src->rows_out, 40u);
+  EXPECT_EQ(src->partition_rows,
+            (std::vector<uint64_t>{10, 10, 10, 10}));
 
-    const hyracks::OpStats* hx = FindOp(run.stats, "HASH-EXCHANGE");
-    ASSERT_NE(hx, nullptr);
-    EXPECT_EQ(hx->stage, 0);  // the barrier belongs to the producing stage
-    EXPECT_EQ(hx->rows_in, 40u);
-    EXPECT_EQ(hx->rows_out, 40u);
-    uint64_t redistributed = 0;
-    for (uint64_t r : hx->partition_rows) redistributed += r;
-    EXPECT_EQ(redistributed, 40u);
+  const hyracks::OpStats* hx = FindOp(run.stats, "HASH-EXCHANGE");
+  ASSERT_NE(hx, nullptr);
+  EXPECT_EQ(hx->stage, 0);  // the barrier belongs to the producing stage
+  EXPECT_EQ(hx->rows_in, 40u);
+  EXPECT_EQ(hx->rows_out, 40u);
+  uint64_t redistributed = 0;
+  for (uint64_t r : hx->partition_rows) redistributed += r;
+  EXPECT_EQ(redistributed, 40u);
 
-    const hyracks::OpStats* g = FindOp(run.stats, "GATHER");
-    ASSERT_NE(g, nullptr);
-    EXPECT_EQ(g->stage, 1);
-    EXPECT_EQ(g->rows_in, 40u);
-    EXPECT_EQ(g->rows_out, 40u);
-    EXPECT_EQ(g->partition_rows, (std::vector<uint64_t>{40, 0, 0, 0}));
+  const hyracks::OpStats* g = FindOp(run.stats, "GATHER");
+  ASSERT_NE(g, nullptr);
+  EXPECT_EQ(g->stage, 1);
+  EXPECT_EQ(g->rows_in, 40u);
+  EXPECT_EQ(g->rows_out, 40u);
+  EXPECT_EQ(g->partition_rows, (std::vector<uint64_t>{40, 0, 0, 0}));
 
-    // Span names: per-partition task spans plus route/build exchange spans.
-    auto has_event = [&run](const std::string& name) {
-      for (const obs::TraceEvent& e : run.events) {
-        if (e.name == name) return true;
-      }
-      return false;
-    };
-    EXPECT_TRUE(has_event("INT-SOURCE"));
-    EXPECT_TRUE(has_event("HASH-EXCHANGE:route"));
-    EXPECT_TRUE(has_event("HASH-EXCHANGE:build"));
-    EXPECT_TRUE(has_event("GATHER:build"));
-  }
+  // Span names: per-partition task spans plus route/build exchange spans.
+  auto has_event = [&run](const std::string& name) {
+    for (const obs::TraceEvent& e : run.events) {
+      if (e.name == name) return true;
+    }
+    return false;
+  };
+  EXPECT_TRUE(has_event("INT-SOURCE"));
+  EXPECT_TRUE(has_event("HASH-EXCHANGE:route"));
+  EXPECT_TRUE(has_event("HASH-EXCHANGE:build"));
+  EXPECT_TRUE(has_event("GATHER:build"));
 }
 
 TEST(ObservabilityTest, ProfileOffCollectsNoCountersOrSpans) {
@@ -283,7 +261,7 @@ TEST(ObservabilityTest, ProfileOffCollectsNoCountersOrSpans) {
 
 TEST(ObservabilityTest, BuildQueryProfileStagesTreeAndTrace) {
   hyracks::Job job = MakeExchangeJob();
-  ProfiledRun run = RunProfiled(job, hyracks::ExecutorKind::kScheduler);
+  ProfiledRun run = RunProfiled(job);
   obs::QueryProfile profile =
       obs::BuildQueryProfile(run.stats, {2, 2}, std::move(run.events));
   ASSERT_EQ(profile.operators.size(), 3u);

@@ -24,7 +24,6 @@
 #include "hyracks/ops_exchange.h"
 #include "hyracks/ops_group.h"
 #include "hyracks/ops_scan.h"
-#include "hyracks/scheduler.h"
 #include "storage/file_util.h"
 
 namespace simdb::analysis {
@@ -207,7 +206,7 @@ TEST(DagVerifier, RejectsDoubleConsumerSteal) {
 
   // The scheduler's own plan must be legal: the scan has two consumers, so
   // the gather may not steal it.
-  std::vector<bool> planned = hyracks::Scheduler::PlannedSteals(job);
+  std::vector<bool> planned = hyracks::Executor::PlannedSteals(job);
   EXPECT_FALSE(planned[static_cast<size_t>(gather)]);
   EXPECT_TRUE(DagVerifier::VerifySteals(job, planned).ok());
 

@@ -1,10 +1,11 @@
-// Cross-checks the task-graph scheduler against the stage-sequential
-// executor: identical outputs (byte-identical serialization, not just
-// multisets), identical OpStats traffic counters, and byte-identical error
-// strings for injected per-partition failures — under pool sizes 1, 2 and 8
-// and with no pool at all. Diamond and REPLICATE (shared-node) job shapes,
-// exchanges (hash, broadcast, gather, merge-gather) and a barrier operator
-// (RANK-ASSIGN) are all exercised.
+// Cross-checks the task-graph executor against itself at pool size 1 (the
+// serial oracle: one worker runs tasks one at a time in submission order):
+// identical outputs (byte-identical serialization, not just multisets),
+// identical OpStats traffic counters, and byte-identical error strings for
+// injected per-partition failures — under pool sizes 2 and 8 and with no
+// pool at all. Diamond and REPLICATE (shared-node) job shapes, exchanges
+// (hash, broadcast, gather, merge-gather) and barrier operators (RANK-ASSIGN
+// and a misbehaving one) are all exercised.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -20,32 +21,13 @@
 #include "hyracks/ops_exchange.h"
 #include "hyracks/ops_group.h"
 #include "hyracks/ops_scan.h"
+#include "testing/operators.h"
 
 namespace simdb::hyracks {
 namespace {
 
 using adm::Value;
-
-/// Deterministic source: `per_partition` ints per partition, valued so every
-/// partition's rows are distinct.
-class IntSourceOp : public PartitionOperator {
- public:
-  explicit IntSourceOp(int per_partition) : per_partition_(per_partition) {}
-  std::string name() const override { return "INT-SOURCE"; }
-  int num_inputs() const override { return 0; }
-  Result<Rows> ExecutePartition(ExecContext&, int p,
-                                const std::vector<const Rows*>&) override {
-    Rows rows;
-    rows.reserve(static_cast<size_t>(per_partition_));
-    for (int i = 0; i < per_partition_; ++i) {
-      rows.push_back({Value::Int64(p * 1000 + i)});
-    }
-    return rows;
-  }
-
- private:
-  int per_partition_;
-};
+using testing::IntSourceOp;
 
 /// Passes rows through, failing on the listed partitions.
 class FailOp : public PartitionOperator {
@@ -65,8 +47,19 @@ class FailOp : public PartitionOperator {
   std::set<int> bad_;
 };
 
+/// A barrier that returns one partition too few.
+class WrongPartitionCountOp : public BarrierOperator {
+ public:
+  std::string name() const override { return "WRONG-PARTS"; }
+  Result<PartitionedRows> Execute(
+      ExecContext&, const std::vector<const PartitionedRows*>& inputs,
+      OpStats*) override {
+    return PartitionedRows(inputs[0]->size() - 1);
+  }
+};
+
 /// Exact serialization: partition order and row order must match, not just
-/// the multiset — both executors are deterministic.
+/// the multiset — the executor is deterministic under any pool size.
 std::string Serialize(const PartitionedRows& rows) {
   std::string out;
   for (size_t p = 0; p < rows.size(); ++p) {
@@ -81,8 +74,8 @@ std::string Serialize(const PartitionedRows& rows) {
   return out;
 }
 
-/// Everything in OpStats that must be identical across executors and pool
-/// sizes (timings excluded).
+/// Everything in OpStats that must be identical across pool sizes (timings
+/// excluded).
 std::vector<std::string> SummarizeOps(const ExecStats& stats) {
   std::vector<std::string> out;
   for (const OpStats& op : stats.ops) {
@@ -106,31 +99,27 @@ struct RunOutcome {
   Status status = Status::OK();
   std::string rows;
   std::vector<std::string> ops;
+  ExecStats stats;
 };
 
-RunOutcome RunJob(const Job& job, ExecutorKind kind, size_t pool_size) {
+RunOutcome RunJob(const Job& job, size_t pool_size) {
   std::unique_ptr<ThreadPool> pool;
   if (pool_size > 0) pool = std::make_unique<ThreadPool>(pool_size);
-  ExecStats stats;
+  RunOutcome o;
   ExecContext ctx;
   ctx.pool = pool.get();
   ctx.topology = {2, 2};  // 2 nodes x 2 partitions
-  ctx.stats = &stats;
-  ctx.executor = kind;
+  ctx.stats = &o.stats;
   Result<PartitionedRows> out = Executor::Run(job, ctx);
-  RunOutcome o;
-  EXPECT_TRUE(stats.has_task_dag);
   if (out.ok()) {
     o.rows = Serialize(*out);
-    o.ops = SummarizeOps(stats);
+    o.ops = SummarizeOps(o.stats);
   } else {
     o.status = out.status();
   }
   return o;
 }
 
-constexpr ExecutorKind kKinds[] = {ExecutorKind::kScheduler,
-                                   ExecutorKind::kStageSequential};
 constexpr size_t kPoolSizes[] = {0, 1, 2, 8};  // 0 = no pool (inline)
 
 /// Diamond: one source feeding two branches that reunite, then a hash
@@ -193,32 +182,28 @@ Job MakeReplicateJob() {
   return job;
 }
 
-TEST(SchedulerTest, DiamondIdenticalAcrossExecutorsAndPoolSizes) {
+TEST(SchedulerTest, DiamondIdenticalAcrossPoolSizes) {
   Job job = MakeDiamondJob();
-  RunOutcome base = RunJob(job, ExecutorKind::kStageSequential, 1);
+  RunOutcome base = RunJob(job, 1);
   ASSERT_TRUE(base.status.ok()) << base.status.ToString();
   EXPECT_FALSE(base.rows.empty());
-  for (ExecutorKind kind : kKinds) {
-    for (size_t pool : kPoolSizes) {
-      RunOutcome o = RunJob(job, kind, pool);
-      ASSERT_TRUE(o.status.ok()) << o.status.ToString();
-      EXPECT_EQ(o.rows, base.rows) << "pool " << pool;
-      EXPECT_EQ(o.ops, base.ops) << "pool " << pool;
-    }
+  for (size_t pool : kPoolSizes) {
+    RunOutcome o = RunJob(job, pool);
+    ASSERT_TRUE(o.status.ok()) << o.status.ToString();
+    EXPECT_EQ(o.rows, base.rows) << "pool " << pool;
+    EXPECT_EQ(o.ops, base.ops) << "pool " << pool;
   }
 }
 
-TEST(SchedulerTest, ReplicateIdenticalAcrossExecutorsAndPoolSizes) {
+TEST(SchedulerTest, ReplicateIdenticalAcrossPoolSizes) {
   Job job = MakeReplicateJob();
-  RunOutcome base = RunJob(job, ExecutorKind::kStageSequential, 1);
+  RunOutcome base = RunJob(job, 1);
   ASSERT_TRUE(base.status.ok()) << base.status.ToString();
-  for (ExecutorKind kind : kKinds) {
-    for (size_t pool : kPoolSizes) {
-      RunOutcome o = RunJob(job, kind, pool);
-      ASSERT_TRUE(o.status.ok()) << o.status.ToString();
-      EXPECT_EQ(o.rows, base.rows) << "pool " << pool;
-      EXPECT_EQ(o.ops, base.ops) << "pool " << pool;
-    }
+  for (size_t pool : kPoolSizes) {
+    RunOutcome o = RunJob(job, pool);
+    ASSERT_TRUE(o.status.ok()) << o.status.ToString();
+    EXPECT_EQ(o.rows, base.rows) << "pool " << pool;
+    EXPECT_EQ(o.ops, base.ops) << "pool " << pool;
   }
 }
 
@@ -229,13 +214,16 @@ TEST(SchedulerTest, LowestFailingPartitionWinsUnderAnyInterleaving) {
                      RowSchema({"v"}));
   job.Add(std::make_unique<GatherOp>(), {fail}, RowSchema({"v"}));
   const std::string expected = "node 1 (FAIL): partition 1: boom 1";
-  for (ExecutorKind kind : kKinds) {
-    for (size_t pool : kPoolSizes) {
-      for (int trial = 0; trial < 5; ++trial) {
-        RunOutcome o = RunJob(job, kind, pool);
-        ASSERT_FALSE(o.status.ok());
-        EXPECT_EQ(o.status.message(), expected) << "pool " << pool;
-      }
+  for (size_t pool : kPoolSizes) {
+    for (int trial = 0; trial < 5; ++trial) {
+      RunOutcome o = RunJob(job, pool);
+      ASSERT_FALSE(o.status.ok());
+      EXPECT_EQ(o.status.message(), expected) << "pool " << pool;
+      // Every partition task ran to completion and recorded its time slot,
+      // the failing ones included.
+      ASSERT_GE(o.stats.ops.size(), 2u);
+      EXPECT_EQ(o.stats.ops[1].name, "FAIL");
+      EXPECT_EQ(o.stats.ops[1].partition_seconds.size(), 4u);
     }
   }
 }
@@ -253,13 +241,11 @@ TEST(SchedulerTest, LowestFailingNodeWinsAcrossParallelBranches) {
       job.Add(std::make_unique<UnionAllOp>(), {f1, f2}, RowSchema({"v"}));
   job.Add(std::make_unique<GatherOp>(), {uni}, RowSchema({"v"}));
   const std::string expected = "node 1 (FAIL): partition 3: boom 3";
-  for (ExecutorKind kind : kKinds) {
-    for (size_t pool : kPoolSizes) {
-      for (int trial = 0; trial < 5; ++trial) {
-        RunOutcome o = RunJob(job, kind, pool);
-        ASSERT_FALSE(o.status.ok());
-        EXPECT_EQ(o.status.message(), expected) << "pool " << pool;
-      }
+  for (size_t pool : kPoolSizes) {
+    for (int trial = 0; trial < 5; ++trial) {
+      RunOutcome o = RunJob(job, pool);
+      ASSERT_FALSE(o.status.ok());
+      EXPECT_EQ(o.status.message(), expected) << "pool " << pool;
     }
   }
 }
@@ -271,12 +257,10 @@ TEST(SchedulerTest, ExchangeRoutingErrorsMatch) {
           RowSchema({"v"}));
   const std::string expected =
       "node 1 (HASH-EXCHANGE): HASH-EXCHANGE key column out of range";
-  for (ExecutorKind kind : kKinds) {
-    for (size_t pool : kPoolSizes) {
-      RunOutcome o = RunJob(job, kind, pool);
-      ASSERT_FALSE(o.status.ok());
-      EXPECT_EQ(o.status.message(), expected) << "pool " << pool;
-    }
+  for (size_t pool : kPoolSizes) {
+    RunOutcome o = RunJob(job, pool);
+    ASSERT_FALSE(o.status.ok());
+    EXPECT_EQ(o.status.message(), expected) << "pool " << pool;
   }
 }
 
@@ -287,52 +271,73 @@ TEST(SchedulerTest, BarrierOperatorErrorsMatch) {
   const std::string expected =
       "node 1 (RANK-ASSIGN): RANK-ASSIGN requires a gathered "
       "(single-partition) input";
-  for (ExecutorKind kind : kKinds) {
-    for (size_t pool : kPoolSizes) {
-      RunOutcome o = RunJob(job, kind, pool);
-      ASSERT_FALSE(o.status.ok());
-      EXPECT_EQ(o.status.message(), expected) << "pool " << pool;
-    }
+  for (size_t pool : kPoolSizes) {
+    RunOutcome o = RunJob(job, pool);
+    ASSERT_FALSE(o.status.ok());
+    EXPECT_EQ(o.status.message(), expected) << "pool " << pool;
+  }
+}
+
+TEST(SchedulerTest, BarrierWrongPartitionCountNamesTheNode) {
+  // A barrier must return one Rows per partition; a short output fails the
+  // node with the same "node N (NAME): " prefix as every other node failure.
+  Job job;
+  int src = job.Add(std::make_unique<IntSourceOp>(5), {}, RowSchema({"v"}));
+  job.Add(std::make_unique<WrongPartitionCountOp>(), {src}, RowSchema({"v"}));
+  const std::string expected =
+      "node 1 (WRONG-PARTS): produced 3 partitions, expected 4";
+  for (size_t pool : kPoolSizes) {
+    RunOutcome o = RunJob(job, pool);
+    ASSERT_FALSE(o.status.ok());
+    EXPECT_EQ(o.status.code(), StatusCode::kInternal);
+    EXPECT_EQ(o.status.message(), expected) << "pool " << pool;
   }
 }
 
 TEST(SchedulerTest, ValidationErrorsMatch) {
-  // A missing dataset fails in Prepare (scheduler: at graph build; stage
-  // sequential: when the node executes) — the error string must not differ.
+  // A missing dataset fails in Prepare, at graph build, before any task
+  // runs — the error string must not depend on the pool.
   Job job;
   job.Add(std::make_unique<DataScanOp>("nonexistent"), {}, RowSchema({"t"}));
-  RunOutcome base = RunJob(job, ExecutorKind::kStageSequential, 1);
+  RunOutcome base = RunJob(job, 1);
   ASSERT_FALSE(base.status.ok());
   EXPECT_NE(base.status.message().find("node 0"), std::string::npos);
-  for (ExecutorKind kind : kKinds) {
-    for (size_t pool : kPoolSizes) {
-      RunOutcome o = RunJob(job, kind, pool);
-      ASSERT_FALSE(o.status.ok());
-      EXPECT_EQ(o.status.message(), base.status.message());
-      EXPECT_EQ(o.status.code(), base.status.code());
-    }
+  for (size_t pool : kPoolSizes) {
+    RunOutcome o = RunJob(job, pool);
+    ASSERT_FALSE(o.status.ok());
+    EXPECT_EQ(o.status.message(), base.status.message());
+    EXPECT_EQ(o.status.code(), base.status.code());
   }
 }
 
 TEST(SchedulerTest, SharedInputIsNotCorruptedByExchangeStealing) {
   // One node feeds both a gather and a hash exchange. Tuple stealing must
-  // not fire for shared inputs (scheduler) or must fire only for the last
-  // consumer (stage-sequential) — either way both consumers see full data.
+  // not fire for shared inputs, so both consumers see full data.
   Job job;
   int src = job.Add(std::make_unique<IntSourceOp>(10), {}, RowSchema({"v"}));
   int g = job.Add(std::make_unique<GatherOp>(), {src}, RowSchema({"v"}));
   int hx = job.Add(std::make_unique<HashExchangeOp>(std::vector<int>{0}),
                    {src}, RowSchema({"v"}));
   job.Add(std::make_unique<UnionAllOp>(), {g, hx}, RowSchema({"v"}));
-  RunOutcome base = RunJob(job, ExecutorKind::kStageSequential, 1);
+  RunOutcome base = RunJob(job, 1);
   ASSERT_TRUE(base.status.ok()) << base.status.ToString();
-  for (ExecutorKind kind : kKinds) {
-    for (size_t pool : kPoolSizes) {
-      RunOutcome o = RunJob(job, kind, pool);
-      ASSERT_TRUE(o.status.ok()) << o.status.ToString();
-      EXPECT_EQ(o.rows, base.rows) << "pool " << pool;
-      EXPECT_EQ(o.ops, base.ops) << "pool " << pool;
+  // Every source row reaches the root twice, once through each consumer.
+  for (int p = 0; p < 4; ++p) {
+    for (int i = 0; i < 10; ++i) {
+      std::string row = "[" + std::to_string(p * 1000 + i) + ",]";
+      size_t copies = 0;
+      for (size_t at = base.rows.find(row); at != std::string::npos;
+           at = base.rows.find(row, at + 1)) {
+        ++copies;
+      }
+      EXPECT_EQ(copies, 2u) << row;
     }
+  }
+  for (size_t pool : kPoolSizes) {
+    RunOutcome o = RunJob(job, pool);
+    ASSERT_TRUE(o.status.ok()) << o.status.ToString();
+    EXPECT_EQ(o.rows, base.rows) << "pool " << pool;
+    EXPECT_EQ(o.ops, base.ops) << "pool " << pool;
   }
 }
 
@@ -362,30 +367,20 @@ TEST(SchedulerTest, MergeGatherRouteTimeNotChargedToIdleDestinations) {
   job.Add(std::make_unique<SlowRouteMergeGatherOp>(
               std::vector<SortKey>{{0, true}}),
           {src}, RowSchema({"v"}));
-  for (ExecutorKind kind : kKinds) {
-    for (size_t pool : {size_t{0}, size_t{2}}) {
-      std::unique_ptr<ThreadPool> tp;
-      if (pool > 0) tp = std::make_unique<ThreadPool>(pool);
-      ExecStats stats;
-      ExecContext ctx;
-      ctx.pool = tp.get();
-      ctx.topology = {2, 2};
-      ctx.stats = &stats;
-      ctx.executor = kind;
-      Result<PartitionedRows> out = Executor::Run(job, ctx);
-      ASSERT_TRUE(out.ok()) << out.status().ToString();
-      const OpStats* mg = nullptr;
-      for (const OpStats& op : stats.ops) {
-        if (op.name == "SLOW-MERGE-GATHER") mg = &op;
-      }
-      ASSERT_NE(mg, nullptr);
-      EXPECT_EQ(mg->partition_rows, (std::vector<uint64_t>{160, 0, 0, 0}));
-      ASSERT_EQ(mg->partition_seconds.size(), 4u);
-      for (int p = 1; p < 4; ++p) {
-        EXPECT_LT(mg->partition_seconds[p], 0.010)
-            << "victim partition " << p << " charged route time (executor "
-            << static_cast<int>(kind) << ", pool " << pool << ")";
-      }
+  for (size_t pool : {size_t{0}, size_t{2}}) {
+    RunOutcome o = RunJob(job, pool);
+    ASSERT_TRUE(o.status.ok()) << o.status.ToString();
+    const OpStats* mg = nullptr;
+    for (const OpStats& op : o.stats.ops) {
+      if (op.name == "SLOW-MERGE-GATHER") mg = &op;
+    }
+    ASSERT_NE(mg, nullptr);
+    EXPECT_EQ(mg->partition_rows, (std::vector<uint64_t>{160, 0, 0, 0}));
+    ASSERT_EQ(mg->partition_seconds.size(), 4u);
+    for (int p = 1; p < 4; ++p) {
+      EXPECT_LT(mg->partition_seconds[p], 0.010)
+          << "victim partition " << p << " charged route time (pool " << pool
+          << ")";
     }
   }
 }

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <cstring>
 #include <filesystem>
+#include <functional>
 #include <map>
 #include <set>
 
@@ -144,6 +147,90 @@ TEST(SortedRunTest, CorruptFileDetected) {
   std::string path = dir.path() + "/bad.dat";
   ASSERT_TRUE(WriteFileAtomic(path, "garbage").ok());
   EXPECT_FALSE(SortedRunReader::Open(path).ok());
+}
+
+/// Peak resident set size of this process so far, in MiB.
+int64_t PeakRssMib() {
+  struct rusage usage {};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<int64_t>(usage.ru_maxrss) / 1024;  // Linux: KiB
+}
+
+/// Writes a small valid run at `path`, lets `patch` corrupt its bytes, and
+/// writes them back.
+void WritePatchedRun(const std::string& path,
+                     const std::function<void(std::string&)>& patch) {
+  SortedRunWriter writer(path, 4);
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(writer.Add(EntryKind::kPut, IntKey(i), "v").ok());
+  }
+  ASSERT_TRUE(writer.Finish().ok());
+  Result<std::string> bytes = ReadFile(path);
+  ASSERT_TRUE(bytes.ok());
+  patch(*bytes);
+  ASSERT_TRUE(WriteFileAtomic(path, *bytes).ok());
+}
+
+/// Offset of the sparse index block: the footer's first field.
+uint64_t IndexOffset(const std::string& bytes) {
+  uint64_t offset = 0;
+  std::memcpy(&offset, bytes.data() + bytes.size() - 24, 8);
+  return offset;
+}
+
+TEST(SortedRunTest, HugeKeyLengthIsCorruptionWithoutHugeAllocation) {
+  TempDir dir;
+  std::string path = dir.path() + "/run.dat";
+  WritePatchedRun(path, [](std::string& bytes) {
+    // The first entry's key length follows its kind byte.
+    uint32_t klen = 0x7FFFFFF0;
+    std::memcpy(bytes.data() + 1, &klen, 4);
+  });
+  int64_t rss_before = PeakRssMib();
+  auto reader = SortedRunReader::Open(path);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  auto it = (*reader)->NewIterator(nullptr);
+  ASSERT_FALSE(it.ok());
+  EXPECT_EQ(it.status().code(), StatusCode::kCorruption);
+  EXPECT_LT(PeakRssMib() - rss_before, 64);
+}
+
+TEST(SortedRunTest, HugeSparseCountIsCorruptionWithoutHugeAllocation) {
+  TempDir dir;
+  std::string path = dir.path() + "/run.dat";
+  WritePatchedRun(path, [](std::string& bytes) {
+    uint32_t count = 0xFFFFFFFF;  // the index block opens with its count
+    std::memcpy(bytes.data() + IndexOffset(bytes), &count, 4);
+  });
+  int64_t rss_before = PeakRssMib();
+  auto reader = SortedRunReader::Open(path);
+  ASSERT_FALSE(reader.ok());
+  EXPECT_EQ(reader.status().code(), StatusCode::kCorruption);
+  EXPECT_LT(PeakRssMib() - rss_before, 64);
+}
+
+TEST(SortedRunTest, BadEntryKindAndSparseOffsetAreCorruption) {
+  TempDir dir;
+  std::string path = dir.path() + "/kind.dat";
+  WritePatchedRun(path, [](std::string& bytes) { bytes[0] = 7; });
+  auto reader = SortedRunReader::Open(path);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  auto it = (*reader)->NewIterator(nullptr);
+  ASSERT_FALSE(it.ok());
+  EXPECT_EQ(it.status().code(), StatusCode::kCorruption);
+
+  path = dir.path() + "/offset.dat";
+  WritePatchedRun(path, [](std::string& bytes) {
+    // The first sparse entry: [u32 count][u32 klen][key][u64 offset].
+    uint64_t at = IndexOffset(bytes) + 4;
+    uint32_t klen = 0;
+    std::memcpy(&klen, bytes.data() + at, 4);
+    uint64_t past_end = IndexOffset(bytes) + 1;
+    std::memcpy(bytes.data() + at + 4 + klen, &past_end, 8);
+  });
+  auto bad_offset = SortedRunReader::Open(path);
+  ASSERT_FALSE(bad_offset.ok());
+  EXPECT_EQ(bad_offset.status().code(), StatusCode::kCorruption);
 }
 
 // ---------- LSM ----------
