@@ -1,16 +1,16 @@
 // Transport backend comparison on the Figure-27 scaling workload: the same
-// exchange-heavy Jaccard join runs under the modeled, shared-memory, and
-// socket backends as the simulated cluster grows 1 -> 8 nodes, reporting
-// measured wall clock, the cost-model makespan, and the measured transport
-// seconds (real backends) next to the modeled network charge. A second
-// section microbenches the rows-frame codec (serialize/deserialize through
+// exchange-heavy Jaccard join runs under the modeled and socket backends as
+// the simulated cluster grows 1 -> 8 nodes, reporting measured wall clock,
+// the cost-model makespan, and the measured fragment wire seconds (socket)
+// next to the modeled network charge. A second section microbenches the
+// fragment row-group codec (hyracks::fragment::EncodeRows/DecodeRows inside
 // the versioned CRC frame) at several row counts.
 //
 // A third section compares parent-side vs worker-side compute: the same
-// join at a fixed {4 nodes x 2 partitions} topology under the socket
-// backend with fragment dispatch off (workers only echo shipped bytes)
-// and on (exchange destinations are built inside the forked workers),
-// reporting the measured remote compute surfaced by the cost model.
+// join at a fixed {4 nodes x 2 partitions} topology under the modeled
+// backend (every destination built in the parent) and the socket backend
+// (exchange destinations built inside the forked workers), reporting the
+// measured remote compute surfaced by the cost model.
 //
 //   --json <path>   write {"scaling": [...], "serde": [...],
 //                   "remote_compute": [...], "queries": [...],
@@ -24,7 +24,9 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "adm/wire.h"
 #include "common/stopwatch.h"
+#include "hyracks/fragment.h"
 #include "observability/metrics.h"
 #include "observability/profile.h"
 #include "transport/transport.h"
@@ -90,25 +92,25 @@ struct RemoteComputePoint {
   int64_t result_count = 0;
 };
 
-// Same join, fixed {4 nodes x 2 partitions}, socket backend, profiling on;
-// SIMDB_SOCKET_FRAGMENTS decides whether exchange destinations are built in
-// the parent (off: workers echo shipped bytes) or inside the owning forked
-// worker (on: kFragment dispatch). The fragments-on profile is kept for the
-// JSON "queries" section so the exec.remote.* catalogue check in CI sees the
-// per-operator counters a remote build emits.
-Result<RemoteComputePoint> RunRemoteCompute(bool fragments_on, int64_t records,
+// Same join, fixed {4 nodes x 2 partitions}, profiling on. The backend
+// decides whether exchange destinations are built in the parent (modeled) or
+// inside the owning forked worker (socket: kFragment dispatch). The socket
+// profile is kept for the JSON "queries" section so the exec.remote.*
+// catalogue check in CI sees the per-operator counters a remote build emits.
+Result<RemoteComputePoint> RunRemoteCompute(transport::TransportKind kind,
+                                            int64_t records,
                                             std::string* profile_json) {
-  setenv("SIMDB_SOCKET_FRAGMENTS", fragments_on ? "1" : "0", /*overwrite=*/1);
+  const bool on_workers = kind == transport::TransportKind::kSocket;
   BenchEnv env({4, 2}, /*threads=*/2);
   core::QueryProcessor& engine = env.engine();
-  engine.set_transport(transport::TransportKind::kSocket);
+  engine.set_transport(kind);
   engine.set_profile_queries(true);
   SIMDB_ASSIGN_OR_RETURN(auto gen,
                          LoadTextDataset(engine, "AmazonReview",
                                          datagen::AmazonProfile(), records));
   (void)gen;
   RemoteComputePoint point;
-  point.mode = fragments_on ? "worker_compute" : "parent_compute";
+  point.mode = on_workers ? "worker_compute" : "parent_compute";
   Stopwatch sw;
   core::QueryResult result;
   SIMDB_RETURN_IF_ERROR(engine.Execute(JoinQuery() + ";", &result));
@@ -121,7 +123,7 @@ Result<RemoteComputePoint> RunRemoteCompute(bool fragments_on, int64_t records,
   point.result_count = result.rows.size() == 1 && result.rows[0].is_int64()
                            ? result.rows[0].AsInt64()
                            : static_cast<int64_t>(result.rows.size());
-  if (fragments_on && profile_json != nullptr) {
+  if (on_workers && profile_json != nullptr) {
     if (result.profile == nullptr)
       return Status::Internal("profiled join produced no profile");
     *profile_json = result.profile->ToJson();
@@ -135,6 +137,21 @@ struct SerdePoint {
   double encode_mb_per_sec = 0;
   double decode_mb_per_sec = 0;
 };
+
+// One row group framed the way a fragment request or reply carries it.
+void EncodeFramedRows(const hyracks::Rows& rows, std::string* frame) {
+  std::string payload;
+  ByteWriter w(&payload);
+  hyracks::fragment::EncodeRows(rows, &w);
+  adm::WriteFrame(payload, frame);
+}
+
+Result<hyracks::Rows> DecodeFramedRows(std::string_view frame) {
+  ByteReader outer(frame);
+  SIMDB_ASSIGN_OR_RETURN(std::string_view payload, adm::ReadFrame(&outer));
+  ByteReader r(payload);
+  return hyracks::fragment::DecodeRows(&r);
+}
 
 SerdePoint RunSerde(int nrows, int repeats) {
   hyracks::Rows rows;
@@ -152,13 +169,13 @@ SerdePoint RunSerde(int nrows, int repeats) {
   Stopwatch enc;
   for (int r = 0; r < repeats; ++r) {
     frame.clear();
-    transport::EncodeRowsFrame(rows, &frame);
+    EncodeFramedRows(rows, &frame);
   }
   double enc_seconds = enc.ElapsedSeconds();
   point.frame_bytes = frame.size();
   Stopwatch dec;
   for (int r = 0; r < repeats; ++r) {
-    auto back = transport::DecodeRowsFrame(frame);
+    Result<hyracks::Rows> back = DecodeFramedRows(frame);
     if (!back.ok()) {
       std::fprintf(stderr, "decode failed: %s\n",
                    back.status().ToString().c_str());
@@ -194,15 +211,13 @@ int Main(int argc, char** argv) {
 
   const int64_t full_data = Scaled(quick ? 400 : 4000);
   const transport::TransportKind kinds[] = {
-      transport::TransportKind::kModeled,
-      transport::TransportKind::kSharedMemory,
-      transport::TransportKind::kSocket};
+      transport::TransportKind::kModeled, transport::TransportKind::kSocket};
   std::vector<ScalingPoint> scaling;
 
   PrintTitle("Transport backends on the Figure-27 speed-up workload",
              "same Jaccard join, fixed data, cluster grows 1 -> 8 nodes; "
-             "modeled charges the network formula, shm/socket measure real "
-             "ship time");
+             "modeled charges the network formula, socket measures real "
+             "fragment wire time");
   PrintRow({"nodes", "backend", "wall", "makespan", "net(meas)", "net(model)",
             "remote"});
   for (int nodes : {1, 2, 4, 8}) {
@@ -223,7 +238,8 @@ int Main(int argc, char** argv) {
     }
   }
 
-  PrintTitle("Rows-frame codec (adm wire frame: magic/version/length/CRC-32)",
+  PrintTitle("Fragment row-group codec in an adm wire frame "
+             "(magic/version/length/CRC-32)",
              "per-row: int64 + string + double; throughput includes framing "
              "and checksum");
   PrintRow({"rows", "frame bytes", "encode MB/s", "decode MB/s"});
@@ -236,17 +252,15 @@ int Main(int argc, char** argv) {
               Fmt(point.encode_mb_per_sec), Fmt(point.decode_mb_per_sec)});
   }
 
-  PrintTitle("Remote compute: parent vs forked workers ({4 nodes x 2 parts}, "
-             "socket backend)",
-             "fragments off: workers echo shipped frames, all compute in the "
-             "parent; fragments on: kFragment dispatch builds exchange "
-             "destinations inside the owning worker");
+  PrintTitle("Remote compute: parent vs forked workers ({4 nodes x 2 parts})",
+             "modeled: all compute in the parent; socket: kFragment dispatch "
+             "builds exchange destinations inside the owning worker");
   PrintRow({"mode", "wall", "makespan", "remote compute", "remote tasks"});
   std::vector<RemoteComputePoint> remote_compute;
   std::string remote_profile_json;
-  for (bool fragments_on : {false, true}) {
+  for (transport::TransportKind kind : kinds) {
     Result<RemoteComputePoint> point =
-        RunRemoteCompute(fragments_on, full_data, &remote_profile_json);
+        RunRemoteCompute(kind, full_data, &remote_profile_json);
     if (!point.ok()) {
       std::fprintf(stderr, "remote-compute bench failed: %s\n",
                    point.status().ToString().c_str());
@@ -258,12 +272,11 @@ int Main(int argc, char** argv) {
               Seconds(point->remote_compute_seconds),
               std::to_string(point->tasks_remote)});
   }
-  unsetenv("SIMDB_SOCKET_FRAGMENTS");
   if (remote_compute[0].tasks_remote != 0 ||
       remote_compute[1].tasks_remote == 0) {
     std::fprintf(stderr,
                  "remote-compute bench did not exercise fragment dispatch "
-                 "(off: %llu remote tasks, on: %llu)\n",
+                 "(modeled: %llu remote tasks, socket: %llu)\n",
                  static_cast<unsigned long long>(remote_compute[0].tasks_remote),
                  static_cast<unsigned long long>(remote_compute[1].tasks_remote));
     return 1;

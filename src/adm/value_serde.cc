@@ -1,6 +1,20 @@
 #include "adm/value.h"
 
+#include <algorithm>
+
 namespace simdb::adm {
+
+namespace {
+
+/// Capacity to reserve for `count` elements read off the wire, each of which
+/// encodes to at least `min_bytes` bytes. A lying count must fail on
+/// truncation, not first reserve count x sizeof(Value) bytes: the count is
+/// capped by what the reader's remaining bytes could possibly hold.
+size_t BoundedReserve(uint32_t count, const ByteReader& r, size_t min_bytes) {
+  return std::min<size_t>(count, r.remaining() / min_bytes);
+}
+
+}  // namespace
 
 void Value::Serialize(ByteWriter* w) const {
   w->PutU8(static_cast<uint8_t>(type_));
@@ -70,7 +84,7 @@ Result<Value> Value::Deserialize(ByteReader* r) {
     case ValueType::kMultiset: {
       SIMDB_ASSIGN_OR_RETURN(uint32_t n, r->GetU32());
       Array items;
-      items.reserve(n);
+      items.reserve(BoundedReserve(n, *r, /*min_bytes=*/1));  // type tag
       for (uint32_t i = 0; i < n; ++i) {
         SIMDB_ASSIGN_OR_RETURN(Value v, Deserialize(r));
         items.push_back(std::move(v));
@@ -81,7 +95,8 @@ Result<Value> Value::Deserialize(ByteReader* r) {
     case ValueType::kObject: {
       SIMDB_ASSIGN_OR_RETURN(uint32_t n, r->GetU32());
       Object fields;
-      fields.reserve(n);
+      // Name length prefix plus the value's type tag.
+      fields.reserve(BoundedReserve(n, *r, /*min_bytes=*/5));
       for (uint32_t i = 0; i < n; ++i) {
         SIMDB_ASSIGN_OR_RETURN(std::string_view name, r->GetString());
         std::string name_copy(name);

@@ -64,30 +64,6 @@ Result<std::string_view> ReadFrame(ByteReader* r) {
   return raw;
 }
 
-std::string_view WireMessageName(WireMessage type) {
-  switch (type) {
-    case WireMessage::kData:
-      return "kData";
-    case WireMessage::kPing:
-      return "kPing";
-    case WireMessage::kShutdown:
-      return "kShutdown";
-    case WireMessage::kPong:
-      return "kPong";
-    case WireMessage::kError:
-      return "kError";
-    case WireMessage::kFragment:
-      return "kFragment";
-    case WireMessage::kFragmentResult:
-      return "kFragmentResult";
-    case WireMessage::kFragmentError:
-      return "kFragmentError";
-    case WireMessage::kCancelFragment:
-      return "kCancelFragment";
-  }
-  return "unknown";
-}
-
 void EncodeFragmentClosure(const FragmentClosure& closure, ByteWriter* w) {
   w->PutU8(static_cast<uint8_t>(closure.op));
   w->PutU32(static_cast<uint32_t>(closure.columns.size()));

@@ -23,8 +23,8 @@ namespace simdb::adm {
 /// ReadFrame validates all four header fields before handing the payload
 /// out, so a truncated, corrupted, or future-versioned frame is rejected at
 /// the boundary instead of feeding garbage into Value::Deserialize. The
-/// transport layer wraps every shipped exchange destination in one frame;
-/// the round-trip guarantees are pinned by tests/value_test.cc.
+/// socket transport wraps every channel message in one frame; the
+/// round-trip guarantees are pinned by tests/value_test.cc.
 inline constexpr uint32_t kWireMagic = 0x4d524653u;  // "SFRM"
 inline constexpr uint8_t kWireVersion = 1;
 inline constexpr size_t kWireHeaderBytes = 4 + 1 + 4 + 4;
@@ -43,23 +43,17 @@ Result<std::string_view> ReadFrame(ByteReader* r);
 
 /// Message types spoken on a socket-transport channel. Every message is one
 /// tag byte followed by one frame (see above); the tag decides how the frame
-/// payload is interpreted. kData..kError are the PR 8 echo protocol;
-/// kFragment..kCancelFragment carry node-local execution (docs/DISTRIBUTED.md
-/// is the full reference).
+/// payload is interpreted (docs/DISTRIBUTED.md is the full reference).
+/// Values are wire-stable; 1 and 5 are retired and unassigned.
 enum class WireMessage : uint8_t {
-  kData = 1,            // parent -> worker: rows frame to validate + echo
   kPing = 2,            // parent -> worker: liveness probe (empty payload)
   kShutdown = 3,        // parent -> worker: exit cleanly (empty payload)
   kPong = 4,            // worker -> parent: ping/cancel acknowledgement
-  kError = 5,           // worker -> parent: kData rejection (message payload)
   kFragment = 6,        // parent -> worker: execute a fragment closure
   kFragmentResult = 7,  // worker -> parent: fragment rows + accounting
   kFragmentError = 8,   // worker -> parent: encoded Status of a failed fragment
   kCancelFragment = 9,  // parent -> worker: cancel fragments of one query id
 };
-
-/// Stable human-readable name for a wire message type ("kFragment" etc.).
-std::string_view WireMessageName(WireMessage type);
 
 /// Exchange-operator kinds a fragment closure can name. The closure is the
 /// operator's serialized identity: which connector to reconstruct in the

@@ -45,8 +45,8 @@ enum class Rank : int {
   /// storage::InvertedIndex::cache_mu_ — decoded-posting cache; LSM decode
   /// and logging may happen under it.
   kPostingCache = 600,
-  /// transport backends: shm frame-slot pool, per-socket-worker channel
-  /// mutexes. Metric handles may be materialized while one is held.
+  /// socket transport: per-worker channel mutexes. Metric handles may be
+  /// materialized while one is held.
   kTransport = 700,
   /// obs::TraceCollector::mu_ — ring registration/drain.
   kTrace = 800,

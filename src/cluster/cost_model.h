@@ -37,17 +37,17 @@ struct MakespanReport {
   double compute_seconds = 0;
   double network_seconds = 0;
   double critical_path_seconds = 0;
-  /// True when the run shipped its exchange traffic through a wall-clock
-  /// transport backend (ExecStats::network_measured). The shipping time is
-  /// then already inside the exchange partition_seconds — charging the
+  /// True when the run built its exchange destinations remotely
+  /// (ExecStats::network_measured). The round-trip time is then already
+  /// inside the exchange partition_seconds — charging the
   /// modeled formula on top would double-count — so `network_seconds` stays
   /// 0 and the measured transport time is reported here instead.
   bool network_measured = false;
-  /// Sum of the exchanges' measured Transport::Ship seconds (informational;
+  /// Sum of the exchanges' measured fragment wire seconds (informational;
   /// already contained in compute_seconds / the critical path).
   double measured_network_seconds = 0;
   /// Sum of the exchanges' worker-reported fragment compute seconds (socket
-  /// transport with fragment dispatch — see docs/DISTRIBUTED.md). Like
+  /// transport — see docs/DISTRIBUTED.md). Like
   /// measured_network_seconds this is informational: the parent times the
   /// whole fragment round trip inside the build's partition_seconds, so the
   /// worker compute is already contained in compute_seconds / the critical

@@ -78,12 +78,13 @@ int64_t EstimateScanBytes(const algebricks::LOpPtr& root,
 QueryProcessor::QueryProcessor(EngineOptions options)
     : options_(std::move(options)),
       catalog_(options_.data_dir, options_.lsm),
+      // The environment override (SIMDB_TRANSPORT) lets CI rerun the entire
+      // suite on a real backend without touching any test code.
+      transport_(transport::MakeTransport(
+          transport::KindFromEnv(options_.transport),
+          options_.topology.num_nodes)),
       pool_(std::make_unique<ThreadPool>(options_.num_threads)) {
-  // The environment override (SIMDB_TRANSPORT) lets CI rerun the entire
-  // suite on a real backend without touching any test code.
-  options_.transport = transport::KindFromEnv(options_.transport);
-  transport_ =
-      transport::MakeTransport(options_.transport, options_.topology.num_nodes);
+  options_.transport = transport_->kind();
   opt_.catalog = &catalog_;
   if (options_.verify_plans) {
     check_hook_ = std::make_unique<analysis::RuleContractChecker>(&catalog_);
@@ -218,7 +219,6 @@ Status QueryProcessor::RunQuery(const aql::AExprPtr& query,
   ctx.t_occurrence_algorithm = options_.t_occurrence_algorithm;
   ctx.posting_cache_enabled = options_.posting_cache_enabled;
   ctx.batch_execution = options_.batch_execution;
-  ctx.batch_size = options_.batch_size;
   ctx.transport = transport_.get();
   if (gov != nullptr) {
     ctx.cancel = gov->cancel;

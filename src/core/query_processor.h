@@ -38,8 +38,6 @@ struct EngineOptions {
   /// scratch batches through the runtime-dispatched SIMD kernels. Off forces
   /// the tuple-at-a-time path everywhere; the two are answer-identical.
   bool batch_execution = true;
-  /// Rows per columnar scratch batch on the batch path.
-  int batch_size = 1024;
   /// Exchange transport backend (see transport/transport.h and
   /// docs/TRANSPORT.md). kModeled is the paper-figure default; the
   /// SIMDB_TRANSPORT environment variable overrides it at engine
@@ -162,9 +160,6 @@ class QueryProcessor {
     options_.batch_execution = enabled;
   }
 
-  /// Rows per columnar scratch batch (batch path only).
-  void set_batch_size(int rows) { options_.batch_size = rows; }
-
   /// Toggles query profiling for subsequent queries (see
   /// EngineOptions::profile_queries). Profiling must not change answers —
   /// it only observes.
@@ -176,7 +171,8 @@ class QueryProcessor {
   /// replacing the engine's backend instance (socket workers of the old
   /// backend are shut down). Backends must be answer- and error-identical;
   /// the transport differential fuzz seeds toggle this per variant. Not
-  /// thread-safe against in-flight queries — call between queries only.
+  /// thread-safe against in-flight queries — call between queries only, when
+  /// the pool's threads are parked and the new workers fork cleanly.
   void set_transport(transport::TransportKind kind) {
     options_.transport = kind;
     transport_ = transport::MakeTransport(kind, options_.topology.num_nodes);
@@ -191,7 +187,7 @@ class QueryProcessor {
   /// serving layer calls this after a cancellation or deadline so a dead
   /// query leaves nothing in flight behind it. A positive `timeout_seconds`
   /// bounds the wait (the transport is shared by all concurrent queries, so
-  /// an unbounded drain can be starved by unrelated shipping); a timeout
+  /// an unbounded drain can be starved by unrelated fragments); a timeout
   /// surfaces as kDeadlineExceeded and is safe to retry. Non-positive waits
   /// indefinitely.
   Status DrainTransport(double timeout_seconds = 0.0) {
@@ -243,9 +239,12 @@ class QueryProcessor {
 
   EngineOptions options_;
   storage::Catalog catalog_;
-  std::unique_ptr<ThreadPool> pool_;
   /// Engine-owned exchange transport, shared by all concurrent queries.
+  /// Declared (so constructed) before pool_: the socket backend forks its
+  /// workers while no pool thread can hold a lock the children would
+  /// inherit held (see MakeTransport).
   std::unique_ptr<transport::Transport> transport_;
+  std::unique_ptr<ThreadPool> pool_;
   /// Guards engine state: concurrent queries hold it shared for their whole
   /// run; Execute / CreateDataset / Insert / RegisterSimilarityUdf hold it
   /// exclusively (DDL, data mutation, session settings, option toggles).

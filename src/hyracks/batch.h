@@ -5,10 +5,10 @@
 //
 // The batch path detects a vectorizable similarity call at plan-build time
 // (MatchSimCheckCall / MatchSimEvalCall), encodes token lists into dense
-// occurrence-distinct uint32 ids (TokenIdEncoder), stages up to
-// ExecContext::batch_size rows into CSR scratch batches (SimIdBatch /
-// SimCharBatch with a selection vector of source-row positions), and runs
-// the runtime-dispatched simd:: kernels over the whole batch. Rows the
+// occurrence-distinct uint32 ids (TokenIdEncoder), stages up to kBatchSize
+// rows into CSR scratch batches (SimIdBatch / SimCharBatch with a
+// selection vector of source-row positions), and runs the
+// runtime-dispatched simd:: kernels over the whole batch. Rows the
 // encoder cannot handle fall back to the tuple evaluator one at a time —
 // in source-row order, so evaluation errors surface exactly where the
 // tuple path surfaces them. Both paths are answer-identical (checked by
@@ -25,6 +25,11 @@
 #include "hyracks/expr.h"
 
 namespace simdb::hyracks {
+
+/// Rows per columnar scratch batch on the batch path (SELECT and ASSIGN
+/// chunk their input by it; INVERTED-SEARCH counts its probes in groups of
+/// it).
+inline constexpr size_t kBatchSize = 1024;
 
 /// Counters for the vectorized path of a batch-capable operator. The full
 /// exec.batch.* trio is emitted (zeros included) whenever profiling is on,

@@ -77,17 +77,15 @@ struct OpStats {
   uint64_t local_bytes = 0;
   uint64_t remote_bytes = 0;
   uint64_t remote_transfers = 0;
-  /// Wall-clock seconds the destination builds spent inside Transport::Ship
-  /// or on the wire side of a fragment round trip (zero under the modeled
-  /// backend, which never ships). Already contained in partition_seconds —
-  /// kept separately so the cost model can report how much of the exchange
-  /// time was transport.
+  /// Wall-clock seconds the destination builds spent on the wire side of a
+  /// fragment round trip (zero under the modeled backend, where no bytes
+  /// move). Already contained in partition_seconds — kept separately so the
+  /// cost model can report how much of the exchange time was transport.
   double transport_seconds = 0;
   /// Wall-clock seconds of destination builds that executed *inside remote
-  /// worker processes* (socket backend with fragment dispatch). Disjoint
-  /// from transport_seconds: a fragment round trip splits into wire time
-  /// (transport_seconds) and the worker's own build time (here). Also inside
-  /// partition_seconds.
+  /// worker processes* (socket backend). Disjoint from transport_seconds: a
+  /// fragment round trip splits into wire time (transport_seconds) and the
+  /// worker's own build time (here). Also inside partition_seconds.
   double remote_compute_seconds = 0;
   /// How many of this exchange's destination builds ran remotely.
   uint64_t remote_builds = 0;
@@ -103,10 +101,10 @@ void MergeCounterSink(OpStats& stats, const OpCounterSink& sink);
 struct ExecStats {
   std::vector<OpStats> ops;
   double wall_seconds = 0;
-  /// True when the run shipped exchange traffic through a wall-clock
-  /// transport backend (shm, socket): transport time is then already inside
-  /// the exchange partition_seconds, and the cost model must report the
-  /// measured seconds instead of charging its modeled network formula.
+  /// True when the run's transport builds exchange destinations remotely
+  /// (socket): fragment round trips are then already inside the exchange
+  /// partition_seconds, and the cost model must report the measured seconds
+  /// instead of charging its modeled network formula.
   bool network_measured = false;
   /// Task accounting. Every planned task is either executed or skipped —
   /// executed + skipped == total proves the graph drained, which is what the
@@ -116,7 +114,7 @@ struct ExecStats {
   uint64_t tasks_skipped = 0;
   /// Exchange build tasks whose destination was produced inside a remote
   /// worker process (see hyracks/fragment.h). Zero everywhere except the
-  /// socket backend with fragment dispatch on.
+  /// socket backend.
   uint64_t tasks_remote = 0;
 
   uint64_t TotalRemoteBytes() const {
@@ -172,13 +170,11 @@ struct ExecContext {
   /// two paths must be answer-identical (checked by the batch differential
   /// fuzz seeds).
   bool batch_execution = true;
-  /// Rows per columnar scratch batch on the batch path.
-  int batch_size = 1024;
   /// Exchange transport backend. Null behaves exactly like the modeled
-  /// backend: destinations are built in place and no bytes are shipped.
-  /// When non-null, every built exchange destination is offered to
-  /// Transport::ShouldShip and round-tripped through Transport::Ship inside
-  /// the build task (see BuildAndShipDestination in scheduler.cc).
+  /// backend: destinations are built in place and no bytes move. When the
+  /// backend has remote execution, every non-empty exchange destination is
+  /// built as a fragment inside a worker process (see
+  /// BuildExchangeDestination in scheduler.cc and hyracks/fragment.h).
   transport::Transport* transport = nullptr;
   /// Non-null enables query profiling: the executor records per-task spans
   /// here and operators emit their specific counters. Null (the default) is

@@ -12,12 +12,7 @@
 
 namespace simdb::hyracks::fragment {
 
-namespace {
-
-/// Row-group serde: the same [u32 nrows][per row: u32 ncols, values] layout
-/// as the transport's rows frame, but raw (no frame wrapper, no metrics) —
-/// the enclosing kFragment frame's CRC covers the whole request payload.
-void EncodeRowsRaw(const Rows& rows, ByteWriter* w) {
+void EncodeRows(const Rows& rows, ByteWriter* w) {
   w->PutU32(static_cast<uint32_t>(rows.size()));
   for (const Tuple& row : rows) {
     w->PutU32(static_cast<uint32_t>(row.size()));
@@ -25,10 +20,10 @@ void EncodeRowsRaw(const Rows& rows, ByteWriter* w) {
   }
 }
 
-Result<Rows> DecodeRowsRaw(ByteReader* r) {
+Result<Rows> DecodeRows(ByteReader* r) {
   SIMDB_ASSIGN_OR_RETURN(uint32_t nrows, r->GetU32());
   Rows rows;
-  // Sized by actual decode progress, not the count field: a lying count
+  // Sized by actual decode progress, not the count fields: a lying count
   // fails on truncation before any large allocation.
   for (uint32_t i = 0; i < nrows; ++i) {
     SIMDB_ASSIGN_OR_RETURN(uint32_t ncols, r->GetU32());
@@ -41,6 +36,8 @@ Result<Rows> DecodeRowsRaw(ByteReader* r) {
   }
   return rows;
 }
+
+namespace {
 
 /// Whether the destination's build reads any input at all. Mirrors each
 /// BuildDestination's trivial-empty cases so the caller can skip the round
@@ -114,9 +111,17 @@ Result<transport::FragmentReply> InterpretFragmentOrError(
                          adm::DecodeFragmentHeader(&r));
   SIMDB_ASSIGN_OR_RETURN(adm::FragmentClosure closure,
                          adm::DecodeFragmentClosure(&r));
+  // Every group carries at least its u32 row count; a group count the
+  // payload cannot hold is rejected before sizing the partition vector.
+  if (header.num_groups > r.remaining() / 4) {
+    return Status::Corruption("fragment request announces " +
+                              std::to_string(header.num_groups) +
+                              " row groups in " +
+                              std::to_string(r.remaining()) + " bytes");
+  }
   PartitionedRows in(header.num_groups);
   for (uint32_t g = 0; g < header.num_groups; ++g) {
-    SIMDB_ASSIGN_OR_RETURN(in[g], DecodeRowsRaw(&r));
+    SIMDB_ASSIGN_OR_RETURN(in[g], DecodeRows(&r));
   }
   if (r.remaining() != 0) {
     return Status::Corruption("fragment request has " +
@@ -167,7 +172,7 @@ Result<transport::FragmentReply> InterpretFragmentOrError(
   reply.ok = true;
   ByteWriter w(&reply.payload);
   adm::EncodeFragmentResultHeader(result, &w);
-  EncodeRowsRaw(rows, &w);
+  EncodeRows(rows, &w);
   return reply;
 }
 
@@ -233,18 +238,18 @@ void EncodeFragmentRequest(const ClusterTopology& topology, uint64_t query_id,
   const bool hash = closure.op == adm::FragmentOp::kHash;
   for (size_t src = 0; src < in.size(); ++src) {
     if (hash) {
-      // Ship only this destination's slice, preserving source structure and
+      // Send only this destination's slice, preserving source structure and
       // (src, i) order so the worker's build emits the parent's exact order.
       Rows slice;
       const std::vector<int>& dsts = routing.destinations[src];
       for (size_t i = 0; i < dsts.size(); ++i) {
         if (dsts[i] == dst) slice.push_back(in[src][i]);
       }
-      EncodeRowsRaw(slice, &w);
+      EncodeRows(slice, &w);
     } else if (*slice_rows == 0) {
-      EncodeRowsRaw(Rows(), &w);
+      EncodeRows(Rows(), &w);
     } else {
-      EncodeRowsRaw(in[src], &w);
+      EncodeRows(in[src], &w);
     }
   }
 }
@@ -254,7 +259,7 @@ Result<RemoteBuildResult> DecodeFragmentResult(std::string_view payload) {
   RemoteBuildResult result;
   SIMDB_ASSIGN_OR_RETURN(result.header,
                          adm::DecodeFragmentResultHeader(&r));
-  SIMDB_ASSIGN_OR_RETURN(result.rows, DecodeRowsRaw(&r));
+  SIMDB_ASSIGN_OR_RETURN(result.rows, DecodeRows(&r));
   if (r.remaining() != 0) {
     return Status::Corruption("fragment result has " +
                               std::to_string(r.remaining()) +

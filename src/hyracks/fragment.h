@@ -21,7 +21,7 @@ namespace simdb::hyracks::fragment {
 /// the parent would run, and gathered back as rows plus the worker's own
 /// traffic accounting. Because both sides run identical operator code over
 /// an identical input slice, remote and local builds are bit-identical; the
-/// modeled/shm backends stay the differential oracle for this path.
+/// modeled backend stays the differential oracle for this path.
 ///
 /// Layering: this module lives in the operator library, which the transport
 /// library must not depend on. The worker-side interpreter is therefore
@@ -29,6 +29,16 @@ namespace simdb::hyracks::fragment {
 /// initialization (pre-main, pre-fork); the transport calls it through the
 /// hook without knowing operators exist. docs/DISTRIBUTED.md is the
 /// handbook for the full lifecycle.
+
+/// Row-group codec: `[u32 row count][per row: u32 column count, each value
+/// via adm::Value::Serialize]`, raw — the enclosing wire frame's CRC covers
+/// it. Request slices and result rows both use it; it is the only row
+/// serialization on the exchange path.
+void EncodeRows(const Rows& rows, ByteWriter* w);
+
+/// Inverse of EncodeRows. Corrupt or lying counts yield a Status, never an
+/// allocation sized by a count field.
+Result<Rows> DecodeRows(ByteReader* r);
 
 /// Extracts the operator's wire closure. Returns false when the operator
 /// kind has no registered closure (an exchange subclass this module does not
@@ -71,8 +81,8 @@ transport::FragmentReply InterpretFragment(std::string_view request_payload);
 /// separate from wire time). Sets `*handled` = false — caller builds locally,
 /// answer-identical — when the transport has no remote execution, the
 /// operator has no closure, the input slice is empty, or the worker refused
-/// the fragment as cancelled. Any other remote failure is returned and fails
-/// the build task, exactly like a failed Ship.
+/// the fragment as cancelled. Any other remote failure (worker gone, worker
+/// error, workers that never started) is returned and fails the build task.
 Status TryBuildRemote(ExecContext& ctx, ExchangeOperator& op, int dst,
                       const PartitionedRows& in,
                       const ExchangeOperator::Routing& routing, OpStats* stats,

@@ -20,10 +20,6 @@ Result<int> SelectDecision(const ExprPtr& predicate, const Tuple& row) {
   return 0;
 }
 
-size_t BatchCapacity(const ExecContext& ctx) {
-  return ctx.batch_size > 0 ? static_cast<size_t>(ctx.batch_size) : 1;
-}
-
 }  // namespace
 
 Result<Rows> SelectOp::ExecutePartition(ExecContext& ctx, int,
@@ -42,14 +38,13 @@ Result<Rows> SelectOp::ExecutePartition(ExecContext& ctx, int,
   }
 
   const SimBatchCall& call = *batch_;
-  const size_t cap = BatchCapacity(ctx);
   TokenIdEncoder encoder;
   std::vector<uint32_t> enc_a, enc_b;
   SimIdBatch ids;
   SimCharBatch chars;
   std::vector<int8_t> verdict;  // 0 drop, 1 keep, 2 awaiting kernel
-  for (size_t base = 0; base < in.size(); base += cap) {
-    const size_t n = std::min(cap, in.size() - base);
+  for (size_t base = 0; base < in.size(); base += kBatchSize) {
+    const size_t n = std::min(kBatchSize, in.size() - base);
     verdict.assign(n, 0);
     ids.Clear();
     chars.Clear();
@@ -146,12 +141,11 @@ Result<Rows> AssignOp::ExecutePartition(ExecContext& ctx, int,
   // into a CSR batch whose kernel result fills the final column after each
   // chunk. Rows are appended in input order either way.
   const SimBatchCall& call = *batch_;
-  const size_t cap = BatchCapacity(ctx);
   TokenIdEncoder encoder;
   std::vector<uint32_t> enc_a, enc_b;
   SimIdBatch ids;
-  for (size_t base = 0; base < in.size(); base += cap) {
-    const size_t n = std::min(cap, in.size() - base);
+  for (size_t base = 0; base < in.size(); base += kBatchSize) {
+    const size_t n = std::min(kBatchSize, in.size() - base);
     ids.Clear();
     for (size_t r = 0; r < n; ++r) {
       Tuple extended = in[base + r];

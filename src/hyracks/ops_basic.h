@@ -14,7 +14,7 @@ namespace simdb::hyracks {
 /// Filters rows where `predicate` evaluates to boolean true. When the
 /// predicate is a recognized similarity check (see MatchSimCheckCall) and
 /// batch execution is on, rows are verified through the columnar SIMD
-/// kernels in batch_size chunks; unvectorizable rows fall back to the tuple
+/// kernels in kBatchSize chunks; unvectorizable rows fall back to the tuple
 /// evaluator per row, in order.
 class SelectOp : public PartitionOperator {
  public:

@@ -140,12 +140,9 @@ Result<Rows> InvertedIndexSearchOp::ExecutePartition(
     CountOp(ctx, "invsearch.corner_rows", corner_rows);
     CountOp(ctx, "invindex.posting_cache.bytes_copied",
             search_stats.bytes_copied);
-    // For this operator a "batch" is a scratch-reuse group of batch_size
+    // For this operator a "batch" is a scratch-reuse group of kBatchSize
     // probes; rows counts the probes answered on the counter-array path.
-    const uint64_t cap = ctx.batch_size > 0
-                             ? static_cast<uint64_t>(ctx.batch_size)
-                             : 1;
-    bs.batches = (bs.rows + cap - 1) / cap;
+    bs.batches = (bs.rows + kBatchSize - 1) / kBatchSize;
     bs.Emit(ctx);
   }
   return rows;

@@ -16,27 +16,21 @@ namespace {
 
 enum class TaskKind { kLocal, kRoute, kBuild, kBarrier };
 
-/// Builds destination `dst` of an exchange (a kBuild task) and, when the
-/// context carries a transport whose ShouldShip accepts the destination
-/// (judged on its row count and accounted remote bytes), round-trips the
-/// built rows through Transport::Ship. Every backend goes through this one
-/// seam, so all see identical shipping decisions; it runs inside the build
-/// task's stopwatch, so shipped seconds land in the exchange's partition time
-/// (also recorded separately in `stats->transport_seconds`). A tripped
-/// cancellation token skips the ship — the round trip is a value identity, so
-/// the answer is unchanged either way.
-Result<Rows> BuildAndShipDestination(ExecContext& ctx, ExchangeOperator& op,
-                                     int dst, const PartitionedRows& in,
-                                     const ExchangeOperator::Routing& routing,
-                                     PartitionedRows* steal, OpStats* stats) {
-  // Remote-first: when the transport executes fragments, the destination is
-  // *computed* in the worker that owns its node and only the result crosses
-  // back — the parent never materializes it. A handled remote build consumed
-  // no tuples from `steal` (its slice is disjoint from every other
-  // destination's), so concurrent stealing builds are unaffected. Falls
-  // through to the local build + echo-ship path when remote execution is
-  // off, the operator has no closure, the slice is empty, or the fragment
-  // was refused as cancelled.
+/// Builds destination `dst` of an exchange (a kBuild task). Remote-first:
+/// when the transport executes fragments, the destination is *computed* in
+/// the worker that owns its node and only the result crosses back — the
+/// parent never materializes it. A handled remote build consumed no tuples
+/// from `steal` (its slice is disjoint from every other destination's), so
+/// concurrent stealing builds are unaffected. Builds locally when the
+/// transport has no remote execution, the query is already cancelled, the
+/// operator has no closure, the slice is empty, or the fragment was refused
+/// as cancelled. Runs inside the build task's stopwatch, so round-trip
+/// seconds land in the exchange's partition time (the wire share is also
+/// recorded in `stats->transport_seconds`).
+Result<Rows> BuildExchangeDestination(ExecContext& ctx, ExchangeOperator& op,
+                                      int dst, const PartitionedRows& in,
+                                      const ExchangeOperator::Routing& routing,
+                                      PartitionedRows* steal, OpStats* stats) {
   if (ctx.transport != nullptr && ctx.transport->remote_execution() &&
       (ctx.cancel == nullptr || ctx.cancel->Check().ok())) {
     Rows remote_rows;
@@ -45,19 +39,7 @@ Result<Rows> BuildAndShipDestination(ExecContext& ctx, ExchangeOperator& op,
         ctx, op, dst, in, routing, stats, &remote_rows, &handled));
     if (handled) return remote_rows;
   }
-  SIMDB_ASSIGN_OR_RETURN(Rows rows,
-                         op.BuildDestination(ctx, dst, in, routing, steal,
-                                             stats));
-  transport::Transport* t = ctx.transport;
-  if (t != nullptr &&
-      t->ShouldShip(rows.size(), stats != nullptr ? stats->remote_bytes : 0) &&
-      (ctx.cancel == nullptr || ctx.cancel->Check().ok())) {
-    double seconds = 0;
-    SIMDB_RETURN_IF_ERROR(
-        t->Ship(ctx.topology.NodeOfPartition(dst), &rows, &seconds));
-    if (stats != nullptr) stats->transport_seconds += seconds;
-  }
-  return rows;
+  return op.BuildDestination(ctx, dst, in, routing, steal, stats);
 }
 
 struct Task {
@@ -459,8 +441,8 @@ class SchedulerRun {
         if (profiling) task_ctx.counters = &sink;
         int64_t start = profiling ? ctx_.trace->NowMicros() : 0;
         Stopwatch sw;
-        Result<Rows> r = BuildAndShipDestination(task_ctx, *op, t.p, in,
-                                                 nr.routing, steal, &dstats);
+        Result<Rows> r = BuildExchangeDestination(task_ctx, *op, t.p, in,
+                                                  nr.routing, steal, &dstats);
         double secs = sw.ElapsedSeconds();
         // The completion callback runs before this task's CompleteLocked:
         // once that runs, the run may finish and tear down, so no member may
@@ -712,7 +694,7 @@ class SchedulerRun {
         }
         ctx_.stats->ops.push_back(std::move(nr.stats));
       }
-      if (ctx_.transport != nullptr && ctx_.transport->measures_wall_clock()) {
+      if (ctx_.transport != nullptr && ctx_.transport->remote_execution()) {
         ctx_.stats->network_measured = true;
       }
       ctx_.stats->wall_seconds += wall_seconds;

@@ -32,10 +32,10 @@ struct OperatorProfile {
   uint64_t remote_bytes = 0;
   uint64_t remote_transfers = 0;
   /// Modeled NIC time for this operator's remote bytes (cost model figure).
-  /// Zero when the run shipped through a wall-clock transport backend — the
+  /// Zero when the run built its exchanges remotely (socket backend) — the
   /// real time is then in `transport_seconds` (and inside `seconds`).
   double network_seconds = 0;
-  /// Measured wall-clock the exchange spent inside Transport::Ship (already
+  /// Measured wire time of the exchange's fragment round trips (already
   /// contained in `seconds`; zero under the modeled backend).
   double transport_seconds = 0;
   /// Operator-specific counters, sorted by name (see docs/OBSERVABILITY.md).

@@ -52,11 +52,12 @@ QueryClass ClassifyProgram(const aql::Program& program) {
   return refs >= 2 ? QueryClass::kHeavy : QueryClass::kCheap;
 }
 
-/// Bound on the post-cancel/deadline transport drain. The ships of the
+/// Bound on the post-cancel/deadline transport drain. The fragments of the
 /// finished query are synchronous and already returned, so the drain is a
 /// liveness check on the engine-shared transport, not a correctness step —
-/// and unrelated concurrent queries keep shipping through the same backend,
-/// so an unbounded wait could starve the finishing worker indefinitely.
+/// and unrelated concurrent queries keep dispatching through the same
+/// backend, so an unbounded wait could starve the finishing worker
+/// indefinitely.
 constexpr double kFinishDrainTimeoutSeconds = 1.0;
 
 void BumpMax(std::atomic<uint64_t>& slot, uint64_t candidate) {

@@ -46,15 +46,18 @@ Result<std::vector<std::string>> RunNormalized(QueryProcessor& engine,
 }
 
 /// Builds a fresh engine over `records` (prefix of the case's stream) with
-/// `num_threads` executor threads (0: the harness default of 2).
+/// the variant's pool size (0: the harness default of 2) and transport. The
+/// engine builds the transport before its pool, so a socket variant's
+/// workers fork before any pool thread exists.
 Result<std::unique_ptr<QueryProcessor>> BuildEngine(
     const FuzzCase& c, const hyracks::ClusterTopology& topology,
-    const std::string& dir, int num_records, size_t num_threads) {
+    const std::string& dir, int num_records, const ExecVariant& v) {
   storage::RemoveAllBestEffort(dir);
   EngineOptions options;
   options.data_dir = dir;
   options.topology = topology;
-  options.num_threads = num_threads != 0 ? num_threads : 2;
+  options.num_threads = v.num_threads != 0 ? v.num_threads : 2;
+  options.transport = v.transport;
   // Every fuzz compilation doubles as a verifier workload: rule contracts,
   // logical-plan invariants, and task-graph well-formedness are checked on
   // each seed; violations surface as query failures with --replay repros.
@@ -95,9 +98,9 @@ int MinimizeRecords(const FuzzCase& c, const Mismatch& m,
                     const std::string& scratch, int full_count) {
   auto mismatches_at = [&](int count) -> bool {
     auto base = BuildEngine(c, m.baseline_topology, scratch + "/min_a", count,
-                            m.baseline_variant.num_threads);
+                            m.baseline_variant);
     auto other = BuildEngine(c, m.topology, scratch + "/min_b", count,
-                             m.variant.num_threads);
+                             m.variant);
     if (!base.ok() || !other.ok()) return false;
     ApplyVariant(**base, m.baseline_variant);
     ApplyVariant(**other, m.variant);
@@ -251,26 +254,18 @@ std::vector<ExecVariant> BatchVariantMatrix() {
 
 std::vector<ExecVariant> TransportVariantMatrix() {
   // The fully-indexed shape reaches every exchange kind (hash repartition,
-  // broadcast, gather, merge-gather). Each backend must agree bit-for-bit
-  // with the modeled baseline; shared-memory additionally runs on a 1-thread
-  // pool, where no two destination builds ship concurrently.
-  std::vector<ExecVariant> variants;
-  const std::pair<const char*, transport::TransportKind> backends[] = {
-      {"indexed-modeled", transport::TransportKind::kModeled},
-      {"indexed-shm", transport::TransportKind::kSharedMemory},
-      {"indexed-socket", transport::TransportKind::kSocket}};
-  for (const auto& [name, kind] : backends) {
-    ExecVariant v;
-    v.label = name;
-    v.transport = kind;
-    variants.push_back(v);
-  }
-  ExecVariant pool1;
-  pool1.label = "indexed-shm-pool1";
-  pool1.transport = transport::TransportKind::kSharedMemory;
+  // broadcast, gather, merge-gather). The socket backend must agree
+  // bit-for-bit with the modeled baseline, also on a 1-thread pool, where no
+  // two destination fragments are in flight at once.
+  ExecVariant modeled;
+  modeled.label = "indexed-modeled";
+  ExecVariant socket;
+  socket.label = "indexed-socket";
+  socket.transport = transport::TransportKind::kSocket;
+  ExecVariant pool1 = socket;
+  pool1.label = "indexed-socket-pool1";
   pool1.num_threads = 1;
-  variants.push_back(pool1);
-  return variants;
+  return {modeled, socket, pool1};
 }
 
 std::vector<hyracks::ClusterTopology> TopologyMatrix() {
@@ -304,7 +299,7 @@ DifferentialReport RunDifferential(const FuzzCase& c,
   for (const hyracks::ClusterTopology& topo : options.topologies) {
     std::string dir = options.scratch_dir + "/topo_" + TopologyLabel(topo);
     Result<std::unique_ptr<QueryProcessor>> engine =
-        BuildEngine(c, topo, dir, c.num_records, 0);
+        BuildEngine(c, topo, dir, c.num_records, ExecVariant());
     if (!engine.ok()) {
       return fail("SIMDB_FUZZ_FAILURE " + DescribeFuzzCase(c) +
                   "\n  engine build failed on " + TopologyLabel(topo) + ": " +
@@ -316,7 +311,7 @@ DifferentialReport RunDifferential(const FuzzCase& c,
       if (variant.num_threads != 0) {
         Result<std::unique_ptr<QueryProcessor>> built =
             BuildEngine(c, topo, dir + "_" + variant.label, c.num_records,
-                        variant.num_threads);
+                        variant);
         if (!built.ok()) {
           return fail("SIMDB_FUZZ_FAILURE " + DescribeFuzzCase(c) +
                       "\n  engine build failed for " +

@@ -32,10 +32,10 @@ struct ExecVariant {
   /// any other value gets an engine of its own with that many threads. Pool
   /// 1 is the serial oracle: every pool size must be answer-identical.
   size_t num_threads = 0;
-  /// Exchange transport backend (modeled / shared-memory / socket). All
-  /// backends must be answer- and error-identical on every query: the rows
-  /// round-trip losslessly through the wire frame, so shipping is an
-  /// identity on the result.
+  /// Exchange transport backend (modeled / socket). Both backends must be
+  /// answer- and error-identical on every query: the socket workers run the
+  /// parent's build code over a lossless row codec, so remote execution is
+  /// an identity on the result.
   transport::TransportKind transport = transport::TransportKind::kModeled;
 };
 
@@ -59,10 +59,9 @@ std::vector<ExecVariant> PlanVariantMatrix();
 std::vector<ExecVariant> BatchVariantMatrix();
 
 /// The transport differential matrix: the fully-indexed plan shape run under
-/// every transport backend (modeled / shared-memory / socket), plus
-/// shared-memory on a 1-thread executor pool (builds and ships then run one
-/// at a time). All variants must be bit-identical per query — results and
-/// errors.
+/// both transport backends (modeled / socket), plus socket on a 1-thread
+/// executor pool (fragments then run one at a time). All variants must be
+/// bit-identical per query — results and errors.
 std::vector<ExecVariant> TransportVariantMatrix();
 
 /// Cluster shapes the matrix runs under: 1x1, 2x2, 4x2

@@ -3,21 +3,13 @@
 //
 //   [u8 message type][adm wire frame: magic, version, length, CRC-32, payload]
 //
-// (full reference: docs/DISTRIBUTED.md). Two execution modes share the
-// channel:
-//
-//   echo (kData)          the destination's rows are shipped to the owning
-//                         node's worker, which validates the checksum,
-//                         decodes, re-encodes, and replies — the PR 8
-//                         serialization loopback.
-//   fragments (kFragment) the destination is *computed* in the worker: the
-//                         parent ships the operator closure plus the input
-//                         slice, the worker runs the installed fragment
-//                         interpreter (hyracks/fragment.cc) and replies
-//                         kFragmentResult with the built rows and its own
-//                         accounting, or kFragmentError with an encoded
-//                         Status. Enabled by default; SIMDB_SOCKET_FRAGMENTS=0
-//                         falls back to echo mode.
+// (full reference: docs/DISTRIBUTED.md). Exchange destinations are
+// *computed* in the workers: the parent ships a kFragment request (operator
+// closure plus the destination's input slice), the worker runs the installed
+// fragment interpreter (hyracks/fragment.cc) and replies kFragmentResult
+// with the built rows and its own accounting, or kFragmentError with an
+// encoded Status. kPing/kPong drain the channels, kCancelFragment fills the
+// worker's cancel ledger, and kShutdown ends the worker.
 //
 // The bytes genuinely leave and re-enter the process, so framing or serde
 // bugs fail loudly here, and the measured round-trip wall clock is what the
@@ -57,11 +49,9 @@ namespace {
 /// this helper keeps switch labels and comparisons readable.
 constexpr uint8_t AsByte(adm::WireMessage m) { return static_cast<uint8_t>(m); }
 
-constexpr uint8_t kData = AsByte(adm::WireMessage::kData);
 constexpr uint8_t kPing = AsByte(adm::WireMessage::kPing);
 constexpr uint8_t kShutdown = AsByte(adm::WireMessage::kShutdown);
 constexpr uint8_t kPong = AsByte(adm::WireMessage::kPong);
-constexpr uint8_t kError = AsByte(adm::WireMessage::kError);
 constexpr uint8_t kFragment = AsByte(adm::WireMessage::kFragment);
 constexpr uint8_t kFragmentResult = AsByte(adm::WireMessage::kFragmentResult);
 constexpr uint8_t kFragmentError = AsByte(adm::WireMessage::kFragmentError);
@@ -205,10 +195,7 @@ void HandleFragment(const CancelLedger& ledger, std::string_view payload,
   adm::WriteFrame(out.payload, reply);
 }
 
-/// The worker loop run in the forked child. For kData, decode-then-re-encode
-/// (rather than echoing bytes back) is deliberate: the reply the server
-/// decodes is a worker-produced frame, so the rows cross the serde boundary
-/// twice per ship, like a real sender->receiver hop. For kFragment the worker
+/// The worker loop run in the forked child. For kFragment the worker
 /// *computes* the destination via the installed interpreter — the parent
 /// never materializes it.
 [[noreturn]] void ServeWorker(int fd) {
@@ -225,20 +212,6 @@ void HandleFragment(const CancelLedger& ledger, std::string_view payload,
         break;
       case kShutdown:
         _exit(0);
-      case kData: {
-        Result<hyracks::Rows> rows = DecodeRowsFrame(frame);
-        std::string reply;
-        uint8_t reply_type;
-        if (rows.ok()) {
-          reply_type = kData;
-          EncodeRowsFrame(rows.value(), &reply);
-        } else {
-          reply_type = kError;
-          adm::WriteFrame(rows.status().message(), &reply);
-        }
-        if (!WriteMessage(fd, reply_type, reply).ok()) _exit(0);
-        break;
-      }
       case kFragment: {
         ByteReader outer(frame);
         Result<std::string_view> payload = adm::ReadFrame(&outer);
@@ -302,15 +275,16 @@ Status WaitReadable(int fd, std::chrono::steady_clock::time_point deadline) {
 class SocketTransport final : public Transport {
  public:
   explicit SocketTransport(int num_nodes)
-      : workers_(static_cast<size_t>(num_nodes > 0 ? num_nodes : 1)),
-        fragments_enabled_(SocketFragmentsFromEnv()) {
-    // All workers are forked eagerly, here, while the engine is still being
-    // constructed and effectively single-threaded. Forking lazily from a
-    // pool worker of a busy multithreaded engine is hazardous: the child
-    // inherits a snapshot of every lock (malloc arena, metrics registry,
-    // histogram mutexes), and its first frame decode takes several of them —
-    // if any other thread held one at the fork instant, the child deadlocks
-    // and the parent's next read on that socket blocks forever.
+      : workers_(static_cast<size_t>(num_nodes > 0 ? num_nodes : 1)) {
+    // All workers are forked eagerly, here, and the engine builds its
+    // transport before its pool, so no other engine thread exists yet.
+    // Forking from a multithreaded process is hazardous: the child inherits
+    // a snapshot of every lock (allocator size classes, metrics registry,
+    // histogram mutexes), and its first fragment decode takes several of
+    // them — if any other thread held one at the fork instant, the child
+    // deadlocks and the parent's next read on that socket blocks forever.
+    // glibc malloc's atfork handlers hide this for plain builds; ASan's
+    // allocator has none.
     GetMetrics();  // materialize metric handles pre-fork, outside the child
     GetFragmentMetrics();  // ditto for the transport.fragment.* catalogue
     std::vector<int> parent_fds;
@@ -365,67 +339,11 @@ class SocketTransport final : public Transport {
   }
 
   TransportKind kind() const override { return TransportKind::kSocket; }
-  bool measures_wall_clock() const override { return true; }
-
-  bool ShouldShip(size_t dest_rows, uint64_t remote_bytes) const override {
-    // Only cross-node destinations pay for a process hop; purely local
-    // traffic (remote_bytes == 0 under the deterministic exchange
-    // accounting) stays in place, like a real cluster's same-node exchange.
-    return dest_rows > 0 && remote_bytes > 0;
-  }
-
-  Status Ship(int dst_node, hyracks::Rows* rows, double* seconds) override {
-    SIMDB_RETURN_IF_ERROR(init_status_);
-    if (dst_node < 0 || static_cast<size_t>(dst_node) >= workers_.size()) {
-      // Shipping to a clamped/default worker instead would mask topology
-      // and routing bugs while reporting success; fail loudly.
-      GetMetrics().ship_errors->Increment();
-      return Status::Internal("transport socket: ship to out-of-range node " +
-                              std::to_string(dst_node) + " (cluster has " +
-                              std::to_string(workers_.size()) + " nodes)");
-    }
-    Stopwatch sw;
-    std::string frame;
-    EncodeRowsFrame(*rows, &frame);
-    Worker& w = workers_[static_cast<size_t>(dst_node)];
-    uint8_t reply_type = 0;
-    std::string reply;
-    {
-      // One request-reply in flight per worker; ships to distinct nodes
-      // proceed in parallel.
-      MutexLock lock(w.mu);
-      Stopwatch rtt;
-      Status s = ConsumePendingPongsLocked(w);
-      if (s.ok()) s = WriteMessage(w.fd, kData, frame);
-      if (s.ok()) s = ReadMessage(w.fd, &reply_type, &reply);
-      if (!s.ok()) {
-        GetMetrics().ship_errors->Increment();
-        return s;
-      }
-      GetMetrics().rtt_micros->Observe(
-          static_cast<uint64_t>(rtt.ElapsedSeconds() * 1e6));
-    }
-    if (reply_type == kError) {
-      GetMetrics().ship_errors->Increment();
-      ByteReader r(reply);
-      Result<std::string_view> msg = adm::ReadFrame(&r);
-      return Status::Corruption(
-          "transport worker for node " + std::to_string(dst_node) + ": " +
-          (msg.ok() ? std::string(msg.value()) : "unreadable error reply"));
-    }
-    if (reply_type != kData) {
-      GetMetrics().ship_errors->Increment();
-      return Status::Internal("transport socket: unexpected reply type " +
-                              std::to_string(static_cast<int>(reply_type)));
-    }
-    Result<hyracks::Rows> back = DecodeRowsFrame(reply);
-    if (!back.ok()) {
-      GetMetrics().ship_errors->Increment();
-      return back.status();
-    }
-    *rows = std::move(back).value();
-    if (seconds != nullptr) *seconds = sw.ElapsedSeconds();
-    return Status::OK();
+  bool remote_execution() const override {
+    // True even when a socketpair or fork failed: ExecuteFragment then
+    // returns init_status_ and the query fails loudly instead of quietly
+    // building every destination in the parent.
+    return true;
   }
 
   Status Drain(double timeout_seconds) override {
@@ -438,8 +356,8 @@ class SocketTransport final : public Transport {
     for (size_t i = 0; i < workers_.size(); ++i) {
       Worker& w = workers_[i];
       if (bounded) {
-        // A worker busy with another query's ship holds its mutex for that
-        // ship's round trip; a bounded drain must not be starved behind a
+        // A worker busy with another query's fragment holds its mutex for
+        // that round trip; a bounded drain must not be starved behind a
         // sustained stream of them. Deadline-bounded TryLock polling
         // rather than timed_mutex::try_lock_until: the drain is cold, and
         // TSan has no interceptor for pthread_mutex_clocklock, so the timed
@@ -449,7 +367,7 @@ class SocketTransport final : public Transport {
           if (std::chrono::steady_clock::now() >= deadline) {
             return Status::DeadlineExceeded(
                 "transport socket: drain timed out behind node " +
-                std::to_string(i) + "'s in-flight ship");
+                std::to_string(i) + "'s in-flight request");
           }
           std::this_thread::sleep_for(std::chrono::microseconds(500));
         }
@@ -464,21 +382,14 @@ class SocketTransport final : public Transport {
     return Status::OK();
   }
 
-  bool remote_execution() const override {
-    return fragments_enabled_ && init_status_.ok();
-  }
-
   Status ExecuteFragment(int dst_node, const std::string& request_payload,
                          std::string* reply_payload,
                          double* seconds) override {
     SIMDB_RETURN_IF_ERROR(init_status_);
     FragmentMetrics& fm = GetFragmentMetrics();
-    if (!fragments_enabled_) {
-      return Status::Unsupported(
-          "transport socket: fragment dispatch disabled "
-          "(SIMDB_SOCKET_FRAGMENTS=0)");
-    }
     if (dst_node < 0 || static_cast<size_t>(dst_node) >= workers_.size()) {
+      // Sending to a clamped/default worker instead would mask topology and
+      // routing bugs while reporting success; fail loudly.
       fm.errors->Increment();
       return Status::Internal(
           "transport socket: fragment for out-of-range node " +
@@ -494,7 +405,8 @@ class SocketTransport final : public Transport {
     uint8_t reply_type = 0;
     std::string reply;
     {
-      // Same discipline as Ship: one request-reply in flight per worker.
+      // One request-reply in flight per worker; fragments for distinct
+      // nodes proceed in parallel.
       MutexLock lock(w.mu);
       Status s = ConsumePendingPongsLocked(w);
       if (s.ok()) s = WriteMessage(w.fd, kFragment, frame);
@@ -530,7 +442,6 @@ class SocketTransport final : public Transport {
 
   Status CancelFragments(uint64_t query_id, double timeout_seconds) override {
     SIMDB_RETURN_IF_ERROR(init_status_);
-    if (!fragments_enabled_) return Status::OK();
     bool bounded = timeout_seconds > 0;
     // One deadline shared by every worker (the Drain rule): N slow workers
     // must not consume N times the caller's budget.
@@ -673,7 +584,6 @@ class SocketTransport final : public Transport {
 
   std::vector<Worker> workers_;
   Status init_status_;  // first socketpair/fork failure, if any
-  const bool fragments_enabled_;
 };
 
 }  // namespace

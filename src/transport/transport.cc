@@ -1,22 +1,13 @@
 #include "transport/transport.h"
 
-#include <chrono>
 #include <cstdlib>
 #include <cstring>
 
-#include "adm/wire.h"
 #include "transport/internal.h"
 
 namespace simdb::transport {
 
 namespace {
-
-uint64_t NowNanos() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 /// The paper-figure backend: no bytes move, nothing is timed; the exchange
 /// keeps its counted traffic and the cost model charges the modeled network
@@ -24,9 +15,7 @@ uint64_t NowNanos() {
 class ModeledTransport final : public Transport {
  public:
   TransportKind kind() const override { return TransportKind::kModeled; }
-  bool measures_wall_clock() const override { return false; }
-  bool ShouldShip(size_t, uint64_t) const override { return false; }
-  Status Ship(int, hyracks::Rows*, double*) override { return Status::OK(); }
+  bool remote_execution() const override { return false; }
   Status Drain(double) override {
     internal::GetMetrics().drains->Increment();
     return Status::OK();
@@ -65,17 +54,8 @@ Metrics& GetMetrics() {
   static Metrics m = [] {
     obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
     Metrics handles;
-    handles.frames_sent = reg.GetCounter("transport.frames_sent");
-    handles.frames_received = reg.GetCounter("transport.frames_received");
-    handles.bytes_sent = reg.GetCounter("transport.bytes_sent");
-    handles.bytes_received = reg.GetCounter("transport.bytes_received");
-    handles.ship_errors = reg.GetCounter("transport.ship_errors");
     handles.drains = reg.GetCounter("transport.drains");
     handles.workers_spawned = reg.GetCounter("transport.workers_spawned");
-    handles.serialize_nanos = reg.GetHistogram("transport.serialize_nanos");
-    handles.deserialize_nanos =
-        reg.GetHistogram("transport.deserialize_nanos");
-    handles.rtt_micros = reg.GetHistogram("transport.rtt_micros");
     return handles;
   }();
   return m;
@@ -98,23 +78,12 @@ FragmentMetrics& GetFragmentMetrics() {
   return m;
 }
 
-bool SocketFragmentsFromEnv() {
-  // NOLINTNEXTLINE(concurrency-mt-unsafe): read-only getenv at transport
-  // construction, same idiom as KindFromEnv below.
-  const char* env = std::getenv("SIMDB_SOCKET_FRAGMENTS");
-  if (env == nullptr) return true;
-  return std::strcmp(env, "0") != 0 && std::strcmp(env, "off") != 0 &&
-         std::strcmp(env, "false") != 0;
-}
-
 }  // namespace internal
 
 const char* TransportKindName(TransportKind kind) {
   switch (kind) {
     case TransportKind::kModeled:
       return "modeled";
-    case TransportKind::kSharedMemory:
-      return "shm";
     case TransportKind::kSocket:
       return "socket";
   }
@@ -127,57 +96,8 @@ TransportKind KindFromEnv(TransportKind fallback) {
   const char* env = std::getenv("SIMDB_TRANSPORT");
   if (env == nullptr) return fallback;
   if (std::strcmp(env, "modeled") == 0) return TransportKind::kModeled;
-  if (std::strcmp(env, "shm") == 0 || std::strcmp(env, "shared-memory") == 0) {
-    return TransportKind::kSharedMemory;
-  }
   if (std::strcmp(env, "socket") == 0) return TransportKind::kSocket;
   return fallback;
-}
-
-void EncodeRowsFrame(const hyracks::Rows& rows, std::string* out) {
-  internal::Metrics& m = internal::GetMetrics();
-  uint64_t start = NowNanos();
-  std::string payload;
-  ByteWriter w(&payload);
-  w.PutU32(static_cast<uint32_t>(rows.size()));
-  for (const hyracks::Tuple& row : rows) {
-    w.PutU32(static_cast<uint32_t>(row.size()));
-    for (const adm::Value& v : row) v.Serialize(&w);
-  }
-  adm::WriteFrame(payload, out);
-  m.serialize_nanos->Observe(NowNanos() - start);
-  m.frames_sent->Increment();
-  m.bytes_sent->Add(out->size());
-}
-
-Result<hyracks::Rows> DecodeRowsFrame(std::string_view frame) {
-  internal::Metrics& m = internal::GetMetrics();
-  uint64_t start = NowNanos();
-  ByteReader outer(frame);
-  SIMDB_ASSIGN_OR_RETURN(std::string_view payload, adm::ReadFrame(&outer));
-  ByteReader r(payload);
-  SIMDB_ASSIGN_OR_RETURN(uint32_t nrows, r.GetU32());
-  hyracks::Rows rows;
-  rows.reserve(nrows);
-  for (uint32_t i = 0; i < nrows; ++i) {
-    SIMDB_ASSIGN_OR_RETURN(uint32_t ncols, r.GetU32());
-    hyracks::Tuple row;
-    row.reserve(ncols);
-    for (uint32_t c = 0; c < ncols; ++c) {
-      SIMDB_ASSIGN_OR_RETURN(adm::Value v, adm::Value::Deserialize(&r));
-      row.push_back(std::move(v));
-    }
-    rows.push_back(std::move(row));
-  }
-  if (r.remaining() != 0) {
-    return Status::Corruption("rows frame has " +
-                              std::to_string(r.remaining()) +
-                              " trailing payload bytes");
-  }
-  m.deserialize_nanos->Observe(NowNanos() - start);
-  m.frames_received->Increment();
-  m.bytes_received->Add(frame.size());
-  return rows;
 }
 
 std::unique_ptr<Transport> MakeTransport(TransportKind kind, int num_nodes) {
@@ -185,8 +105,6 @@ std::unique_ptr<Transport> MakeTransport(TransportKind kind, int num_nodes) {
   switch (kind) {
     case TransportKind::kModeled:
       return std::make_unique<ModeledTransport>();
-    case TransportKind::kSharedMemory:
-      return internal::MakeSharedMemoryTransport();
     case TransportKind::kSocket:
       return internal::MakeSocketTransport(num_nodes);
   }

@@ -1,48 +1,45 @@
 #ifndef SIMDB_TRANSPORT_TRANSPORT_H_
 #define SIMDB_TRANSPORT_TRANSPORT_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "common/result.h"
-#include "hyracks/tuple.h"
+#include "common/status.h"
 
 namespace simdb::transport {
 
 /// How exchange destinations move between partitions.
 ///
-///   kModeled       no bytes move; the cluster cost model charges the
-///                  counted exchange traffic against a bandwidth/latency
-///                  model. This is the paper-figure backend and is
-///                  bit-identical to the pre-transport engine.
-///   kSharedMemory  every built destination is round-tripped through an
-///                  in-process frame queue: rows are serialized with
-///                  adm::Value::Serialize into a versioned/checksummed
-///                  frame, handed across, and deserialized back. Real
-///                  encode/decode on the exchange path, no processes.
-///   kSocket        destinations with cross-node traffic are shipped over a
-///                  UNIX socket pair to a forked worker process per cluster
-///                  node, which validates, decodes, re-encodes, and replies.
-///                  Bytes genuinely leave and re-enter the process; the
-///                  measured wall clock replaces the modeled network charge.
+///   kModeled  no bytes move; the cluster cost model charges the counted
+///             exchange traffic against a bandwidth/latency model. This is
+///             the paper-figure backend and the differential oracle.
+///   kSocket   every non-empty exchange destination is built as a fragment
+///             (hyracks/fragment.h) inside a forked worker process per
+///             cluster node, over a UNIX socket pair: the parent ships the
+///             operator closure plus the input slice, the worker runs the
+///             same build code and replies with the rows. Bytes genuinely
+///             leave and re-enter the process; the measured wall clock
+///             replaces the modeled network charge.
 ///
-/// All three backends must be answer- and error-identical: row serialization
-/// is lossless, so the round trip is an identity on values, and ship
+/// Both backends must be answer- and error-identical: the row codec is
+/// lossless and the worker runs the parent's build code, and fragment
 /// failures surface through the exchange build task, where the executor's
 /// lowest-(node, partition)-wins rule keeps errors deterministic.
-enum class TransportKind { kModeled, kSharedMemory, kSocket };
+enum class TransportKind { kModeled, kSocket };
 
 const char* TransportKindName(TransportKind kind);
 
-/// Parses the SIMDB_TRANSPORT environment override ("modeled", "shm",
-/// "socket"); returns `fallback` when unset or unrecognized. Lets CI flip
-/// every engine in the process onto a backend without code changes.
+/// Parses the SIMDB_TRANSPORT environment override ("modeled", "socket");
+/// returns `fallback` when unset or unrecognized. Lets CI flip every engine
+/// in the process onto a backend without code changes.
 TransportKind KindFromEnv(TransportKind fallback);
 
 /// One exchange-transport backend. Instances are engine-owned and shared by
-/// all of the engine's concurrent queries; Ship may be called from any pool
-/// worker at any time.
+/// all of the engine's concurrent queries; every method may be called from
+/// any pool worker at any time.
 class Transport {
  public:
   virtual ~Transport() = default;
@@ -50,40 +47,27 @@ class Transport {
   virtual TransportKind kind() const = 0;
   const char* name() const { return TransportKindName(kind()); }
 
-  /// True when shipping does real timed work: the cost model then reports
-  /// the measured transport seconds (already inside the exchange build
-  /// times) instead of charging the modeled network formula on top.
-  virtual bool measures_wall_clock() const = 0;
+  /// True when this backend builds exchange destinations inside remote
+  /// worker processes: the executor then dispatches every non-empty
+  /// destination through ExecuteFragment, and the cost model reports the
+  /// measured round trips (already inside the exchange build times) instead
+  /// of charging the modeled network formula. Stays true on a socket backend
+  /// whose workers failed to start, so the first dispatch surfaces that
+  /// failure instead of silently building locally.
+  virtual bool remote_execution() const = 0;
 
-  /// Whether a built destination should cross this transport at all.
-  /// `remote_bytes` is the destination's accounted cross-node traffic.
-  virtual bool ShouldShip(size_t dest_rows, uint64_t remote_bytes) const = 0;
-
-  /// Round-trips `*rows` through the backend (serialize -> transfer ->
-  /// deserialize), replacing them with the copy that crossed. `dst_node`
-  /// selects the destination worker (socket backend). `*seconds` receives
-  /// the wall-clock spent shipping. Thread-safe.
-  virtual Status Ship(int dst_node, hyracks::Rows* rows, double* seconds) = 0;
-
-  /// Blocks until every in-flight transfer has settled and remote workers
-  /// are provably idle (socket: a control-channel ping per live worker).
-  /// Called by the serving layer after a cancellation or deadline so a dead
-  /// query leaves no bytes in flight. A positive `timeout_seconds` bounds
-  /// the wait — under sustained shipping by unrelated concurrent queries an
-  /// unbounded drain could starve the caller — and a timeout returns
-  /// kDeadlineExceeded without disturbing transport state (it is safe to
-  /// keep shipping and to drain again). Non-positive waits indefinitely.
+  /// Blocks until remote workers are provably idle (socket: a
+  /// control-channel ping per live worker). Called by the serving layer
+  /// after a cancellation or deadline so a dead query leaves no bytes in
+  /// flight. A positive `timeout_seconds` bounds the wait — under sustained
+  /// dispatch by unrelated concurrent queries an unbounded drain could
+  /// starve the caller — and a timeout returns kDeadlineExceeded without
+  /// disturbing transport state (it is safe to keep dispatching and to drain
+  /// again). Non-positive waits indefinitely.
   /// [[nodiscard]] beyond Status's own: a dropped drain status hides dead
-  /// socket workers and stuck frames behind an apparent clean shutdown.
+  /// socket workers behind an apparent clean shutdown.
   [[nodiscard]] virtual Status Drain(double timeout_seconds) = 0;
   [[nodiscard]] Status Drain() { return Drain(/*timeout_seconds=*/0.0); }
-
-  /// True when this backend executes fragment closures inside remote worker
-  /// processes (socket backend with fragment dispatch enabled; see
-  /// SIMDB_SOCKET_FRAGMENTS in docs/DISTRIBUTED.md). The executor consults
-  /// this before attempting a remote build; the default backends compute
-  /// every destination locally.
-  virtual bool remote_execution() const { return false; }
 
   /// Sends one encoded kFragment request payload to `dst_node`'s worker and
   /// blocks for its reply. On success `*reply_payload` receives the
@@ -130,19 +114,11 @@ FragmentInterpreter InstalledFragmentInterpreter();
 
 /// Builds a backend for a cluster of `num_nodes` nodes and pre-registers
 /// every transport.* metric (see docs/TRANSPORT.md) so registry snapshots
-/// always carry the full catalogue.
+/// always carry the full catalogue. The socket backend forks its workers
+/// here, and a lock another thread holds at the fork stays held forever in
+/// the child — so build the transport before any thread pool
+/// (QueryProcessor builds its transport before its pool).
 std::unique_ptr<Transport> MakeTransport(TransportKind kind, int num_nodes);
-
-/// Serializes `rows` into one versioned/checksummed adm wire frame
-/// ([u32 row count][per row: u32 column count, each value via
-/// adm::Value::Serialize]) appended to `*out`. Records
-/// transport.serialize_nanos and transport.bytes_sent.
-void EncodeRowsFrame(const hyracks::Rows& rows, std::string* out);
-
-/// Inverse of EncodeRowsFrame: validates the frame header and checksum,
-/// then decodes the rows. Records transport.deserialize_nanos and
-/// transport.bytes_received.
-Result<hyracks::Rows> DecodeRowsFrame(std::string_view frame);
 
 }  // namespace simdb::transport
 

@@ -13,6 +13,7 @@
 
 #include "adm/value.h"
 #include "core/query_processor.h"
+#include "hyracks/batch.h"
 #include "observability/profile.h"
 #include "similarity/simd_kernels.h"
 #include "storage/file_util.h"
@@ -192,14 +193,64 @@ TEST_F(BatchExecTest, BatchAndTupleRowsIdentical) {
   EXPECT_FALSE(batched[1].empty());
 }
 
-// Small batch sizes chunk the pipeline without changing answers.
-TEST_F(BatchExecTest, TinyBatchSizeIsAnswerIdentical) {
-  LoadReviews();
-  std::vector<std::string> big = Run(kJaccardSelect);
-  engine_->set_batch_size(2);
-  std::vector<std::string> tiny = Run(kJaccardSelect);
-  EXPECT_EQ(big, tiny);
-  engine_->set_batch_size(1024);
+// Chunk boundaries: one partition holding more than two batches of rows
+// goes through the scan + jaccard-check SELECT batch path in three chunks
+// and must match the tuple path exactly.
+TEST(BatchChunkTest, InputSpanningThreeBatchesIsAnswerIdentical) {
+  std::string dir = (std::filesystem::temp_directory_path() /
+                     ("simdb_batch_chunk_" + std::to_string(::getpid())))
+                        .string();
+  storage::RemoveAllBestEffort(dir);
+  core::EngineOptions options;
+  options.data_dir = dir;
+  options.topology = {1, 1};
+  options.num_threads = 1;
+  options.profile_queries = true;
+  core::QueryProcessor engine(options);
+  ASSERT_TRUE(engine.Execute("create dataset Bulk primary key id;").ok());
+  const char* words[] = {"great", "product", "fantastic", "gift",
+                         "car",   "charger", "movie",     "heart"};
+  const size_t num_rows = 2 * hyracks::kBatchSize + 52;
+  for (size_t i = 0; i < num_rows; ++i) {
+    std::string summary = std::string(words[i % 8]) + " " +
+                          words[(i / 8) % 8] + " " + words[(i / 64) % 8];
+    ASSERT_TRUE(engine
+                    .Insert("Bulk", Value::MakeObject(
+                                        {{"id", Value::Int64(
+                                                    static_cast<int64_t>(i))},
+                                         {"summary", Value::String(summary)}}))
+                    .ok());
+  }
+  const char* query =
+      "for $t in dataset Bulk where "
+      "similarity-jaccard(word-tokens($t.summary), "
+      "word-tokens('great product fantastic gift')) >= 0.5 "
+      "return $t.id";
+  auto run = [&](bool batch, core::QueryResult* result) {
+    engine.set_batch_execution(batch);
+    Status s = engine.Execute(query, result);
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    std::vector<std::string> rows;
+    for (const Value& v : result->rows) rows.push_back(v.ToJson());
+    std::sort(rows.begin(), rows.end());
+    return rows;
+  };
+  core::QueryResult batched_result, tuple_result;
+  std::vector<std::string> batched = run(true, &batched_result);
+  std::vector<std::string> tuple = run(false, &tuple_result);
+  EXPECT_EQ(batched, tuple);
+  EXPECT_FALSE(batched.empty());
+  // Every row went through the kernels, in three chunks.
+  uint64_t kernel_rows = 0, batches = 0;
+  for (const obs::OperatorProfile& op : batched_result.profile->operators) {
+    for (const auto& [name, v] : op.counters) {
+      if (name == "exec.batch.rows") kernel_rows += v;
+      if (name == "exec.batch.batches") batches += v;
+    }
+  }
+  EXPECT_EQ(kernel_rows, num_rows);
+  EXPECT_EQ(batches, 3u);
+  storage::RemoveAllBestEffort(dir);
 }
 
 // Direct storage-layer check: SearchTOccurrence with a scratch (counter

@@ -28,6 +28,15 @@ class ExchangeProperty : public ::testing::TestWithParam<uint64_t> {
     ctx_.topology = {4, 2};  // 4 nodes x 2 partitions
   }
 
+  /// One socket transport for the suite, built before any fixture's pool_
+  /// exists: its workers fork while this is the only thread (see
+  /// transport::MakeTransport).
+  static void SetUpTestSuite() {
+    socket_ = transport::MakeTransport(transport::TransportKind::kSocket,
+                                       /*num_nodes=*/4);
+  }
+  static void TearDownTestSuite() { socket_.reset(); }
+
   PartitionedRows RandomRows(Random& rng, int max_rows) {
     PartitionedRows rows(
         static_cast<size_t>(ctx_.topology.total_partitions()));
@@ -62,6 +71,7 @@ class ExchangeProperty : public ::testing::TestWithParam<uint64_t> {
     return out;
   }
 
+  static inline std::unique_ptr<transport::Transport> socket_;
   ThreadPool pool_;
   ExecContext ctx_;
 };
@@ -175,19 +185,16 @@ TEST_P(ExchangeProperty, HashJoinMatchesNaiveJoin) {
   EXPECT_EQ(static_cast<int64_t>(RowsCount(out)), expected);
 }
 
-TEST_P(ExchangeProperty, ModeledAndSharedMemoryAccountingAgree) {
+TEST_P(ExchangeProperty, ModeledAndSocketAccountingAgree) {
   // The exchange byte/transfer counters are computed by BuildDestination
-  // from routing decisions alone — which backend then ships the built rows
-  // must not change them. Run the same input through every exchange kind
-  // under the modeled and shared-memory backends and compare the counters
-  // (these are the exchange.*.{local_bytes,remote_bytes} figures the
-  // observability layer exports).
+  // from routing decisions alone — whether the parent or a socket worker
+  // runs that build must not change them. Run the same input through every
+  // exchange kind under the modeled and socket backends and compare the
+  // counters (these are the exchange.*.{local_bytes,remote_bytes} figures
+  // the observability layer exports).
   Random rng(GetParam() + 900);
   std::unique_ptr<transport::Transport> modeled =
       transport::MakeTransport(transport::TransportKind::kModeled,
-                               ctx_.topology.num_nodes);
-  std::unique_ptr<transport::Transport> shm =
-      transport::MakeTransport(transport::TransportKind::kSharedMemory,
                                ctx_.topology.num_nodes);
   auto make = [](int kind) -> std::unique_ptr<Operator> {
     if (kind == 0) return std::make_unique<HashExchangeOp>(std::vector<int>{0});
@@ -204,16 +211,18 @@ TEST_P(ExchangeProperty, ModeledAndSharedMemoryAccountingAgree) {
     for (int kind = 0; kind < 3; ++kind) {
       OpStats m_stats, s_stats;
       auto m = run(kind, modeled.get(), &m_stats);
-      auto s = run(kind, shm.get(), &s_stats);
+      auto s = run(kind, socket_.get(), &s_stats);
       const std::string& name = m_stats.name;
       ASSERT_TRUE(m.ok() && s.ok()) << name;
       EXPECT_EQ(Flatten(*m), Flatten(*s)) << name;
       EXPECT_EQ(m_stats.local_bytes, s_stats.local_bytes) << name;
       EXPECT_EQ(m_stats.remote_bytes, s_stats.remote_bytes) << name;
       EXPECT_EQ(m_stats.remote_transfers, s_stats.remote_transfers) << name;
-      // Only the real backend spent ship time.
+      // Only the socket backend built remotely and spent wire time.
       EXPECT_EQ(m_stats.transport_seconds, 0.0) << name;
+      EXPECT_EQ(m_stats.remote_builds, 0u) << name;
       EXPECT_GT(s_stats.transport_seconds, 0.0) << name;
+      EXPECT_GT(s_stats.remote_builds, 0u) << name;
     }
   }
 }

@@ -6,10 +6,10 @@
 // callback, and the engine-level seam (tasks_remote / exec.remote.* profile
 // counters, answers identical to the modeled backend).
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <filesystem>
 #include <memory>
 #include <mutex>
@@ -168,11 +168,8 @@ class LoopbackTransport : public transport::Transport {
   transport::TransportKind kind() const override {
     return transport::TransportKind::kSocket;
   }
-  bool measures_wall_clock() const override { return false; }
-  bool ShouldShip(size_t, uint64_t) const override { return false; }
-  Status Ship(int, Rows*, double*) override { return Status::OK(); }
-  Status Drain(double) override { return Status::OK(); }
   bool remote_execution() const override { return true; }
+  Status Drain(double) override { return Status::OK(); }
   Status ExecuteFragment(int, const std::string& request, std::string* reply,
                          double* seconds) override {
     transport::FragmentReply r = fragment::InterpretFragment(request);
@@ -235,6 +232,34 @@ TEST(FragmentInterpreterTest, RejectsTrailingGarbage) {
   Status s = adm::DecodeFragmentError(reply.payload);
   EXPECT_EQ(s.code(), StatusCode::kCorruption);
   EXPECT_NE(s.message().find("trailing"), std::string::npos);
+}
+
+/// Peak resident set size of this process so far, in MiB.
+int64_t PeakRssMib() {
+  struct rusage usage {};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<int64_t>(usage.ru_maxrss) / 1024;  // Linux: KiB
+}
+
+TEST(FragmentInterpreterTest, HugeGroupCountIsCorruptionWithoutHugeAllocation) {
+  // A consistent header announcing 65536 x 65535 row groups, then nothing:
+  // the interpreter must reject it before sizing a vector of ~4G groups.
+  adm::FragmentHeader header;
+  header.num_nodes = 65536;
+  header.partitions_per_node = 65535;
+  header.num_groups = 65536u * 65535u;
+  adm::FragmentClosure closure;
+  closure.op = adm::FragmentOp::kGather;
+  std::string request;
+  ByteWriter w(&request);
+  adm::EncodeFragmentHeader(header, &w);
+  adm::EncodeFragmentClosure(closure, &w);
+  int64_t rss_before = PeakRssMib();
+  transport::FragmentReply reply = fragment::InterpretFragment(request);
+  ASSERT_FALSE(reply.ok);
+  EXPECT_EQ(adm::DecodeFragmentError(reply.payload).code(),
+            StatusCode::kCorruption);
+  EXPECT_LT(PeakRssMib() - rss_before, 64);
 }
 
 // --- Socket transport round trip ------------------------------------------
@@ -314,34 +339,16 @@ TEST(TransportFragmentTest, CancelLedgerRefusesCancelledQueriesOnly) {
   EXPECT_TRUE(t->Drain().ok());
 }
 
-TEST(TransportFragmentTest, EnvTogglesFragmentDispatchOff) {
-  ::setenv("SIMDB_SOCKET_FRAGMENTS", "0", 1);
+TEST(TransportFragmentTest, ModeledBackendHasNoRemoteExecution) {
   std::unique_ptr<transport::Transport> t =
-      transport::MakeTransport(transport::TransportKind::kSocket, 1);
-  ::unsetenv("SIMDB_SOCKET_FRAGMENTS");
+      transport::MakeTransport(transport::TransportKind::kModeled, 2);
   EXPECT_FALSE(t->remote_execution());
   std::string reply;
   double seconds = 0;
   EXPECT_EQ(t->ExecuteFragment(0, "x", &reply, &seconds).code(),
             StatusCode::kUnsupported);
-  // A disabled backend's cancel is a harmless no-op.
-  EXPECT_TRUE(t->CancelFragments(42, 1.0).ok());
-}
-
-TEST(TransportFragmentTest, NonSocketBackendsHaveNoRemoteExecution) {
-  for (transport::TransportKind kind :
-       {transport::TransportKind::kModeled,
-        transport::TransportKind::kSharedMemory}) {
-    std::unique_ptr<transport::Transport> t =
-        transport::MakeTransport(kind, 2);
-    EXPECT_FALSE(t->remote_execution());
-    std::string reply;
-    double seconds = 0;
-    EXPECT_EQ(t->ExecuteFragment(0, "x", &reply, &seconds).code(),
-              StatusCode::kUnsupported);
-    EXPECT_TRUE(t->CancelFragments(1, 1.0).ok());
-    EXPECT_TRUE(t->worker_pids().empty());
-  }
+  EXPECT_TRUE(t->CancelFragments(1, 1.0).ok());
+  EXPECT_TRUE(t->worker_pids().empty());
 }
 
 // --- Scheduler remote-task leases -----------------------------------------
@@ -441,11 +448,10 @@ uint64_t OpCounterSum(const ExecStats& stats, const std::string& name) {
   return total;
 }
 
-/// The acceptance-criteria proof: under the socket backend with fragments
-/// enabled, a profiled exchange-heavy query builds at least one destination
-/// inside a worker process (tasks_remote and exec.remote.* all nonzero, the
-/// transport.fragment.dispatched counter moves) and still answers exactly
-/// like the modeled backend.
+/// Under the socket backend, a profiled exchange-heavy query builds its
+/// destinations inside worker processes (tasks_remote and exec.remote.* all
+/// nonzero, the transport.fragment.dispatched counter moves) and still
+/// answers exactly like the modeled backend.
 TEST(EngineFragmentTest, SocketQueryBuildsDestinationsRemotely) {
   std::vector<std::string> expected;
   {
@@ -502,29 +508,6 @@ TEST(EngineFragmentTest, SocketQueryBuildsDestinationsRemotely) {
   EXPECT_GT(report.remote_compute_seconds, 0.0);
   EXPECT_NE(cluster::FormatMakespan(report).find("remote compute"),
             std::string::npos);
-  EXPECT_TRUE(engine.DrainTransport().ok());
-  storage::RemoveAllBestEffort(dir);
-}
-
-/// SIMDB_SOCKET_FRAGMENTS=0 must reproduce the PR 8 echo-only behavior:
-/// same answers, no remote builds.
-TEST(EngineFragmentTest, FragmentsDisabledFallsBackToEchoShipping) {
-  std::string dir = ScratchDir("echo");
-  storage::RemoveAllBestEffort(dir);
-  core::EngineOptions options;
-  options.data_dir = dir;
-  options.topology = {4, 2};
-  options.num_threads = 2;
-  options.transport = transport::TransportKind::kSocket;
-  ::setenv("SIMDB_SOCKET_FRAGMENTS", "0", 1);
-  core::QueryProcessor engine(options);
-  ::unsetenv("SIMDB_SOCKET_FRAGMENTS");
-  EXPECT_FALSE(engine.transport_backend()->remote_execution());
-  LoadTinyDataset(engine);
-  core::QueryResult result;
-  ASSERT_TRUE(engine.Execute(kJoinQuery, &result).ok());
-  EXPECT_TRUE(result.exec.network_measured);
-  EXPECT_EQ(result.exec.tasks_remote, 0u);
   EXPECT_TRUE(engine.DrainTransport().ok());
   storage::RemoveAllBestEffort(dir);
 }

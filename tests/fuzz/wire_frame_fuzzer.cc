@@ -1,5 +1,5 @@
 // Fuzz harness for adm::ReadFrame, the trust boundary every byte crossing
-// the shm/socket transports passes through. The harness asserts two
+// the socket transport passes through. The harness asserts two
 // properties on arbitrary input:
 //
 //   1. ReadFrame never crashes, overflows, or reads past the buffer

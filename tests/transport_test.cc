@@ -1,9 +1,13 @@
-// Transport backend tests: rows-frame codec round trips, the shared-memory
-// backend under concurrency (this file is in the TSan CI pass), the socket
-// backend's forked-worker protocol, drains, and the engine-level seam
-// (EngineOptions::transport / SIMDB_TRANSPORT, measured vs modeled network
-// accounting).
+// Transport backend tests: the row-group codec, the socket backend's
+// forked-worker protocol driven through ExecuteFragment (identity through a
+// worker, concurrency across nodes, drains, worker death, bad nodes, workers
+// that never started), and the engine-level seam (EngineOptions::transport /
+// SIMDB_TRANSPORT, measured vs modeled network accounting). This file is in
+// the TSan CI pass.
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <csignal>
@@ -18,15 +22,20 @@
 #include "common/random.h"
 #include "common/stopwatch.h"
 #include "core/query_processor.h"
+#include "hyracks/fragment.h"
+#include "hyracks/ops_exchange.h"
 #include "storage/file_util.h"
+#include "testing/operators.h"
 #include "transport/transport.h"
 
 namespace simdb::transport {
 namespace {
 
 using adm::Value;
+using hyracks::PartitionedRows;
 using hyracks::Rows;
 using hyracks::Tuple;
+namespace fragment = hyracks::fragment;
 
 Rows MakeRows(uint64_t seed, int n) {
   Random rng(seed);
@@ -53,176 +62,156 @@ bool RowsEqual(const Rows& a, const Rows& b) {
   return true;
 }
 
+/// Peak resident set size of this process so far, in MiB.
+int64_t PeakRssMib() {
+  struct rusage usage {};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<int64_t>(usage.ru_maxrss) / 1024;  // Linux: KiB
+}
+
+/// `rows` as one framed row group, the way a fragment payload carries them.
+std::string FramedRows(const Rows& rows) {
+  std::string payload;
+  ByteWriter w(&payload);
+  fragment::EncodeRows(rows, &w);
+  std::string frame;
+  adm::WriteFrame(payload, &frame);
+  return frame;
+}
+
+Result<Rows> UnframeRows(std::string_view frame) {
+  ByteReader outer(frame);
+  SIMDB_ASSIGN_OR_RETURN(std::string_view payload, adm::ReadFrame(&outer));
+  ByteReader r(payload);
+  SIMDB_ASSIGN_OR_RETURN(Rows rows, fragment::DecodeRows(&r));
+  if (r.remaining() != 0) return Status::Corruption("trailing row bytes");
+  return rows;
+}
+
 TEST(RowsFrameTest, RoundTripsEmptyAndNonEmpty) {
   for (int n : {0, 1, 7, 100}) {
     Rows rows = MakeRows(42, n);
-    std::string frame;
-    EncodeRowsFrame(rows, &frame);
-    Result<Rows> back = DecodeRowsFrame(frame);
+    Result<Rows> back = UnframeRows(FramedRows(rows));
     ASSERT_TRUE(back.ok()) << back.status().ToString();
     EXPECT_TRUE(RowsEqual(rows, *back)) << "n=" << n;
   }
 }
 
 TEST(RowsFrameTest, CorruptionRejected) {
-  Rows rows = MakeRows(7, 5);
-  std::string frame;
-  EncodeRowsFrame(rows, &frame);
+  std::string frame = FramedRows(MakeRows(7, 5));
   std::string bad = frame;
   bad[bad.size() - 1] = static_cast<char>(bad[bad.size() - 1] ^ 0x01);
-  EXPECT_FALSE(DecodeRowsFrame(bad).ok());
-  EXPECT_FALSE(DecodeRowsFrame(std::string_view(frame).substr(
-                   0, frame.size() - 1))
-                   .ok());
+  EXPECT_FALSE(UnframeRows(bad).ok());
+  EXPECT_FALSE(
+      UnframeRows(std::string_view(frame).substr(0, frame.size() - 1)).ok());
+  // Unframed, every truncation of the row group itself fails.
+  std::string payload;
+  ByteWriter w(&payload);
+  fragment::EncodeRows(MakeRows(7, 5), &w);
+  for (size_t cut = 0; cut < payload.size(); ++cut) {
+    ByteReader r(std::string_view(payload).substr(0, cut));
+    EXPECT_FALSE(fragment::DecodeRows(&r).ok()) << "cut=" << cut;
+  }
 }
 
 TEST(RowsFrameTest, TrailingPayloadRejected) {
-  Rows rows = MakeRows(7, 2);
-  std::string payload_frame;
-  EncodeRowsFrame(rows, &payload_frame);
-  // Re-wrap the decoded payload plus junk in a fresh (checksum-valid) frame:
-  // the rows decoder itself must notice the leftovers.
-  ByteReader r(payload_frame);
-  Result<std::string_view> payload = adm::ReadFrame(&r);
-  ASSERT_TRUE(payload.ok());
-  std::string bigger(*payload);
-  bigger += "junk";
-  std::string frame;
-  adm::WriteFrame(bigger, &frame);
-  Result<Rows> back = DecodeRowsFrame(frame);
+  // The codec stops at its own end; a fragment result carrying bytes after
+  // its rows must be rejected by the consumer.
+  std::string payload;
+  ByteWriter w(&payload);
+  adm::EncodeFragmentResultHeader(adm::FragmentResultHeader{}, &w);
+  fragment::EncodeRows(MakeRows(7, 2), &w);
+  payload += "junk";
+  Result<fragment::RemoteBuildResult> back =
+      fragment::DecodeFragmentResult(payload);
   ASSERT_FALSE(back.ok());
   EXPECT_NE(back.status().message().find("trailing"), std::string::npos);
 }
 
+TEST(RowsFrameTest, HugeCountsAreCorruptionWithoutHugeAllocation) {
+  // A lying row count, then one row with a lying column count: neither may
+  // size an allocation before the bytes behind it are read.
+  std::string lying_rows;
+  ByteWriter(&lying_rows).PutU32(0xFFFFFFFF);
+  std::string lying_cols;
+  ByteWriter cols(&lying_cols);
+  cols.PutU32(1);
+  cols.PutU32(0xFFFFFFFF);
+  int64_t rss_before = PeakRssMib();
+  for (const std::string& payload : {lying_rows, lying_cols}) {
+    ByteReader r(payload);
+    Result<Rows> back = fragment::DecodeRows(&r);
+    ASSERT_FALSE(back.ok());
+    EXPECT_EQ(back.status().code(), StatusCode::kCorruption);
+  }
+  EXPECT_LT(PeakRssMib() - rss_before, 64);
+}
+
 TEST(TransportKindTest, NamesAndEnvParsing) {
   EXPECT_STREQ(TransportKindName(TransportKind::kModeled), "modeled");
-  EXPECT_STREQ(TransportKindName(TransportKind::kSharedMemory), "shm");
   EXPECT_STREQ(TransportKindName(TransportKind::kSocket), "socket");
   ::unsetenv("SIMDB_TRANSPORT");
   EXPECT_EQ(KindFromEnv(TransportKind::kModeled), TransportKind::kModeled);
   ::setenv("SIMDB_TRANSPORT", "socket", 1);
   EXPECT_EQ(KindFromEnv(TransportKind::kModeled), TransportKind::kSocket);
-  ::setenv("SIMDB_TRANSPORT", "shared-memory", 1);
-  EXPECT_EQ(KindFromEnv(TransportKind::kModeled),
-            TransportKind::kSharedMemory);
+  ::setenv("SIMDB_TRANSPORT", "modeled", 1);
+  EXPECT_EQ(KindFromEnv(TransportKind::kSocket), TransportKind::kModeled);
   ::setenv("SIMDB_TRANSPORT", "bogus", 1);
   EXPECT_EQ(KindFromEnv(TransportKind::kSocket), TransportKind::kSocket);
   ::unsetenv("SIMDB_TRANSPORT");
 }
 
-TEST(ModeledTransportTest, NeverShipsAndDrainsTrivially) {
+TEST(ModeledTransportTest, NoRemoteExecutionAndDrainsTrivially) {
   std::unique_ptr<Transport> t = MakeTransport(TransportKind::kModeled, 4);
-  EXPECT_FALSE(t->measures_wall_clock());
-  EXPECT_FALSE(t->ShouldShip(100, 1 << 20));
+  EXPECT_FALSE(t->remote_execution());
   EXPECT_TRUE(t->Drain().ok());
 }
 
-TEST(SharedMemoryTransportTest, ShipIsIdentityOnRows) {
-  std::unique_ptr<Transport> t =
-      MakeTransport(TransportKind::kSharedMemory, 1);
-  EXPECT_TRUE(t->measures_wall_clock());
-  EXPECT_TRUE(t->ShouldShip(1, 0));  // ships even purely local traffic
-  EXPECT_FALSE(t->ShouldShip(0, 0));
-  Rows rows = MakeRows(1, 20);
-  Rows original = rows;
-  double seconds = -1;
-  ASSERT_TRUE(t->Ship(0, &rows, &seconds).ok());
-  EXPECT_TRUE(RowsEqual(rows, original));
-  EXPECT_GE(seconds, 0.0);
-  EXPECT_TRUE(t->Drain().ok());
+/// A kFragment request whose worker-side build is exactly `rows`: a
+/// broadcast on a {nodes x 1} cluster whose only non-empty source partition
+/// holds them, built for destination `node` (so it belongs to that node).
+std::string IdentityRequest(int nodes, int node, const Rows& rows) {
+  hyracks::ClusterTopology topology{nodes, 1};
+  PartitionedRows in(static_cast<size_t>(nodes));
+  in[0] = rows;
+  adm::FragmentClosure closure;
+  EXPECT_TRUE(fragment::ClosureFor(hyracks::BroadcastExchangeOp(), &closure));
+  std::string request;
+  size_t slice_rows = 0;
+  fragment::EncodeFragmentRequest(topology, /*query_id=*/1, closure, node, in,
+                                  hyracks::ExchangeOperator::Routing{},
+                                  &request, &slice_rows);
+  return request;
 }
 
-TEST(SharedMemoryTransportTest, ConcurrentShipsStayIsolated) {
-  // More shippers than in-flight frame slots: threads contend on the slot
-  // pool's mutex/condvar and every thread must still get its own rows back.
-  std::unique_ptr<Transport> t =
-      MakeTransport(TransportKind::kSharedMemory, 4);
-  constexpr int kThreads = 16;
-  constexpr int kShipsPerThread = 50;
-  std::atomic<int> failures{0};
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int i = 0; i < kThreads; ++i) {
-    threads.emplace_back([&, i] {
-      for (int s = 0; s < kShipsPerThread; ++s) {
-        Rows rows = MakeRows(static_cast<uint64_t>(i * 1000 + s), 8);
-        Rows original = rows;
-        double seconds = 0;
-        if (!t->Ship(i % 4, &rows, &seconds).ok() ||
-            !RowsEqual(rows, original)) {
-          failures.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    });
-  }
-  for (std::thread& th : threads) th.join();
-  EXPECT_EQ(failures.load(), 0);
-  EXPECT_TRUE(t->Drain().ok());
+/// Sends `rows` through node `node`'s worker and returns what it built.
+Result<Rows> ThroughWorker(Transport& t, int nodes, int node, const Rows& rows,
+                           double* seconds) {
+  std::string reply;
+  SIMDB_RETURN_IF_ERROR(t.ExecuteFragment(
+      node, IdentityRequest(nodes, node, rows), &reply, seconds));
+  SIMDB_ASSIGN_OR_RETURN(fragment::RemoteBuildResult result,
+                         fragment::DecodeFragmentResult(reply));
+  return std::move(result.rows);
 }
 
-TEST(SharedMemoryTransportTest, ConcurrentDrainsDoNotLoseShipWakeups) {
-  // Regression: shippers and drainers used to share one condition variable
-  // with notify_one on slot release, so a Drain waiter could swallow the
-  // notification meant for a blocked shipper and deadlock the pool. Hammer
-  // ships from more threads than slots while drainers wait concurrently; a
-  // hang here is the bug.
-  std::unique_ptr<Transport> t =
-      MakeTransport(TransportKind::kSharedMemory, 2);
-  constexpr int kShippers = 12;
-  constexpr int kShipsPerThread = 40;
-  std::atomic<int> failures{0};
-  std::atomic<bool> shipping_done{false};
-  std::vector<std::thread> threads;
-  threads.reserve(kShippers + 2);
-  for (int i = 0; i < kShippers; ++i) {
-    threads.emplace_back([&, i] {
-      for (int s = 0; s < kShipsPerThread; ++s) {
-        Rows rows = MakeRows(static_cast<uint64_t>(i * 777 + s), 4);
-        double seconds = 0;
-        if (!t->Ship(i % 2, &rows, &seconds).ok()) {
-          failures.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    });
-  }
-  for (int d = 0; d < 2; ++d) {
-    threads.emplace_back([&] {
-      while (!shipping_done.load(std::memory_order_relaxed)) {
-        // Bounded drains interleave with shipping; a timeout is a valid
-        // outcome under load, losing a shipper's wakeup is not.
-        Status s = t->Drain(/*timeout_seconds=*/0.05);
-        if (!s.ok() && s.code() != StatusCode::kDeadlineExceeded) {
-          failures.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    });
-  }
-  for (int i = 0; i < kShippers; ++i) threads[static_cast<size_t>(i)].join();
-  shipping_done.store(true, std::memory_order_relaxed);
-  for (size_t i = kShippers; i < threads.size(); ++i) threads[i].join();
-  EXPECT_EQ(failures.load(), 0);
-  EXPECT_TRUE(t->Drain().ok());
-}
-
-TEST(SocketTransportTest, ShipCrossesWorkerProcessAndIsIdentity) {
+TEST(SocketTransportTest, FragmentCrossesWorkerProcessAndIsIdentity) {
   std::unique_ptr<Transport> t = MakeTransport(TransportKind::kSocket, 2);
-  EXPECT_TRUE(t->measures_wall_clock());
-  // Socket backend ships only destinations with accounted remote traffic.
-  EXPECT_FALSE(t->ShouldShip(10, 0));
-  EXPECT_TRUE(t->ShouldShip(10, 128));
+  EXPECT_TRUE(t->remote_execution());
   for (int node = 0; node < 2; ++node) {
     Rows rows = MakeRows(static_cast<uint64_t>(node) + 5, 30);
-    Rows original = rows;
     double seconds = -1;
-    ASSERT_TRUE(t->Ship(node, &rows, &seconds).ok()) << "node " << node;
-    EXPECT_TRUE(RowsEqual(rows, original)) << "node " << node;
+    Result<Rows> back = ThroughWorker(*t, 2, node, rows, &seconds);
+    ASSERT_TRUE(back.ok()) << "node " << node << ": "
+                           << back.status().ToString();
+    EXPECT_TRUE(RowsEqual(*back, rows)) << "node " << node;
     EXPECT_GT(seconds, 0.0);
   }
   // Drain pings every spawned worker over the control channel.
   EXPECT_TRUE(t->Drain().ok());
 }
 
-TEST(SocketTransportTest, ManySequentialShipsAndConcurrentNodes) {
+TEST(SocketTransportTest, ManySequentialFragmentsAndConcurrentNodes) {
   std::unique_ptr<Transport> t = MakeTransport(TransportKind::kSocket, 4);
   std::atomic<int> failures{0};
   std::vector<std::thread> threads;
@@ -230,10 +219,9 @@ TEST(SocketTransportTest, ManySequentialShipsAndConcurrentNodes) {
     threads.emplace_back([&, node] {
       for (int s = 0; s < 25; ++s) {
         Rows rows = MakeRows(static_cast<uint64_t>(node * 100 + s), 12);
-        Rows original = rows;
         double seconds = 0;
-        if (!t->Ship(node, &rows, &seconds).ok() ||
-            !RowsEqual(rows, original)) {
+        Result<Rows> back = ThroughWorker(*t, 4, node, rows, &seconds);
+        if (!back.ok() || !RowsEqual(*back, rows)) {
           failures.fetch_add(1, std::memory_order_relaxed);
         }
       }
@@ -247,7 +235,7 @@ TEST(SocketTransportTest, ManySequentialShipsAndConcurrentNodes) {
 TEST(SocketTransportTest, WorkersForkedEagerlyAndDrainBoundedWhenIdle) {
   // Workers exist (and answer pings) from construction — nothing is forked
   // lazily from pool threads mid-query — so a drain succeeds before any
-  // ship, bounded or not.
+  // fragment, bounded or not.
   std::unique_ptr<Transport> t = MakeTransport(TransportKind::kSocket, 3);
   EXPECT_TRUE(t->Drain(/*timeout_seconds=*/5.0).ok());
   EXPECT_TRUE(t->Drain().ok());
@@ -270,13 +258,14 @@ TEST(SocketTransportTest, TimedOutDrainLeavesChannelUsable) {
     }
   }
   ASSERT_GT(timed_out, 0);
-  // Ships and unbounded drains must still work on the realigned channel.
+  // Fragments and unbounded drains must still work on the realigned channel.
   for (int node = 0; node < 2; ++node) {
     Rows rows = MakeRows(static_cast<uint64_t>(node) + 77, 10);
-    Rows original = rows;
     double seconds = 0;
-    ASSERT_TRUE(t->Ship(node, &rows, &seconds).ok()) << "node " << node;
-    EXPECT_TRUE(RowsEqual(rows, original));
+    Result<Rows> back = ThroughWorker(*t, 2, node, rows, &seconds);
+    ASSERT_TRUE(back.ok()) << "node " << node << ": "
+                           << back.status().ToString();
+    EXPECT_TRUE(RowsEqual(*back, rows));
   }
   EXPECT_TRUE(t->Drain().ok());
 }
@@ -308,23 +297,18 @@ TEST(SocketTransportTest, KilledWorkerSurfacesAsUnavailable) {
   std::vector<int> pids = t->worker_pids();
   ASSERT_EQ(pids.size(), 2u);
   ASSERT_EQ(::kill(pids[1], SIGKILL), 0);
-  // The kernel closes the worker's socket end when the process dies; both a
-  // ship and a fragment dispatch to the dead node must fail kUnavailable.
-  Rows rows = MakeRows(3, 8);
+  // The kernel closes the worker's socket end when the process dies; a
+  // fragment dispatch to the dead node must fail kUnavailable.
   double seconds = 0;
-  Status dead_ship = t->Ship(1, &rows, &seconds);
-  ASSERT_FALSE(dead_ship.ok());
-  EXPECT_EQ(dead_ship.code(), StatusCode::kUnavailable);
-  EXPECT_NE(dead_ship.message().find("worker gone"), std::string::npos);
-  std::string reply;
-  Status dead_frag = t->ExecuteFragment(1, "payload", &reply, &seconds);
-  ASSERT_FALSE(dead_frag.ok());
-  EXPECT_EQ(dead_frag.code(), StatusCode::kUnavailable);
+  Result<Rows> dead = ThroughWorker(*t, 2, 1, MakeRows(3, 8), &seconds);
+  ASSERT_FALSE(dead.ok());
+  EXPECT_EQ(dead.status().code(), StatusCode::kUnavailable);
+  EXPECT_NE(dead.status().message().find("worker gone"), std::string::npos);
   // The healthy worker keeps serving.
   Rows ok_rows = MakeRows(4, 8);
-  Rows original = ok_rows;
-  ASSERT_TRUE(t->Ship(0, &ok_rows, &seconds).ok());
-  EXPECT_TRUE(RowsEqual(ok_rows, original));
+  Result<Rows> alive = ThroughWorker(*t, 2, 0, ok_rows, &seconds);
+  ASSERT_TRUE(alive.ok()) << alive.status().ToString();
+  EXPECT_TRUE(RowsEqual(*alive, ok_rows));
   // Drains fail (they ping every worker) but return promptly — never hang —
   // and report the dead worker as unavailable.
   Stopwatch sw;
@@ -339,9 +323,9 @@ TEST(SocketTransportTest, KilledWorkerSurfacesAsUnavailable) {
   // A replacement transport forks fresh workers and is fully functional.
   std::unique_ptr<Transport> fresh = MakeTransport(TransportKind::kSocket, 2);
   Rows fresh_rows = MakeRows(5, 8);
-  Rows fresh_original = fresh_rows;
-  ASSERT_TRUE(fresh->Ship(1, &fresh_rows, &seconds).ok());
-  EXPECT_TRUE(RowsEqual(fresh_rows, fresh_original));
+  Result<Rows> fresh_back = ThroughWorker(*fresh, 2, 1, fresh_rows, &seconds);
+  ASSERT_TRUE(fresh_back.ok()) << fresh_back.status().ToString();
+  EXPECT_TRUE(RowsEqual(*fresh_back, fresh_rows));
   EXPECT_TRUE(fresh->Drain().ok());
 }
 
@@ -349,12 +333,44 @@ TEST(SocketTransportTest, OutOfRangeNodeFailsLoudly) {
   // Clamping a bad dst_node to worker 0 would mask routing bugs while
   // reporting success; it must be an error instead.
   std::unique_ptr<Transport> t = MakeTransport(TransportKind::kSocket, 2);
-  Rows rows = MakeRows(9, 3);
+  std::string request = IdentityRequest(2, 0, MakeRows(9, 3));
+  std::string reply;
   double seconds = 0;
-  Status s = t->Ship(2, &rows, &seconds);
+  Status s = t->ExecuteFragment(2, request, &reply, &seconds);
   ASSERT_FALSE(s.ok());
   EXPECT_NE(s.message().find("out-of-range"), std::string::npos);
-  EXPECT_FALSE(t->Ship(-1, &rows, &seconds).ok());
+  EXPECT_FALSE(t->ExecuteFragment(-1, request, &reply, &seconds).ok());
+}
+
+TEST(SocketTransportTest, WorkersThatNeverStartedFailEveryDispatch) {
+  // Shrink the descriptor limit to the lowest free descriptor so the
+  // constructor's first socketpair fails.
+  struct rlimit saved {};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  int lowest_free = ::open("/dev/null", O_RDONLY);
+  ASSERT_GE(lowest_free, 0);
+  ::close(lowest_free);
+  struct rlimit tight = saved;
+  tight.rlim_cur = static_cast<rlim_t>(lowest_free);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &tight), 0);
+  std::unique_ptr<Transport> t = MakeTransport(TransportKind::kSocket, 2);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+  EXPECT_TRUE(t->worker_pids().empty());
+  // Still a remote-executing backend: the executor must dispatch and fail
+  // loudly rather than quietly build every destination in the parent.
+  EXPECT_TRUE(t->remote_execution());
+  hyracks::ExecContext ctx;
+  ctx.topology = {2, 1};
+  ctx.transport = t.get();
+  PartitionedRows in = {MakeRows(1, 4), MakeRows(2, 4)};
+  Result<PartitionedRows> out = testing::RunOperator(
+      ctx, std::make_unique<hyracks::GatherOp>(), {&in});
+  ASSERT_FALSE(out.ok());
+  EXPECT_NE(out.status().message().find("socketpair failed"),
+            std::string::npos)
+      << out.status().ToString();
+  EXPECT_FALSE(t->Drain().ok());
+  EXPECT_FALSE(t->CancelFragments(1, /*timeout_seconds=*/1.0).ok());
 }
 
 // --- Engine-level seam -----------------------------------------------------
@@ -396,14 +412,12 @@ constexpr const char* kJoinQuery =
     "where word-tokens($a.title) ~= word-tokens($b.title) "
     "and $a.id < $b.id return { \"a\": $a.id, \"b\": $b.id };";
 
-/// All backends must return identical rows for an exchange-heavy join, and
-/// measured backends must flip the stats/cost-model to measured-network
+/// Both backends must return identical rows for an exchange-heavy join, and
+/// the socket backend must flip the stats/cost-model to measured-network
 /// accounting.
 TEST(EngineTransportTest, BackendsAnswerIdenticallyAndAccountingFlips) {
   std::vector<std::string> expected;
-  for (TransportKind kind :
-       {TransportKind::kModeled, TransportKind::kSharedMemory,
-        TransportKind::kSocket}) {
+  for (TransportKind kind : {TransportKind::kModeled, TransportKind::kSocket}) {
     std::string dir = ScratchDir(TransportKindName(kind));
     storage::RemoveAllBestEffort(dir);
     core::QueryProcessor engine(EngineOptionsFor(dir, kind));
@@ -440,11 +454,12 @@ TEST(EngineTransportTest, BackendsAnswerIdenticallyAndAccountingFlips) {
 TEST(EngineTransportTest, EnvOverrideSelectsBackend) {
   std::string dir = ScratchDir("env");
   storage::RemoveAllBestEffort(dir);
-  ::setenv("SIMDB_TRANSPORT", "shm", 1);
+  ::setenv("SIMDB_TRANSPORT", "socket", 1);
   core::QueryProcessor engine(
       EngineOptionsFor(dir, TransportKind::kModeled));
   ::unsetenv("SIMDB_TRANSPORT");
-  EXPECT_EQ(engine.transport_kind(), TransportKind::kSharedMemory);
+  EXPECT_EQ(engine.transport_kind(), TransportKind::kSocket);
+  EXPECT_EQ(engine.transport_backend()->kind(), TransportKind::kSocket);
   storage::RemoveAllBestEffort(dir);
 }
 
@@ -457,17 +472,17 @@ TEST(EngineTransportTest, SetTransportSwitchesBackend) {
   core::QueryResult modeled;
   ASSERT_TRUE(engine.Execute(kJoinQuery, &modeled).ok());
   EXPECT_FALSE(modeled.exec.network_measured);
-  engine.set_transport(TransportKind::kSharedMemory);
-  core::QueryResult shm;
-  ASSERT_TRUE(engine.Execute(kJoinQuery, &shm).ok());
-  EXPECT_TRUE(shm.exec.network_measured);
+  engine.set_transport(TransportKind::kSocket);
+  core::QueryResult socket;
+  ASSERT_TRUE(engine.Execute(kJoinQuery, &socket).ok());
+  EXPECT_TRUE(socket.exec.network_measured);
   auto normalize = [](const core::QueryResult& r) {
     std::vector<std::string> rows;
     for (const Value& row : r.rows) rows.push_back(row.ToJson());
     std::sort(rows.begin(), rows.end());
     return rows;
   };
-  EXPECT_EQ(normalize(modeled), normalize(shm));
+  EXPECT_EQ(normalize(modeled), normalize(socket));
   storage::RemoveAllBestEffort(dir);
 }
 

@@ -1,4 +1,5 @@
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include "adm/value.h"
 #include "adm/wire.h"
@@ -228,8 +229,42 @@ TEST(SerdeTest, TruncatedBufferFails) {
   }
 }
 
-// --- Wire framing (magic / version / length / CRC-32). The transport layer
-// wraps every shipped exchange destination in one of these frames; a frame
+/// Peak resident set size of this process so far, in MiB.
+int64_t PeakRssMib() {
+  struct rusage usage {};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<int64_t>(usage.ru_maxrss) / 1024;  // Linux: KiB
+}
+
+/// Decodes `[type tag][u32 count = 0xFFFFFFFF]` with nothing after it: the
+/// count is a lie the payload cannot back, so the decoder must fail on
+/// truncation rather than first reserve 4G elements (~200 GiB of Values).
+Status DecodeLyingCount(ValueType type) {
+  std::string buf;
+  ByteWriter w(&buf);
+  w.PutU8(static_cast<uint8_t>(type));
+  w.PutU32(0xFFFFFFFF);
+  ByteReader r(buf);
+  return Value::Deserialize(&r).status();
+}
+
+TEST(SerdeTest, HugeArrayCountIsCorruptionWithoutHugeAllocation) {
+  int64_t rss_before = PeakRssMib();
+  for (ValueType type : {ValueType::kArray, ValueType::kMultiset}) {
+    EXPECT_EQ(DecodeLyingCount(type).code(), StatusCode::kCorruption);
+  }
+  EXPECT_LT(PeakRssMib() - rss_before, 64);
+}
+
+TEST(SerdeTest, HugeObjectCountIsCorruptionWithoutHugeAllocation) {
+  int64_t rss_before = PeakRssMib();
+  EXPECT_EQ(DecodeLyingCount(ValueType::kObject).code(),
+            StatusCode::kCorruption);
+  EXPECT_LT(PeakRssMib() - rss_before, 64);
+}
+
+// --- Wire framing (magic / version / length / CRC-32). The socket transport
+// wraps every channel message in one of these frames; a frame
 // that survives WriteFrame -> ReadFrame unchanged plus exhaustive rejection
 // of damaged frames is what makes the round trip an identity on values.
 
