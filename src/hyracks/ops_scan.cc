@@ -55,17 +55,28 @@ Result<Rows> PrimaryLookupOp::ExecutePartition(
   uint64_t probes = 0;
   uint64_t hits = 0;
   Rows rows;
+  // One reader for the whole partition: the plans sort the pks first, so
+  // its run cursors only move forward, and a run of equal pks decodes its
+  // record once.
+  SIMDB_ASSIGN_OR_RETURN(storage::LsmIndex::PointReader reader,
+                         ds_->PrimaryReader(p));
+  std::optional<Value> record;
+  std::optional<int64_t> record_pk;
   for (const Tuple& row : *inputs[0]) {
     const Value& pk = row[static_cast<size_t>(pk_column_)];
     if (!pk.is_int64()) {
       return Status::TypeError("PRIMARY-LOOKUP pk must be int64");
     }
     ++probes;
-    SIMDB_ASSIGN_OR_RETURN(auto record, ds_->GetByPkInPartition(p, pk.AsInt64()));
+    if (record_pk != pk.AsInt64()) {
+      SIMDB_ASSIGN_OR_RETURN(record,
+                             storage::Dataset::ReadRecord(reader, pk.AsInt64()));
+      record_pk = pk.AsInt64();
+    }
     if (!record.has_value()) continue;
     ++hits;
     Tuple extended = row;
-    extended.push_back(std::move(*record));
+    extended.push_back(*record);
     rows.push_back(std::move(extended));
   }
   if (ctx.counters != nullptr) {

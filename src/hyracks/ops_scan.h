@@ -48,7 +48,10 @@ class ConstantSourceOp : public PartitionOperator {
 /// Looks up each input row's pk (int64 column `pk_column`) in the local
 /// partition of the dataset's primary index and appends the record object.
 /// Rows whose pk does not exist locally are dropped — by construction the
-/// upstream secondary-index search produced pks of the same partition.
+/// upstream secondary-index search produced pks of the same partition. Each
+/// partition runs through one storage::LsmIndex::PointReader, so the pk
+/// sort the plans put first turns the lookups into one forward pass per run;
+/// any input order gives the same rows.
 class PrimaryLookupOp : public PartitionOperator {
  public:
   PrimaryLookupOp(std::string dataset, int pk_column)

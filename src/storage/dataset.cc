@@ -56,8 +56,13 @@ Result<int64_t> Dataset::Insert(Value record) {
   std::string bytes;
   ByteWriter w(&bytes);
   record.Serialize(&w);
-  SIMDB_RETURN_IF_ERROR(
-      partitions_[p]->primary->Put({Value::Int64(pk)}, std::move(bytes)));
+  Status put = partitions_[p]->primary->Insert({Value::Int64(pk)},
+                                               std::move(bytes));
+  if (put.code() == StatusCode::kAlreadyExists) {
+    return Status::AlreadyExists("dataset " + spec_.name + " already holds " +
+                                 spec_.pk_field + " " + std::to_string(pk));
+  }
+  SIMDB_RETURN_IF_ERROR(put);
   SIMDB_RETURN_IF_ERROR(MaintainSecondaries(record, pk, p, /*insert=*/true));
   ++record_count_;
   return pk;
@@ -101,11 +106,22 @@ Result<std::optional<Value>> Dataset::GetByPk(int64_t pk) const {
 
 Result<std::optional<Value>> Dataset::GetByPkInPartition(int partition,
                                                          int64_t pk) const {
+  SIMDB_ASSIGN_OR_RETURN(LsmIndex::PointReader reader,
+                         PrimaryReader(partition));
+  return ReadRecord(reader, pk);
+}
+
+Result<LsmIndex::PointReader> Dataset::PrimaryReader(int partition) const {
   if (partition < 0 || partition >= spec_.num_partitions) {
     return Status::InvalidArgument("bad partition");
   }
-  SIMDB_ASSIGN_OR_RETURN(
-      auto bytes, partitions_[partition]->primary->Get({Value::Int64(pk)}));
+  return LsmIndex::PointReader(*partitions_[partition]->primary);
+}
+
+Result<std::optional<Value>> Dataset::ReadRecord(LsmIndex::PointReader& reader,
+                                                 int64_t pk) {
+  SIMDB_ASSIGN_OR_RETURN(std::optional<std::string_view> bytes,
+                         reader.Get({Value::Int64(pk)}));
   if (!bytes.has_value()) return std::optional<Value>();
   ByteReader r(*bytes);
   SIMDB_ASSIGN_OR_RETURN(Value record, Value::Deserialize(&r));

@@ -22,15 +22,28 @@ std::string EncodeKey(const CompositeKey& key) {
 }
 
 Result<CompositeKey> DecodeKey(std::string_view data) {
+  CompositeKey key;
+  SIMDB_RETURN_IF_ERROR(DecodeKeyInto(data, &key));
+  return key;
+}
+
+Status DecodeKeyInto(std::string_view data, CompositeKey* key) {
   ByteReader r(data);
   SIMDB_ASSIGN_OR_RETURN(uint32_t n, r.GetU32());
-  CompositeKey key;
-  key.reserve(n);
+  // Every value takes at least its one-byte type tag, so a count the bytes
+  // cannot hold is corrupt; reject it before it sizes the vector.
+  if (n > r.remaining()) {
+    return Status::Corruption("key holds " + std::to_string(n) +
+                              " values in " + std::to_string(r.remaining()) +
+                              " bytes");
+  }
+  key->clear();
+  key->reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
     SIMDB_ASSIGN_OR_RETURN(adm::Value v, adm::Value::Deserialize(&r));
-    key.push_back(std::move(v));
+    key->push_back(std::move(v));
   }
-  return key;
+  return Status::OK();
 }
 
 std::string KeyToString(const CompositeKey& key) {

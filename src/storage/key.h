@@ -25,6 +25,8 @@ struct KeyLess {
 
 std::string EncodeKey(const CompositeKey& key);
 Result<CompositeKey> DecodeKey(std::string_view data);
+/// DecodeKey into `key`, reusing its storage (the run iterators' hot path).
+Status DecodeKeyInto(std::string_view data, CompositeKey* key);
 
 std::string KeyToString(const CompositeKey& key);
 

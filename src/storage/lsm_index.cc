@@ -17,7 +17,7 @@ struct MergeSource {
   virtual bool Valid() const = 0;
   virtual const CompositeKey& key() const = 0;
   virtual bool is_tombstone() const = 0;
-  virtual const std::string& value() const = 0;
+  virtual std::string_view value() const = 0;
   virtual Status Next() = 0;
 };
 
@@ -34,7 +34,7 @@ class MemtableSource : public MergeSource {
   bool Valid() const override { return it_ != end_; }
   const CompositeKey& key() const override { return it_->first; }
   bool is_tombstone() const override { return !it_->second.has_value(); }
-  const std::string& value() const override { return *it_->second; }
+  std::string_view value() const override { return *it_->second; }
   Status Next() override {
     ++it_;
     return Status::OK();
@@ -54,7 +54,7 @@ class RunSource : public MergeSource {
   bool is_tombstone() const override {
     return it_->kind() == EntryKind::kTombstone;
   }
-  const std::string& value() const override { return it_->value(); }
+  std::string_view value() const override { return it_->value(); }
   Status Next() override { return it_->Next(); }
 
  private:
@@ -181,23 +181,94 @@ Status LsmIndex::MaybeFlush() {
   return Flush();
 }
 
-Result<std::optional<std::string>> LsmIndex::Get(
-    const CompositeKey& key) const {
-  auto it = memtable_.find(key);
-  if (it != memtable_.end()) {
-    if (!it->second.has_value()) return std::optional<std::string>();
-    return std::make_optional(*it->second);
+Status LsmIndex::Insert(const CompositeKey& key, std::string value) {
+  // One memtable walk decides: a live memtable value is a duplicate, a
+  // memtable tombstone may be overwritten, and only a memtable miss asks the
+  // runs (newest first) whether the key is live there.
+  auto [it, inserted] = memtable_.try_emplace(key);
+  if (!inserted && it->second.has_value()) {
+    return Status::AlreadyExists("key " + KeyToString(key));
   }
-  for (const auto& run : runs_) {
-    SIMDB_ASSIGN_OR_RETURN(auto entry, run->Get(key));
-    if (entry.has_value()) {
-      if (entry->first == EntryKind::kTombstone) {
-        return std::optional<std::string>();
-      }
-      return std::make_optional(std::move(entry->second));
+  if (inserted && !runs_.empty()) {
+    PointReader runs(RunPointers());
+    Result<std::optional<std::pair<EntryKind, std::string_view>>> found =
+        runs.Find(key);
+    if (!found.ok()) {
+      memtable_.erase(it);
+      return found.status();
+    }
+    const std::optional<std::pair<EntryKind, std::string_view>>& entry =
+        *found;
+    if (entry.has_value() && entry->first == EntryKind::kPut) {
+      memtable_.erase(it);
+      return Status::AlreadyExists("key " + KeyToString(key));
     }
   }
-  return std::optional<std::string>();
+  mem_bytes_ += EncodeKey(key).size() + value.size() + 64;
+  it->second = std::move(value);
+  return MaybeFlush();
+}
+
+Result<std::optional<std::string>> LsmIndex::Get(
+    const CompositeKey& key) const {
+  PointReader reader(*this);
+  SIMDB_ASSIGN_OR_RETURN(std::optional<std::string_view> value,
+                         reader.Get(key));
+  if (!value.has_value()) return std::optional<std::string>();
+  return std::make_optional(std::string(*value));
+}
+
+std::vector<const SortedRunReader*> LsmIndex::RunPointers() const {
+  std::vector<const SortedRunReader*> runs;
+  runs.reserve(runs_.size());
+  for (const auto& run : runs_) runs.push_back(run.get());
+  return runs;
+}
+
+LsmIndex::PointReader::PointReader(const LsmIndex& index)
+    : PointReader(index.RunPointers()) {
+  memtable_ = &index.memtable_;
+}
+
+LsmIndex::PointReader::PointReader(std::vector<const SortedRunReader*> runs)
+    : runs_(std::move(runs)) {
+  cursors_.resize(runs_.size());
+}
+
+Result<std::optional<std::pair<EntryKind, std::string_view>>>
+LsmIndex::PointReader::Find(const CompositeKey& key) {
+  using Entry = std::pair<EntryKind, std::string_view>;
+  if (memtable_ != nullptr) {
+    auto it = memtable_->find(key);
+    if (it != memtable_->end()) {
+      if (!it->second.has_value()) {
+        return std::make_optional(Entry(EntryKind::kTombstone, {}));
+      }
+      return std::make_optional(Entry(EntryKind::kPut, *it->second));
+    }
+  }
+  for (size_t i = 0; i < runs_.size(); ++i) {
+    if (!runs_[i]->InKeyRange(key)) continue;
+    std::unique_ptr<SortedRunReader::Iterator>& cursor = cursors_[i];
+    if (cursor == nullptr) {
+      SIMDB_ASSIGN_OR_RETURN(cursor, runs_[i]->NewIterator(&key));
+    } else {
+      SIMDB_RETURN_IF_ERROR(cursor->Seek(key));
+    }
+    if (cursor->Valid() && CompareKeys(cursor->key(), key) == 0) {
+      return std::make_optional(Entry(cursor->kind(), cursor->value()));
+    }
+  }
+  return std::optional<Entry>();
+}
+
+Result<std::optional<std::string_view>> LsmIndex::PointReader::Get(
+    const CompositeKey& key) {
+  SIMDB_ASSIGN_OR_RETURN(auto entry, Find(key));
+  if (!entry.has_value() || entry->first == EntryKind::kTombstone) {
+    return std::optional<std::string_view>();
+  }
+  return std::make_optional(entry->second);
 }
 
 Result<std::unique_ptr<LsmIndex::Iterator>> LsmIndex::NewIterator(

@@ -5,6 +5,8 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -52,9 +54,46 @@ class LsmIndex {
   Status Put(const CompositeKey& key, std::string value);
   Status Delete(const CompositeKey& key);
 
+  /// Put-if-absent: kAlreadyExists when `key` has a live value, and then
+  /// the index is unchanged. A deleted key may be inserted again.
+  Status Insert(const CompositeKey& key, std::string value);
+
   /// Point lookup across memtable + runs (newest wins; tombstones hide
-  /// older entries).
+  /// older entries): a one-shot PointReader.
   Result<std::optional<std::string>> Get(const CompositeKey& key) const;
+
+ private:
+  // nullopt value == tombstone.
+  using Memtable = std::map<CompositeKey, std::optional<std::string>, KeyLess>;
+
+ public:
+  /// Point lookups against a fixed view of the index: the memtable first,
+  /// then one positioned cursor per run, newest first. Keys may come in any
+  /// order; ascending keys walk every run forward, so a key-sorted probe
+  /// stream reads each run block at most once. The reader is valid only
+  /// while its index is unmodified (in the engine, queries hold the state
+  /// lock shared and inserts and DDL hold it exclusive).
+  class PointReader {
+   public:
+    explicit PointReader(const LsmIndex& index);
+    /// Over bare runs, newest first, with no memtable.
+    explicit PointReader(std::vector<const SortedRunReader*> runs);
+
+    /// The live value of `key`, or nullopt when it is absent or deleted.
+    /// The view stays valid until the next lookup.
+    Result<std::optional<std::string_view>> Get(const CompositeKey& key);
+
+    /// The newest entry for `key`, tombstones included, or nullopt. The
+    /// view stays valid until the next lookup.
+    Result<std::optional<std::pair<EntryKind, std::string_view>>> Find(
+        const CompositeKey& key);
+
+   private:
+    const Memtable* memtable_ = nullptr;
+    std::vector<const SortedRunReader*> runs_;
+    // One cursor per run, opened by its first lookup.
+    std::vector<std::unique_ptr<SortedRunReader::Iterator>> cursors_;
+  };
 
   /// Merged forward iterator over live entries with key >= lower_bound (all
   /// entries when null) and key < upper_bound (unbounded when null).
@@ -96,6 +135,8 @@ class LsmIndex {
   explicit LsmIndex(std::string dir, LsmOptions options);
 
   Status MaybeFlush();
+  /// The runs, newest first, as a PointReader takes them.
+  std::vector<const SortedRunReader*> RunPointers() const;
   /// Merges the runs at positions [first, last] (newest-first order) into
   /// one; tombstones are dropped only when the range covers the oldest run.
   Status CompactRange(size_t first, size_t last);
@@ -104,8 +145,7 @@ class LsmIndex {
   std::string dir_;
   LsmOptions options_;
   uint64_t next_run_seq_ = 1;
-  // nullopt value == tombstone.
-  std::map<CompositeKey, std::optional<std::string>, KeyLess> memtable_;
+  Memtable memtable_;
   size_t mem_bytes_ = 0;
   // Newest first.
   std::vector<std::unique_ptr<SortedRunReader>> runs_;

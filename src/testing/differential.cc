@@ -46,7 +46,8 @@ Result<std::vector<std::string>> RunNormalized(QueryProcessor& engine,
 }
 
 /// Builds a fresh engine over `records` (prefix of the case's stream) with
-/// the variant's pool size (0: the harness default of 2) and transport. The
+/// the variant's pool size (0: the harness default of 2), memtable budget
+/// and transport. The
 /// engine builds the transport before its pool, so a socket variant's
 /// workers fork before any pool thread exists.
 Result<std::unique_ptr<QueryProcessor>> BuildEngine(
@@ -57,6 +58,9 @@ Result<std::unique_ptr<QueryProcessor>> BuildEngine(
   options.data_dir = dir;
   options.topology = topology;
   options.num_threads = v.num_threads != 0 ? v.num_threads : 2;
+  if (v.memtable_budget_bytes != 0) {
+    options.lsm.memtable_budget_bytes = v.memtable_budget_bytes;
+  }
   options.transport = v.transport;
   // Every fuzz compilation doubles as a verifier workload: rule contracts,
   // logical-plan invariants, and task-graph well-formedness are checked on
@@ -218,6 +222,15 @@ std::vector<ExecVariant> PlanVariantMatrix() {
   pool1.label = "indexed-pool1";
   pool1.num_threads = 1;
   variants.push_back(pool1);
+
+  // Where the data lives must be invisible to results: with a 1 KiB
+  // memtable budget every index flushes every few inserts, so the queries
+  // read flushed and merged runs beside a live memtable instead of the
+  // memtable alone.
+  ExecVariant runs = indexed;
+  runs.label = "indexed-runs";
+  runs.memtable_budget_bytes = 1024;
+  variants.push_back(runs);
   return variants;
 }
 
@@ -306,9 +319,10 @@ DifferentialReport RunDifferential(const FuzzCase& c,
                   engine.status().ToString());
     }
     for (const ExecVariant& variant : options.variants) {
-      // A variant with its own pool size runs on an engine of its own.
+      // A variant with its own pool size or memtable budget runs on an
+      // engine of its own.
       std::unique_ptr<QueryProcessor> own;
-      if (variant.num_threads != 0) {
+      if (variant.num_threads != 0 || variant.memtable_budget_bytes != 0) {
         Result<std::unique_ptr<QueryProcessor>> built =
             BuildEngine(c, topo, dir + "_" + variant.label, c.num_records,
                         variant);

@@ -37,6 +37,11 @@ struct ExecVariant {
   /// parent's build code over a lossless row codec, so remote execution is
   /// an identity on the result.
   transport::TransportKind transport = transport::TransportKind::kModeled;
+  /// LSM memtable budget in bytes (0 = the engine default, under which the
+  /// fuzz cases never flush). A small budget spreads the records over
+  /// flushed runs, merges and a live memtable, so the run read path answers
+  /// the queries. A variant that sets it gets an engine of its own.
+  size_t memtable_budget_bytes = 0;
 };
 
 /// The default plan-variant matrix:
@@ -50,6 +55,11 @@ struct ExecVariant {
 ///   indexed-nocache   - all rewrites on, posting-list cache disabled
 ///   indexed-pool1     - all rewrites on, 1-thread executor pool (the serial
 ///                       oracle for the 2-thread runs)
+///   indexed-runs      - all rewrites on, 1 KiB memtable budget: the data
+///                       sits in several flushed runs per index (merged
+///                       whenever more than max_runs pile up) plus a live
+///                       memtable, so index searches and primary lookups
+///                       read the on-disk runs
 std::vector<ExecVariant> PlanVariantMatrix();
 
 /// The batch-execution differential matrix: the three plan shapes that

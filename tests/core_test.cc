@@ -424,5 +424,23 @@ TEST_F(CoreTest, ErrorsSurfaceCleanly) {
       engine_->Execute("create dataset Reviews primary key id", &result).ok());
 }
 
+// `insert into` has AsterixDB INSERT semantics: a duplicate id fails with
+// kAlreadyExists and leaves the stored record, the count and the indexes
+// as they were.
+TEST_F(CoreTest, InsertIntoDuplicateIdIsAlreadyExists) {
+  LoadReviews(/*with_indexes=*/true);
+  Status dup =
+      engine_->Execute("insert into Reviews {'id': 2, 'reviewerName': 'zed'};");
+  EXPECT_EQ(dup.code(), StatusCode::kAlreadyExists) << dup.ToString();
+  EXPECT_EQ(RunCount("count(for $t in dataset Reviews return $t)"), 8);
+  EXPECT_EQ(Run("for $t in dataset Reviews where $t.id = 2 "
+                "return $t.reviewerName"),
+            (std::vector<std::string>{"\"mary\""}));
+  EXPECT_TRUE(Run("for $t in dataset Reviews "
+                  "where edit-distance($t.reviewerName, 'zed') <= 0 "
+                  "return $t.id")
+                  .empty());
+}
+
 }  // namespace
 }  // namespace simdb::core

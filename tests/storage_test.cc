@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <functional>
 #include <map>
+#include <random>
 #include <set>
 
 #include "common/logging.h"
@@ -233,6 +235,55 @@ TEST(SortedRunTest, BadEntryKindAndSparseOffsetAreCorruption) {
   EXPECT_EQ(bad_offset.status().code(), StatusCode::kCorruption);
 }
 
+/// Offset of the `i`-th sparse entry's file-offset field: the index block
+/// is [u32 count] then [u32 klen][key][u64 offset] per entry.
+uint64_t SparseOffsetField(const std::string& bytes, int i) {
+  uint64_t at = IndexOffset(bytes) + 4;
+  for (int j = 0;; ++j) {
+    uint32_t klen = 0;
+    std::memcpy(&klen, bytes.data() + at, 4);
+    if (j == i) return at + 4 + klen;
+    at += 4 + klen + 8;
+  }
+}
+
+void PutU64At(std::string& bytes, uint64_t at, uint64_t v) {
+  std::memcpy(bytes.data() + at, &v, 8);
+}
+
+/// Open rejects, as kCorruption, every sparse index the block reader could
+/// not trust. WritePatchedRun writes 20 entries at interval 4: 5 blocks.
+TEST(SortedRunTest, UntrustworthySparseIndexIsCorruption) {
+  TempDir dir;
+  const std::pair<const char*, std::function<void(std::string&)>> patches[] =
+      {
+          {"first offset not 0",
+           [](std::string& b) { PutU64At(b, SparseOffsetField(b, 0), 1); }},
+          {"offsets not strictly increasing",
+           [](std::string& b) {
+             uint64_t second = 0;
+             std::memcpy(&second, b.data() + SparseOffsetField(b, 1), 8);
+             PutU64At(b, SparseOffsetField(b, 2), second);
+           }},
+          {"count != ceil(entries / interval)",
+           // The footer's entry count: 21 entries need 6 blocks, not 5.
+           [](std::string& b) { PutU64At(b, b.size() - 16, 21); }},
+          {"interval 0",
+           [](std::string& b) {
+             uint32_t zero = 0;
+             std::memcpy(b.data() + b.size() - 8, &zero, 4);
+           }},
+      };
+  int n = 0;
+  for (const auto& [what, patch] : patches) {
+    std::string path = dir.path() + "/run" + std::to_string(n++) + ".dat";
+    WritePatchedRun(path, patch);
+    auto reader = SortedRunReader::Open(path);
+    ASSERT_FALSE(reader.ok()) << what;
+    EXPECT_EQ(reader.status().code(), StatusCode::kCorruption) << what;
+  }
+}
+
 // ---------- LSM ----------
 
 TEST(LsmTest, PutGetDelete) {
@@ -312,6 +363,86 @@ TEST(LsmTest, AutoFlushOnBudget) {
   }
   EXPECT_GT(lsm->num_runs(), 0u);
   EXPECT_GT(lsm->DiskSizeBytes(), 0u);
+}
+
+TEST(LsmTest, InsertIsPutIfAbsent) {
+  TempDir dir;
+  auto lsm = *LsmIndex::Open(dir.path() + "/lsm");
+  ASSERT_TRUE(lsm->Insert(IntKey(1), "a").ok());
+  EXPECT_EQ(lsm->Insert(IntKey(1), "b").code(), StatusCode::kAlreadyExists);
+  ASSERT_TRUE(lsm->Flush().ok());
+  // Live in a run: still a duplicate, and the refusal leaves no trace.
+  EXPECT_EQ(lsm->Insert(IntKey(1), "c").code(), StatusCode::kAlreadyExists);
+  EXPECT_EQ(lsm->MemtableBytes(), 0u);
+  EXPECT_EQ(**lsm->Get(IntKey(1)), "a");
+  // A memtable tombstone may be overwritten...
+  ASSERT_TRUE(lsm->Delete(IntKey(1)).ok());
+  ASSERT_TRUE(lsm->Insert(IntKey(1), "d").ok());
+  EXPECT_EQ(**lsm->Get(IntKey(1)), "d");
+  // ...and so may a tombstone in a run.
+  ASSERT_TRUE(lsm->Delete(IntKey(1)).ok());
+  ASSERT_TRUE(lsm->Flush().ok());
+  ASSERT_TRUE(lsm->Insert(IntKey(1), "e").ok());
+  EXPECT_EQ(**lsm->Get(IntKey(1)), "e");
+}
+
+// PointReader against a std::map model over a live memtable and 4 runs at
+// sparse interval 4, with overwrites and tombstones across flushes. Stored
+// keys are even, so probing every integer from before the first key to
+// past the last hits each stored key, the gap on both sides of it, and so
+// both sides of every block boundary of every run. One reader answers each
+// probe order: ascending with repeats, descending and random.
+TEST(LsmTest, PointReaderMatchesModelInAnyProbeOrder) {
+  TempDir dir;
+  LsmOptions options;
+  options.sparse_interval = 4;
+  auto lsm = *LsmIndex::Open(dir.path() + "/lsm", options);
+  std::map<int64_t, std::string> model;
+  Random rng(7);
+  auto mutate = [&](int round, int ops) {
+    for (int op = 0; op < ops; ++op) {
+      int64_t k = 2 * rng.UniformRange(0, 80);
+      if (rng.Uniform(4) == 0) {
+        ASSERT_TRUE(lsm->Delete(IntKey(k)).ok());
+        model.erase(k);
+      } else {
+        std::string v = std::to_string(round) + "/" + std::to_string(op);
+        ASSERT_TRUE(lsm->Put(IntKey(k), v).ok());
+        model[k] = v;
+      }
+    }
+  };
+  for (int round = 0; round < 4; ++round) {
+    mutate(round, 60);
+    ASSERT_TRUE(lsm->Flush().ok());
+  }
+  mutate(4, 30);
+  ASSERT_GE(lsm->num_runs(), 3u);
+  ASSERT_GT(lsm->MemtableBytes(), 0u);
+
+  std::vector<int64_t> ascending;
+  for (int64_t k = -3; k <= 165; ++k) {
+    ascending.push_back(k);
+    if (k % 3 == 0) ascending.insert(ascending.end(), 2, k);
+  }
+  std::vector<int64_t> descending(ascending.rbegin(), ascending.rend());
+  std::vector<int64_t> shuffled = ascending;
+  std::shuffle(shuffled.begin(), shuffled.end(), std::mt19937(11));
+  for (const std::vector<int64_t>* order :
+       {&ascending, &descending, &shuffled}) {
+    LsmIndex::PointReader reader(*lsm);
+    for (int64_t k : *order) {
+      auto got = reader.Get(IntKey(k));
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      auto it = model.find(k);
+      if (it == model.end()) {
+        EXPECT_FALSE(got->has_value()) << "key " << k;
+      } else {
+        ASSERT_TRUE(got->has_value()) << "key " << k;
+        EXPECT_EQ(**got, it->second) << "key " << k;
+      }
+    }
+  }
 }
 
 // Property: LSM behaves like std::map under random put/delete/get/scan.
@@ -559,6 +690,55 @@ TEST(InvertedIndexTest, StatsPopulated) {
   EXPECT_EQ(stats.candidates, 2u);
 }
 
+// Two lifetimes over one directory: the first bulk-loads, inserts a few more
+// postings and flushes; the second reopens the directory and must serve the
+// same T-occurrence answers from the runs alone, with the same dictionary.
+TEST(InvertedIndexTest, ReopenServesTheSameAnswers) {
+  TempDir dir;
+  const std::string path = dir.path() + "/inv";
+  Random rng(13);
+  std::vector<std::vector<std::string>> docs;
+  for (int64_t pk = 0; pk < 150; ++pk) {
+    std::string name;
+    for (uint64_t i = 0, n = 3 + rng.Uniform(6); i < n; ++i) {
+      name.push_back(static_cast<char>('a' + rng.Uniform(6)));
+    }
+    docs.push_back(
+        similarity::DedupOccurrences(similarity::GramTokens(name, 2)));
+  }
+  std::vector<std::vector<int64_t>> answers;
+  size_t dictionary_size = 0;
+  {
+    auto index = *InvertedIndex::Open(path);
+    std::vector<std::pair<std::string, int64_t>> postings;
+    for (int64_t pk = 0; pk < 120; ++pk) {
+      for (const std::string& t : docs[pk]) postings.emplace_back(t, pk);
+    }
+    ASSERT_TRUE(index->BulkLoad(std::move(postings)).ok());
+    for (int64_t pk = 120; pk < 150; ++pk) {
+      ASSERT_TRUE(index->Insert(docs[pk], pk).ok());
+    }
+    ASSERT_TRUE(index->Flush().ok());
+    EXPECT_EQ(index->lsm()->num_runs(), 2u);
+    dictionary_size = index->dictionary().size();
+    for (const auto& query : docs) {
+      for (int t = 1; t <= 3; ++t) {
+        answers.push_back(*index->SearchTOccurrence(query, t));
+      }
+    }
+  }
+  auto index = *InvertedIndex::Open(path);
+  EXPECT_EQ(index->dictionary().size(), dictionary_size);
+  size_t i = 0;
+  for (const auto& query : docs) {
+    for (int t = 1; t <= 3; ++t) {
+      auto got = index->SearchTOccurrence(query, t);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ(*got, answers[i++]) << "t=" << t;
+    }
+  }
+}
+
 // Property: T-occurrence candidates are a superset of true edit-distance
 // answers (no false negatives) whenever T > 0.
 class TOccurrenceCompleteness : public ::testing::TestWithParam<int> {};
@@ -680,6 +860,41 @@ TEST(DatasetTest, IndexMaintainedOnInsertAndDelete) {
   EXPECT_TRUE((*ds->inverted_index(p, "nix")->SearchTOccurrence(query, 4))
                   .empty());
   EXPECT_FALSE((*ds->GetByPk(10)).has_value());
+}
+
+// AsterixDB INSERT semantics: a pk that already holds a record is
+// kAlreadyExists, and neither the count nor any secondary index changes.
+TEST(DatasetTest, DuplicatePkIsAlreadyExists) {
+  TempDir dir;
+  auto ds = *Dataset::Create(dir.path() + "/ds", {"reviews", "id", 2});
+  ASSERT_TRUE(ds->CreateIndex({"nix", "reviewerName",
+                               similarity::IndexKind::kNGram, 2, false})
+                  .ok());
+  ASSERT_TRUE(ds->Insert(ReviewRecord(10, "maria", "x")).ok());
+  Result<int64_t> again = ds->Insert(ReviewRecord(10, "zzzzz", "y"));
+  ASSERT_FALSE(again.ok());
+  EXPECT_EQ(again.status().code(), StatusCode::kAlreadyExists);
+  EXPECT_EQ(ds->record_count(), 1);
+  EXPECT_EQ((*ds->GetByPk(10))->GetField("reviewerName").AsString(), "maria");
+  const int p = ds->PartitionOfPk(10);
+  InvertedIndex* nix = ds->inverted_index(p, "nix");
+  auto grams = [](const std::string& s) {
+    return similarity::DedupOccurrences(similarity::GramTokens(s, 2));
+  };
+  EXPECT_TRUE((*nix->SearchTOccurrence(grams("zzzzz"), 1)).empty());
+
+  // Once the record is in a run, a duplicate is still refused.
+  ASSERT_TRUE(ds->FlushAll().ok());
+  EXPECT_EQ(ds->Insert(ReviewRecord(10, "zzzzz", "y")).status().code(),
+            StatusCode::kAlreadyExists);
+
+  ASSERT_TRUE(ds->Delete(10).ok());
+  EXPECT_EQ(ds->record_count(), 0);
+  EXPECT_TRUE((*nix->SearchTOccurrence(grams("maria"), 1)).empty());
+  EXPECT_TRUE((*nix->SearchTOccurrence(grams("zzzzz"), 1)).empty());
+  // A deleted pk may be inserted again.
+  ASSERT_TRUE(ds->Insert(ReviewRecord(10, "zzzzz", "y")).ok());
+  EXPECT_EQ(ds->record_count(), 1);
 }
 
 TEST(DatasetTest, BtreeIndexSearch) {
