@@ -1,13 +1,16 @@
 // Micro-benchmarks (google-benchmark) of the similarity and storage kernels
 // underlying every experiment: tokenizers, edit-distance DP vs. the banded
 // verifier, Jaccard merge vs. the early-terminating check, the two
-// T-occurrence list-merge algorithms, and LSM point operations.
+// T-occurrence list-merge algorithms, LSM point operations, and the row copy
+// every operator makes.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <filesystem>
 
+#include "adm/value.h"
 #include "common/random.h"
+#include "hyracks/tuple.h"
 #include "similarity/edit_distance.h"
 #include "similarity/jaccard.h"
 #include "similarity/simd_kernels.h"
@@ -402,6 +405,33 @@ void BM_LsmGetSorted(benchmark::State& state) {
   storage::RemoveAllBestEffort(dir);
 }
 BENCHMARK(BM_LsmGetSorted);
+
+// Copies one stage-2 row of the three-stage Jaccard join: the two
+// {id, ranks[4], pt} prefix records plus two int columns. ASSIGN, UNNEST and
+// the hash join copy rows like this one per output row; a copied record
+// shares its payload, so each item is a few refcount bumps, not a tree
+// rebuild.
+void BM_TupleCopy(benchmark::State& state) {
+  auto record = [](int64_t id, int64_t first_rank) {
+    adm::Value::Array ranks;
+    for (int64_t i = 0; i < 4; ++i) {
+      ranks.push_back(adm::Value::Int64(first_rank + 3 * i));
+    }
+    return adm::Value::MakeObject(
+        {{"id", adm::Value::Int64(id)},
+         {"ranks", adm::Value::MakeArray(std::move(ranks))},
+         {"pt", adm::Value::Int64(first_rank)}});
+  };
+  const hyracks::Tuple row = {record(1, 5), record(2, 8),
+                              adm::Value::Int64(5), adm::Value::Int64(5)};
+  for (auto _ : state) {
+    hyracks::Tuple copy = row;
+    benchmark::DoNotOptimize(copy.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TupleCopy);
 
 }  // namespace
 

@@ -44,7 +44,7 @@ Value Value::MakeObject(Object fields) {
   }
   Value v;
   v.type_ = ValueType::kObject;
-  v.data_ = std::move(dedup);
+  v.data_ = std::make_shared<const Object>(std::move(dedup));
   return v;
 }
 

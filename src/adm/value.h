@@ -2,6 +2,7 @@
 #define SIMDB_ADM_VALUE_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -33,6 +34,20 @@ std::string_view ValueTypeToString(ValueType t);
 /// A dynamically typed ADM value: the unit of data flowing through every
 /// layer (records, index keys, query results). Objects keep fields sorted by
 /// name so equality/comparison/hash are canonical.
+///
+/// Immutability contract. A list (array or multiset) or an object owns its
+/// elements through one refcounted, immutable payload, allocated once by
+/// MakeArray / MakeMultiset / MakeObject. Copying a Value, or a row of
+/// Values, shares that payload and bumps its refcount; it never rebuilds
+/// the tree. AsList() and AsObject() are therefore views into a payload
+/// that every copy sees: nothing may mutate one (there is no mutable
+/// accessor and no copy-on-write). To change a list or object, copy its
+/// elements out and make a new Value. Because payloads never change, pool
+/// threads may read and copy one Value concurrently. Strings stay inline:
+/// tokens and field values are short and fit the small-string buffer, so a
+/// shared string would cost an allocation and an atomic where a copy costs
+/// neither. A moved-from list or object Value may only be assigned to or
+/// destroyed.
 class Value {
  public:
   using Array = std::vector<Value>;
@@ -75,13 +90,13 @@ class Value {
   static Value MakeArray(Array items) {
     Value v;
     v.type_ = ValueType::kArray;
-    v.data_ = std::move(items);
+    v.data_ = std::make_shared<const Array>(std::move(items));
     return v;
   }
   static Value MakeMultiset(Array items) {
     Value v;
     v.type_ = ValueType::kMultiset;
-    v.data_ = std::move(items);
+    v.data_ = std::make_shared<const Array>(std::move(items));
     return v;
   }
   /// Fields are sorted by name; duplicate names keep the last occurrence.
@@ -108,9 +123,10 @@ class Value {
     return is_int64() ? static_cast<double>(AsInt64()) : AsDoubleExact();
   }
   const std::string& AsString() const { return std::get<std::string>(data_); }
-  const Array& AsList() const { return std::get<Array>(data_); }
-  Array& MutableList() { return std::get<Array>(data_); }
-  const Object& AsObject() const { return std::get<Object>(data_); }
+  /// The shared, immutable elements of a list (see the class comment).
+  const Array& AsList() const { return *std::get<ArrayPtr>(data_); }
+  /// The shared, immutable fields of an object, sorted by name.
+  const Object& AsObject() const { return *std::get<ObjectPtr>(data_); }
 
   /// Returns the field value, or MISSING when absent / not an object.
   const Value& GetField(std::string_view name) const;
@@ -138,13 +154,20 @@ class Value {
   void Serialize(ByteWriter* w) const;
   static Result<Value> Deserialize(ByteReader* r);
 
-  /// Rough in-memory footprint in bytes (used for memtable budgets).
+  /// Rough in-memory footprint in bytes of the whole logical value, as if
+  /// nothing were shared: every copy reports the full size of its payload.
+  /// TupleBytes, the modeled network bytes, memtable budgets and serving
+  /// memory quotas all charge this figure, so sharing a payload must not
+  /// change it.
   size_t MemoryUsage() const;
 
  private:
+  using ArrayPtr = std::shared_ptr<const Array>;
+  using ObjectPtr = std::shared_ptr<const Object>;
+
   ValueType type_;
-  std::variant<std::monostate, bool, int64_t, double, std::string, Array,
-               Object>
+  std::variant<std::monostate, bool, int64_t, double, std::string, ArrayPtr,
+               ObjectPtr>
       data_;
 };
 

@@ -290,7 +290,7 @@ class SchedulerRun {
   /// client sees the plain "query cancelled" / quota status, not a node
   /// prefix) and skips the task — the graph still drains, downstream tasks
   /// are skipped transitively, and partial outputs are released on the way.
-  bool AdmitTaskOrSkip(int tid, Task& t) {
+  bool AdmitTaskOrSkip(int tid, Task& t, std::vector<Rows>* freed) {
     Status s = Status::OK();
     if (ctx_.cancel != nullptr) s = ctx_.cancel->Check();
     if (s.ok() && ctx_.budget != nullptr) s = ctx_.budget->ChargeTask();
@@ -298,15 +298,15 @@ class SchedulerRun {
     MutexLock lock(mu_);
     ++tasks_skipped_;
     RecordFailure(t.node, t.p, std::move(s), /*unwrapped=*/true);
-    CompleteLocked(tid, /*bad=*/true);
+    CompleteLocked(tid, /*bad=*/true, freed);
     return false;
   }
 
   /// Charges `bytes` for (node, p) against the budget. On refusal records a
   /// ResourceExhausted failure for the task and completes it as bad (the
   /// output is dropped, not stored).
-  bool ChargeOutputLocked(int tid, int node, int p, int64_t bytes)
-      SIMDB_REQUIRES(mu_) {
+  bool ChargeOutputLocked(int tid, int node, int p, int64_t bytes,
+                          std::vector<Rows>* freed) SIMDB_REQUIRES(mu_) {
     if (ctx_.budget == nullptr) return true;
     Status s = ctx_.budget->ChargeMemory(bytes);
     if (s.ok()) {
@@ -314,7 +314,7 @@ class SchedulerRun {
       return true;
     }
     RecordFailure(node, p, std::move(s), /*unwrapped=*/true);
-    CompleteLocked(tid, /*bad=*/true);
+    CompleteLocked(tid, /*bad=*/true, freed);
     return false;
   }
 
@@ -322,10 +322,14 @@ class SchedulerRun {
   /// pool workers (or inline); everything after the operator call happens
   /// under the scheduler mutex, which also publishes outputs to dependents.
   void ExecTask(int tid) {
+    // Input partitions this task frees. Declared before any lock is taken,
+    // so their rows are destroyed after mu_ is released. A local, not a
+    // member: once CompleteLocked runs the run may finish and tear down.
+    std::vector<Rows> freed;
     Task& t = tasks_[static_cast<size_t>(tid)];
     const Job::Node& jn = job_.nodes()[static_cast<size_t>(t.node)];
     NodeRun& nr = nodes_[static_cast<size_t>(t.node)];
-    if (!AdmitTaskOrSkip(tid, t)) return;
+    if (!AdmitTaskOrSkip(tid, t, &freed)) return;
     switch (t.kind) {
       case TaskKind::kLocal: {
         auto* op = static_cast<PartitionOperator*>(jn.op.get());
@@ -374,14 +378,16 @@ class SchedulerRun {
         if (r.ok()) {
           nr.stats.rows_out += r.value().size();
           nr.stats.partition_rows[static_cast<size_t>(t.p)] = r.value().size();
-          if (!ChargeOutputLocked(tid, t.node, t.p, out_bytes)) return;
+          if (!ChargeOutputLocked(tid, t.node, t.p, out_bytes, &freed)) {
+            return;
+          }
           outputs_[static_cast<size_t>(t.node)][static_cast<size_t>(t.p)] =
               std::move(r).value();
-          CompleteLocked(tid, /*bad=*/false);
+          CompleteLocked(tid, /*bad=*/false, &freed);
         } else {
           RecordFailure(t.node, t.p, WrapPartitionError(t.p, r.status()),
                         /*unwrapped=*/false);
-          CompleteLocked(tid, /*bad=*/true);
+          CompleteLocked(tid, /*bad=*/true, &freed);
         }
         return;
       }
@@ -410,10 +416,10 @@ class SchedulerRun {
         nr.stats.rows_in = rows_in;
         if (r.ok()) {
           nr.routing = std::move(r).value();
-          CompleteLocked(tid, /*bad=*/false);
+          CompleteLocked(tid, /*bad=*/false, &freed);
         } else {
           RecordFailure(t.node, -1, r.status(), /*unwrapped=*/false);
-          CompleteLocked(tid, /*bad=*/true);
+          CompleteLocked(tid, /*bad=*/true, &freed);
         }
         return;
       }
@@ -484,14 +490,16 @@ class SchedulerRun {
           nr.dest_stats[static_cast<size_t>(t.p)] = std::move(dstats);
           nr.stats.rows_out += r.value().size();
           nr.stats.partition_rows[static_cast<size_t>(t.p)] = r.value().size();
-          if (!ChargeOutputLocked(tid, t.node, t.p, out_bytes)) return;
+          if (!ChargeOutputLocked(tid, t.node, t.p, out_bytes, &freed)) {
+            return;
+          }
           outputs_[static_cast<size_t>(t.node)][static_cast<size_t>(t.p)] =
               std::move(r).value();
-          CompleteLocked(tid, /*bad=*/false);
+          CompleteLocked(tid, /*bad=*/false, &freed);
         } else {
           RecordFailure(t.node, t.p, WrapPartitionError(t.p, r.status()),
                         /*unwrapped=*/false);
-          CompleteLocked(tid, /*bad=*/true);
+          CompleteLocked(tid, /*bad=*/true, &freed);
         }
         return;
       }
@@ -525,7 +533,7 @@ class SchedulerRun {
         nr.any_ran = true;
         if (!r.ok()) {
           RecordFailure(t.node, -1, r.status(), /*unwrapped=*/false);
-          CompleteLocked(tid, /*bad=*/true);
+          CompleteLocked(tid, /*bad=*/true, &freed);
           return;
         }
         PartitionedRows out = std::move(r).value();
@@ -536,7 +544,7 @@ class SchedulerRun {
                                          " partitions, expected " +
                                          std::to_string(parts_)),
                         /*unwrapped=*/false);
-          CompleteLocked(tid, /*bad=*/true);
+          CompleteLocked(tid, /*bad=*/true, &freed);
           return;
         }
         nr.stats.rows_out = RowsCount(out);
@@ -548,13 +556,13 @@ class SchedulerRun {
           for (int p = 0; p < parts_; ++p) {
             if (!ChargeOutputLocked(
                     tid, t.node, p,
-                    RowsApproxBytes(out[static_cast<size_t>(p)]))) {
+                    RowsApproxBytes(out[static_cast<size_t>(p)]), &freed)) {
               return;  // partial charges are released via DecRef / Finalize
             }
           }
         }
         outputs_[static_cast<size_t>(t.node)] = std::move(out);
-        CompleteLocked(tid, /*bad=*/false);
+        CompleteLocked(tid, /*bad=*/false, &freed);
         return;
       }
     }
@@ -574,13 +582,16 @@ class SchedulerRun {
   /// Marks `tid` finished (`bad` = failed or skipped), releases its input
   /// claims, and cascades: dependents whose last dependency this was are
   /// launched, or — when any dependency was bad — skipped transitively.
-  void CompleteLocked(int tid, bool bad) SIMDB_REQUIRES(mu_) {
+  /// Partitions freed on the way are moved into `*freed`, which the caller
+  /// destroys after releasing mu_.
+  void CompleteLocked(int tid, bool bad, std::vector<Rows>* freed)
+      SIMDB_REQUIRES(mu_) {
     std::deque<std::pair<int, bool>> events;
     events.emplace_back(tid, bad);
     while (!events.empty()) {
       auto [id, was_bad] = events.front();
       events.pop_front();
-      ReleaseInputsLocked(id);
+      ReleaseInputsLocked(id, freed);
       for (int d : tasks_[static_cast<size_t>(id)].dependents) {
         Task& dep = tasks_[static_cast<size_t>(d)];
         dep.dep_failed |= was_bad;
@@ -601,30 +612,36 @@ class SchedulerRun {
   /// Releases the (input, partition) claims this task holds; a partition is
   /// freed when its last consumer finishes. Skipped tasks release too, so
   /// live branches still reclaim memory next to a failed branch.
-  void ReleaseInputsLocked(int tid) SIMDB_REQUIRES(mu_) {
+  void ReleaseInputsLocked(int tid, std::vector<Rows>* freed)
+      SIMDB_REQUIRES(mu_) {
     const Task& t = tasks_[static_cast<size_t>(tid)];
     const auto& inputs = job_.nodes()[static_cast<size_t>(t.node)].inputs;
     switch (t.kind) {
       case TaskKind::kLocal:
-        for (int in : inputs) DecRefLocked(in, t.p);
+        for (int in : inputs) DecRefLocked(in, t.p, freed);
         break;
       case TaskKind::kRoute:
         break;  // builds hold the input alive; routing claims nothing
       case TaskKind::kBuild:
-        for (int p = 0; p < parts_; ++p) DecRefLocked(inputs[0], p);
+        for (int p = 0; p < parts_; ++p) DecRefLocked(inputs[0], p, freed);
         break;
       case TaskKind::kBarrier:
         for (int in : inputs) {
-          for (int p = 0; p < parts_; ++p) DecRefLocked(in, p);
+          for (int p = 0; p < parts_; ++p) DecRefLocked(in, p, freed);
         }
         break;
     }
   }
 
-  void DecRefLocked(int node, int p) SIMDB_REQUIRES(mu_) {
+  /// Drops one claim on (node, p). The last claim moves the partition's
+  /// rows into `*freed` (destroyed outside mu_) and returns its budget
+  /// charge here, under the lock.
+  void DecRefLocked(int node, int p, std::vector<Rows>* freed)
+      SIMDB_REQUIRES(mu_) {
     int& rc = refcount_[static_cast<size_t>(node)][static_cast<size_t>(p)];
     if (--rc == 0) {
-      outputs_[static_cast<size_t>(node)][static_cast<size_t>(p)] = Rows();
+      Rows& rows = outputs_[static_cast<size_t>(node)][static_cast<size_t>(p)];
+      if (!rows.empty()) freed->push_back(std::exchange(rows, Rows()));
       if (ctx_.budget != nullptr) {
         int64_t& c = charged_[static_cast<size_t>(node)][static_cast<size_t>(p)];
         if (c != 0) {

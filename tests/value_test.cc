@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 #include <sys/resource.h>
 
+#include <memory>
+#include <thread>
+
 #include "adm/value.h"
 #include "adm/wire.h"
 #include "common/random.h"
@@ -379,6 +382,100 @@ TEST(MemoryUsageTest, GrowsWithContent) {
   Value small = Value::Int64(1);
   Value big = Value::String(std::string(1000, 'x'));
   EXPECT_GT(big.MemoryUsage(), small.MemoryUsage() + 900);
+}
+
+// --- Shared payloads. Lists and objects hold their elements in one
+// immutable, refcounted payload: a copy shares it instead of rebuilding the
+// tree, and must be indistinguishable from the original in every other way.
+
+/// A join-side record as the three-stage Jaccard join carries it.
+Value RankedRecord(int64_t id) {
+  return Value::MakeObject(
+      {{"id", Value::Int64(id)},
+       {"ranks", Value::MakeArray({Value::Int64(3), Value::Int64(17),
+                                   Value::Int64(40), Value::Int64(41)})},
+       {"pt", Value::Int64(17)}});
+}
+
+std::string SerializedBytes(const Value& v) {
+  std::string buf;
+  ByteWriter w(&buf);
+  v.Serialize(&w);
+  return buf;
+}
+
+TEST(ValueTest, CopiesShareListAndObjectPayloads) {
+  Value array = Value::MakeArray({Value::Int64(1), Value::String("a")});
+  Value multiset = Value::MakeMultiset({Value::Int64(2), Value::Int64(2)});
+  Value object = RankedRecord(7);
+  Value array_copy = array;
+  Value multiset_copy = multiset;
+  Value object_copy = object;
+  EXPECT_EQ(&array_copy.AsList(), &array.AsList());
+  EXPECT_EQ(&multiset_copy.AsList(), &multiset.AsList());
+  EXPECT_EQ(&object_copy.AsObject(), &object.AsObject());
+  // Nested payloads are shared too: copying a row copies no tree.
+  std::vector<Value> row = {object, Value::Int64(1)};
+  std::vector<Value> row_copy = row;
+  EXPECT_EQ(&row_copy[0].GetField("ranks").AsList(),
+            &object.GetField("ranks").AsList());
+}
+
+TEST(ValueTest, CopyOutlivesOriginal) {
+  auto original = std::make_unique<Value>(RankedRecord(9));
+  const std::string bytes = SerializedBytes(*original);
+  Value copy = *original;
+  original.reset();
+  EXPECT_EQ(copy.GetField("id").AsInt64(), 9);
+  ASSERT_EQ(copy.GetField("ranks").AsList().size(), 4u);
+  EXPECT_EQ(copy.GetField("ranks").AsList()[3].AsInt64(), 41);
+  EXPECT_EQ(SerializedBytes(copy), bytes);
+}
+
+TEST(ValueTest, CopyIsIndistinguishableFromOriginal) {
+  Random rng(2024);
+  std::vector<Value> originals = {
+      RankedRecord(1),
+      Value::MakeMultiset({Value::String("x"), Value::Double(1.5)}),
+      Value::MakeArray({}),
+  };
+  for (int i = 0; i < 200; ++i) originals.push_back(RandomValue(rng, 0));
+  for (const Value& orig : originals) {
+    Value copy = orig;
+    EXPECT_EQ(Value::Compare(copy, orig), 0) << orig.ToJson();
+    EXPECT_EQ(copy.Hash(), orig.Hash()) << orig.ToJson();
+    EXPECT_EQ(SerializedBytes(copy), SerializedBytes(orig)) << orig.ToJson();
+    // MemoryUsage is the unshared logical size: a copy charges in full.
+    EXPECT_EQ(copy.MemoryUsage(), orig.MemoryUsage()) << orig.ToJson();
+  }
+  // Budgets and the modeled network bytes charge sizeof(Value) per value.
+  EXPECT_EQ(sizeof(Value), 48u);
+}
+
+TEST(ValueTest, ConcurrentCopiesOfOneRecord) {
+  const Value record = RankedRecord(42);
+  const Value::Array* ranks = &record.GetField("ranks").AsList();
+  constexpr size_t kThreads = 8;
+  constexpr int kIterations = 20000;
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kIterations; ++i) {
+        Value copy = record;
+        const Value& r = copy.GetField("ranks");
+        if (&r.AsList() != ranks || r.AsList().size() != 4 ||
+            r.AsList()[1].AsInt64() != 17) {
+          ++mismatches[t];
+        }
+        std::vector<Value> row = {copy, r, Value::Int64(i)};
+        if (row[1].AsList().back().AsInt64() != 41) ++mismatches[t];
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (size_t t = 0; t < kThreads; ++t) EXPECT_EQ(mismatches[t], 0) << t;
+  EXPECT_EQ(record.GetField("ranks").AsList()[0].AsInt64(), 3);
 }
 
 }  // namespace
