@@ -266,7 +266,6 @@ void CollectGroupBys(const LOpPtr& op, std::unordered_set<const LOp*>& visited,
 }  // namespace
 
 Result<bool> ApplyCountListifyRewrite(LOpPtr& root, OptContext& ctx) {
-  if (!ctx.enable_count_rewrite) return false;
   std::vector<LOp*> group_bys;
   {
     std::unordered_set<const LOp*> visited;

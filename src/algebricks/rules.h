@@ -71,7 +71,6 @@ struct OptContext {
   bool enable_index_join = true;
   bool enable_three_stage_join = true;
   bool enable_surrogate_join = true;
-  bool enable_count_rewrite = true;
   bool enable_subplan_reuse = true;
 
   /// Names of rules that fired, in order (for explain output and tests).

@@ -401,23 +401,26 @@ class IndexJoinRule : public RewriteRule {
                        std::vector<LExprPtr> remaining,
                        const std::vector<std::string>& outer_vars) {
     (void)join;
+    // The primary key of the outer record the key expression reads, if the
+    // key is rooted in one scanned record.
+    LExprPtr outer_pk;
+    std::set<std::string> key_vars;
+    outer_key->CollectVars(&key_vars);
+    if (key_vars.size() == 1) {
+      const LOp* scan = FindScanOfVar(outer, *key_vars.begin());
+      storage::Dataset* outer_ds =
+          scan != nullptr ? ctx.catalog->Find(scan->dataset) : nullptr;
+      if (outer_ds != nullptr) {
+        outer_pk = LExpr::Field(LExpr::Var(scan->out_var),
+                                outer_ds->spec().pk_field);
+      }
+    }
     // Surrogate optimization (Figure 19): project the outer branch to
     // (surrogate, key) before broadcasting, then resolve surrogates with a
     // top-level equi join against the full outer branch.
     LExprPtr surrogate_expr;
     if (ctx.enable_surrogate_join && IsScanChain(outer)) {
-      std::set<std::string> key_vars;
-      outer_key->CollectVars(&key_vars);
-      if (key_vars.size() == 1) {
-        const LOp* scan = FindScanOfVar(outer, *key_vars.begin());
-        if (scan != nullptr) {
-          storage::Dataset* outer_ds = ctx.catalog->Find(scan->dataset);
-          if (outer_ds != nullptr) {
-            surrogate_expr = LExpr::Field(LExpr::Var(scan->out_var),
-                                          outer_ds->spec().pk_field);
-          }
-        }
-      }
+      surrogate_expr = outer_pk;
     }
 
     LOpPtr pipeline_input;       // branch feeding the index search
@@ -482,6 +485,30 @@ class IndexJoinRule : public RewriteRule {
     LOpPtr plan = algebricks::MakeIndexSearch(search_input, inner->dataset,
                                               index.name, pipeline_key,
                                               ToSearchSpec(pred), pk_var);
+    // Conjuncts that read each side only through its primary key (the self
+    // join's `$o.id < $i.id`) run directly above INDEX-SEARCH, where the
+    // outer key (or its surrogate) first meets the inner pk: the sort, the
+    // lookups and the verify see only pairs that can survive. The corner
+    // branch keeps its bare -check join, so with one the conjuncts also stay
+    // on top for the corner rows.
+    if (outer_pk != nullptr) {
+      LExprPtr outer_to =
+          surrogate_expr != nullptr ? LExpr::Var(surrogate_var) : outer_pk;
+      LExprPtr inner_pk =
+          LExpr::Field(LExpr::Var(inner->out_var), ds->spec().pk_field);
+      std::vector<LExprPtr> on_pairs, on_top;
+      for (const LExprPtr& c : remaining) {
+        std::optional<LExprPtr> on_pair = RewritePkConjunct(
+            c, outer_pk, outer_to, inner_pk, LExpr::Var(pk_var));
+        if (on_pair.has_value()) on_pairs.push_back(*on_pair);
+        if (!on_pair.has_value() || needs_corner) on_top.push_back(c);
+      }
+      if (!on_pairs.empty()) {
+        plan = algebricks::MakeSelect(
+            plan, algebricks::CombineConjuncts(std::move(on_pairs)));
+      }
+      remaining = std::move(on_top);
+    }
     plan = algebricks::MakeLocalSort(plan, {{LExpr::Var(pk_var), true}});
     plan = algebricks::MakePrimaryLookup(plan, inner->dataset, pk_var,
                                          inner->out_var);

@@ -19,6 +19,14 @@ std::optional<double> LiteralNumber(const LExprPtr& e) {
   return std::nullopt;
 }
 
+/// Structural equality of variable/field paths (`$v`, `$v.f`, `$v.f.g`).
+bool SamePath(const LExpr& a, const LExpr& b) {
+  if (a.kind != b.kind || a.name != b.name) return false;
+  if (a.kind == LExpr::Kind::kVar) return true;
+  return a.kind == LExpr::Kind::kField &&
+         SamePath(*a.children[0], *b.children[0]);
+}
+
 }  // namespace
 
 std::optional<SimPredicate> MatchSimilarityConjunct(const LExprPtr& conjunct) {
@@ -92,6 +100,24 @@ std::optional<std::string> ExtractFieldRef(const LExprPtr& expr,
     return e->name;
   }
   return std::nullopt;
+}
+
+std::optional<LExprPtr> RewritePkConjunct(const LExprPtr& conjunct,
+                                          const LExprPtr& left_pk,
+                                          const LExprPtr& left_to,
+                                          const LExprPtr& right_pk,
+                                          const LExprPtr& right_to) {
+  if (SamePath(*conjunct, *left_pk)) return left_to;
+  if (SamePath(*conjunct, *right_pk)) return right_to;
+  if (conjunct->kind == LExpr::Kind::kVar) return std::nullopt;
+  auto copy = std::make_shared<LExpr>(*conjunct);
+  for (LExprPtr& c : copy->children) {
+    std::optional<LExprPtr> rewritten =
+        RewritePkConjunct(c, left_pk, left_to, right_pk, right_to);
+    if (!rewritten.has_value()) return std::nullopt;
+    c = *std::move(rewritten);
+  }
+  return LExprPtr(copy);
 }
 
 similarity::IndexKind CompatibleIndexKind(SimPredicate::Fn fn) {

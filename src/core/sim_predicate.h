@@ -41,6 +41,17 @@ std::optional<SimPredicate> MatchSimilarityConjunct(
 std::optional<std::string> ExtractFieldRef(const algebricks::LExprPtr& expr,
                                            const std::string& record_var);
 
+/// A residual join conjunct that reads each join side only through that
+/// side's primary key (`$o.id < $i.id`, `$o.id != $i.id`, ...), rewritten
+/// onto `left_to` / `right_to` so a join plan can apply it where both keys
+/// first meet instead of after the records are joined back. Returns nullopt
+/// when the conjunct reads any variable outside an occurrence of `left_pk`
+/// or `right_pk` (both are variable/field paths such as `$o.id`).
+std::optional<algebricks::LExprPtr> RewritePkConjunct(
+    const algebricks::LExprPtr& conjunct, const algebricks::LExprPtr& left_pk,
+    const algebricks::LExprPtr& left_to, const algebricks::LExprPtr& right_pk,
+    const algebricks::LExprPtr& right_to);
+
 /// The index kind able to serve a given similarity function (Figure 13).
 similarity::IndexKind CompatibleIndexKind(SimPredicate::Fn fn);
 

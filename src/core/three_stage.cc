@@ -1,5 +1,7 @@
 #include "core/three_stage.h"
 
+#include <cmath>
+#include <cstdio>
 #include <set>
 
 #include "aql/parser.h"
@@ -78,9 +80,51 @@ Result<SideInfo> ResolveSide(OptContext& ctx, const LOpPtr& side,
   return info;
 }
 
+/// Renders `e` as function-call AQL for the template's @PAIR_FILTER@:
+/// calls (their names are AQL identifiers), `$var.field` paths and
+/// non-negative numeric literals, which read back as the same expression.
+/// Anything else returns nullopt and its conjunct stays on top of the join.
+std::optional<std::string> RenderAql(const LExprPtr& e) {
+  switch (e->kind) {
+    case LExpr::Kind::kVar:
+      return "$" + e->name;
+    case LExpr::Kind::kField: {
+      std::optional<std::string> base = RenderAql(e->children[0]);
+      if (!base.has_value()) return std::nullopt;
+      return *base + "." + e->name;
+    }
+    case LExpr::Kind::kLiteral: {
+      const adm::Value& v = e->literal;
+      if (!v.is_numeric() || !std::isfinite(v.AsNumber()) ||
+          std::signbit(v.AsNumber())) {
+        return std::nullopt;
+      }
+      if (v.is_int64()) return std::to_string(v.AsInt64());
+      char buf[32];
+      std::snprintf(buf, sizeof(buf), "%.17g", v.AsNumber());
+      std::string out = buf;
+      // Keep it a double literal: "5" would read back as an int64.
+      if (out.find_first_of(".e") == std::string::npos) out += ".0";
+      return out;
+    }
+    case LExpr::Kind::kCall: {
+      std::string out = e->name + "(";
+      for (size_t i = 0; i < e->children.size(); ++i) {
+        std::optional<std::string> arg = RenderAql(e->children[i]);
+        if (!arg.has_value()) return std::nullopt;
+        out += (i > 0 ? ", " : "") + *arg;
+      }
+      return out + ")";
+    }
+    default:
+      return std::nullopt;
+  }
+}
+
 }  // namespace
 
-std::string ThreeStageTemplateText(double delta, bool self_like) {
+std::string ThreeStageTemplateText(double delta, bool self_like,
+                                   const std::string& pair_filter) {
   // Stage 1 (token ordering), stage 2 (rid-pair generation via prefix
   // filtering), stage 3 (record join) — expressed in AQL+ (cf. Figure 17).
   std::string order_source = self_like
@@ -129,7 +173,7 @@ let $rightPrefix := (
 let $ridpairs := (
   for $lp in $leftPrefix
   for $rp in $rightPrefix
-  where $lp.pt = $rp.pt
+  where $lp.pt = $rp.pt @PAIR_FILTER@
   /* ranks are integer positions in $rankedTokens, so this verify runs on
      the int64 Jaccard kernel, not the generic Value comparator */
   let $sim := similarity-jaccard($lp.ranks, $rp.ranks)
@@ -146,6 +190,8 @@ return true
 )AQL";
   text = ReplaceAll(text, "@ORDER_SOURCE@", order_source);
   text = ReplaceAll(text, "@DELTA@", std::to_string(delta));
+  text = ReplaceAll(text, "@PAIR_FILTER@",
+                    pair_filter.empty() ? "" : "and " + pair_filter);
   return text;
 }
 
@@ -202,9 +248,25 @@ class ThreeStageJoinRule : public RewriteRule {
       Result<SideInfo> right_info = ResolveSide(ctx, right, right_key);
       if (!left_info.ok() || !right_info.ok()) continue;
 
+      // A conjunct that reads each side only through its primary key runs
+      // in stage 2, where both keys first meet: the pt join then drops
+      // mirror and self pairs before they are verified, grouped, shipped
+      // and joined back. Stage 3 joins the pairs back on pk equality, so
+      // the answer is the same. Every other conjunct stays on top.
+      std::string pair_filter;
       std::vector<LExprPtr> remaining;
       for (size_t i = 0; i < conjuncts.size(); ++i) {
-        if (i != ci) remaining.push_back(conjuncts[i]);
+        if (i == ci) continue;
+        std::optional<LExprPtr> on_pair = RewritePkConjunct(
+            conjuncts[i], left_info->pk, LExpr::Field(LExpr::Var("lp"), "id"),
+            right_info->pk, LExpr::Field(LExpr::Var("rp"), "id"));
+        std::optional<std::string> aql =
+            on_pair.has_value() ? RenderAql(*on_pair) : std::nullopt;
+        if (aql.has_value()) {
+          pair_filter += (pair_filter.empty() ? "" : " and ") + *aql;
+        } else {
+          remaining.push_back(conjuncts[i]);
+        }
       }
       // jaccard > d (strict) is verified again on top since the template
       // tests >= d.
@@ -213,7 +275,7 @@ class ThreeStageJoinRule : public RewriteRule {
       SIMDB_ASSIGN_OR_RETURN(
           LOpPtr rewritten,
           Instantiate(ctx, *left_info, *right_info, pred->threshold,
-                      std::move(remaining), lv, rv));
+                      pair_filter, std::move(remaining), lv, rv));
       op = rewritten;
       return true;
     }
@@ -225,6 +287,7 @@ class ThreeStageJoinRule : public RewriteRule {
   /// template, bind meta-clauses/meta-variables, translate, splice.
   Result<LOpPtr> Instantiate(OptContext& ctx, const SideInfo& left,
                              const SideInfo& right, double delta,
+                             const std::string& pair_filter,
                              std::vector<LExprPtr> remaining,
                              const std::vector<std::string>& left_out,
                              const std::vector<std::string>& right_out) {
@@ -235,7 +298,7 @@ class ThreeStageJoinRule : public RewriteRule {
     bool self_like = left.dataset == right.dataset &&
                      left.plan->kind == LOpKind::kDataScan &&
                      right.plan->kind == LOpKind::kDataScan;
-    std::string text = ThreeStageTemplateText(delta, self_like);
+    std::string text = ThreeStageTemplateText(delta, self_like, pair_filter);
     SIMDB_ASSIGN_OR_RETURN(aql::AExprPtr ast, aql::ParseExpression(text));
 
     aql::MetaBindings bindings;

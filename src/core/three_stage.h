@@ -17,12 +17,16 @@ namespace simdb::core {
 /// Stage 1 builds the global token order (over the union of both inputs, or
 /// one input for self-join shapes, sharing the subplan as in Figure 20);
 /// stage 2 generates verified rid pairs via prefix filtering; stage 3 joins
-/// the rid pairs back to both inputs.
+/// the rid pairs back to both inputs. Join conjuncts that read each side
+/// only through its primary key (`$l.id < $r.id`) run in stage 2.
 std::shared_ptr<algebricks::RewriteRule> MakeThreeStageJoinRule();
 
 /// The AQL+ template text after placeholder substitution, exposed for tests
-/// and documentation.
-std::string ThreeStageTemplateText(double delta, bool self_like);
+/// and documentation. `pair_filter` is AQL over the stage-2 pair keys
+/// `$lp.id` and `$rp.id` (e.g. `lt($lp.id, $rp.id)`) that the rid-pair join
+/// applies beside `$lp.pt = $rp.pt`; empty for none.
+std::string ThreeStageTemplateText(double delta, bool self_like,
+                                   const std::string& pair_filter);
 
 }  // namespace simdb::core
 

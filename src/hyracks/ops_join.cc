@@ -31,8 +31,10 @@ Result<Rows> HashJoinOp::ExecutePartition(
     if (missing) continue;
     table[storage::EncodeKey(keys)].push_back(&row);
   }
-  // Probe with the left side.
+  // Probe with the left side. One buffer builds each match: a match the
+  // residual drops leaves its capacity to the next one.
   Rows rows;
+  Tuple combined;
   for (const Tuple& lrow : left) {
     Tuple keys;
     keys.reserve(left_keys_.size());
@@ -50,7 +52,9 @@ Result<Rows> HashJoinOp::ExecutePartition(
     if (it == table.end()) continue;
     for (const Tuple* rrow : it->second) {
       ++probe_matches;
-      Tuple combined = lrow;
+      combined.clear();
+      combined.reserve(lrow.size() + rrow->size());
+      combined.insert(combined.end(), lrow.begin(), lrow.end());
       combined.insert(combined.end(), rrow->begin(), rrow->end());
       if (residual_ != nullptr) {
         SIMDB_ASSIGN_OR_RETURN(Value keep, residual_->Eval(combined));

@@ -14,6 +14,7 @@ constexpr uint64_t kStreamProfile = 1;
 constexpr uint64_t kStreamData = 2;
 constexpr uint64_t kStreamQuery = 3;
 constexpr uint64_t kStreamSampler = 4;
+constexpr uint64_t kStreamPkPredicate = 5;
 
 std::string FmtDouble(double v) {
   // Stable short rendering for thresholds (0, 0.1, ..., 1).
@@ -42,6 +43,26 @@ int PickEditK(Random& rng) {
   return 1 + static_cast<int>(rng.Uniform(3));  // 1 .. 3
 }
 
+/// The joins' primary-key conjunct: `<`, `<=`, `>`, `>=` or `!=` with either
+/// operand first, or none at all (self pairs and mirrored pairs then reach
+/// the answer). The join rules apply it where both keys first meet.
+std::string PickPkConjunct(Random& rng) {
+  static const char* const kComparators[] = {"<", "<=", ">", ">=", "!="};
+  uint64_t c = rng.Uniform(11);
+  if (c == 10) return "";
+  std::string cmp = kComparators[c / 2];
+  return c % 2 == 0 ? " and $o.id " + cmp + " $i.id"
+                    : " and $i.id " + cmp + " $o.id";
+}
+
+/// On a quarter of the seeds, a join conjunct that reads the non-pk `field`
+/// of both sides, alone or beside the pks. It must stay on top of the join.
+std::string PickNonPkConjunct(Random& rng, const std::string& field) {
+  if (!rng.OneIn(4)) return "";
+  if (rng.OneIn(2)) return " and $o." + field + " != $i." + field;
+  return " and ($o.id < $i.id or $o." + field + " = $i." + field + ")";
+}
+
 std::string SampleText(datagen::WorkloadSampler& sampler,
                        const std::string& fallback) {
   Result<std::string> v = sampler.SampleWithMinWords(1);
@@ -60,6 +81,7 @@ FuzzCase MakeFuzzCase(uint64_t seed) {
   Random master(seed);
   Random prof_rng = master.Fork(kStreamProfile);
   Random query_rng = master.Fork(kStreamQuery);
+  Random pk_rng = master.Fork(kStreamPkPredicate);
 
   FuzzCase c;
   c.seed = seed;
@@ -131,14 +153,17 @@ FuzzCase MakeFuzzCase(uint64_t seed) {
          /*is_join=*/false});
   }
 
-  // 2. A self join (Jaccard or edit distance) over id-ordered pairs.
+  // 2. A self join (Jaccard or edit distance) with a drawn pk conjunct and,
+  //    on some seeds, a conjunct over the other text field.
+  std::string pk_conjunct = PickPkConjunct(pk_rng);
   if (query_rng.OneIn(2)) {
     double delta = PickJaccardDelta(query_rng);
     c.queries.push_back(
         {"jaccard-join",
          "for $o in dataset D for $i in dataset D where " +
              jaccard_pred("$o." + text_field, "$i." + text_field, delta) +
-             " and $o.id < $i.id return {'o': $o.id, 'i': $i.id}",
+             pk_conjunct + PickNonPkConjunct(pk_rng, name_field) +
+             " return {'o': $o.id, 'i': $i.id}",
          /*is_join=*/true});
   } else {
     int k = PickEditK(query_rng);
@@ -146,7 +171,8 @@ FuzzCase MakeFuzzCase(uint64_t seed) {
         {"ed-join",
          "for $o in dataset D for $i in dataset D where " +
              ed_pred("$o." + name_field, "$i." + name_field, k) +
-             " and $o.id < $i.id return {'o': $o.id, 'i': $i.id}",
+             pk_conjunct + PickNonPkConjunct(pk_rng, text_field) +
+             " return {'o': $o.id, 'i': $i.id}",
          /*is_join=*/true});
   }
 
@@ -167,7 +193,7 @@ FuzzCase MakeFuzzCase(uint64_t seed) {
         {"multiway-join",
          "for $o in dataset D for $i in dataset D where $o.id < " +
              std::to_string(limit) + " and " + first + " and " + second +
-             " and $o.id != $i.id return {'o': $o.id, 'i': $i.id}",
+             PickPkConjunct(pk_rng) + " return {'o': $o.id, 'i': $i.id}",
          /*is_join=*/true});
   }
   return c;

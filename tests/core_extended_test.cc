@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <regex>
 
+#include "aql/parser.h"
 #include "core/query_processor.h"
+#include "core/sim_predicate.h"
 #include "core/three_stage.h"
 #include "storage/file_util.h"
 
@@ -218,15 +221,211 @@ TEST_F(CoreExtendedTest, HeapMergeAlgorithmGivesSameAnswers) {
 
 TEST_F(CoreExtendedTest, ThreeStageTemplateTextIsValidAqlPlus) {
   for (bool self_like : {true, false}) {
-    std::string text = ThreeStageTemplateText(0.5, self_like);
-    EXPECT_NE(text.find("##LEFT2"), std::string::npos);
-    EXPECT_NE(text.find("$$LPK2"), std::string::npos);
-    EXPECT_NE(text.find("prefix-len-jaccard"), std::string::npos);
-    EXPECT_EQ(text.find("@DELTA@"), std::string::npos);  // substituted
-    if (!self_like) {
-      EXPECT_NE(text.find("union("), std::string::npos);
+    for (std::string filter : {"", "lt($lp.id, $rp.id)"}) {
+      std::string text = ThreeStageTemplateText(0.5, self_like, filter);
+      EXPECT_NE(text.find("##LEFT2"), std::string::npos);
+      EXPECT_NE(text.find("$$LPK2"), std::string::npos);
+      EXPECT_NE(text.find("prefix-len-jaccard"), std::string::npos);
+      // Every @...@ placeholder is substituted.
+      EXPECT_FALSE(std::regex_search(text, std::regex("@[A-Z_0-9]+@")))
+          << text;
+      EXPECT_EQ(text.find("where $lp.pt = $rp.pt and lt($lp.id, $rp.id)") !=
+                    std::string::npos,
+                !filter.empty())
+          << text;
+      if (!self_like) {
+        EXPECT_NE(text.find("union("), std::string::npos);
+      }
+      EXPECT_TRUE(aql::ParseExpression(text).ok()) << text;
     }
   }
+}
+
+// ---------- pk-only join conjuncts run where both keys first meet ----------
+
+TEST_F(CoreExtendedTest, PkConjunctMovesOnlyWhenReadingPksAlone) {
+  using algebricks::LExpr;
+  using algebricks::LExprPtr;
+  LExprPtr l = LExpr::Var("l"), r = LExpr::Var("r");
+  LExprPtr lpk = LExpr::Field(l, "id"), rpk = LExpr::Field(r, "id");
+  LExprPtr x = LExpr::Var("x"), y = LExpr::Var("y");
+  auto moved = [&](const LExprPtr& c) {
+    std::optional<LExprPtr> out = RewritePkConjunct(c, lpk, x, rpk, y);
+    return out.has_value() ? (*out)->ToString() : std::string("<stays>");
+  };
+  EXPECT_EQ(moved(LExpr::CallF("lt", {lpk, rpk})), "lt($x, $y)");
+  EXPECT_EQ(moved(LExpr::CallF("neq", {rpk, lpk})), "neq($y, $x)");
+  EXPECT_EQ(moved(LExpr::CallF(
+                "le", {LExpr::CallF("add", {lpk, LExpr::Lit(Value::Int64(2))}),
+                       rpk})),
+            "le(add($x, 2), $y)");
+  // Reads a non-pk field, a whole record or a foreign variable: stays.
+  LExprPtr names = LExpr::CallF(
+      "neq", {LExpr::Field(l, "name"), LExpr::Field(r, "name")});
+  EXPECT_EQ(moved(names), "<stays>");
+  EXPECT_EQ(moved(LExpr::CallF("or", {LExpr::CallF("lt", {lpk, rpk}), names})),
+            "<stays>");
+  EXPECT_EQ(moved(LExpr::CallF("eq", {l, r})), "<stays>");
+  EXPECT_EQ(moved(LExpr::CallF("lt", {lpk, LExpr::Var("k")})), "<stays>");
+}
+
+class PkConjunctPlacementTest : public CoreExtendedTest {
+ protected:
+  void SetUp() override {
+    Load("People", {{"maria", "red apple pie"},
+                    {"marla", "red apple tart"},
+                    {"mario", "green apple pie"},
+                    {"a", "red apple pie"},
+                    {"b", "blue sky high"},
+                    {"maria", "blue sky"},
+                    {"jon", "red apple pie"},
+                    {"john", "apple pie red"},
+                    {"joan", "green tea"},
+                    {"x", "green tea cup"}});
+    ASSERT_TRUE(engine_
+                    ->Execute("create index kw on People(text) type keyword;"
+                              "create index ng on People(name) type ngram(2);")
+                    .ok());
+  }
+
+  static std::string JaccardJoin(const std::string& cond) {
+    return "for $l in dataset People for $r in dataset People "
+           "where similarity-jaccard(word-tokens($l.text), "
+           "word-tokens($r.text)) >= 0.5 and " + cond +
+           " return {'l': $l.id, 'r': $r.id}";
+  }
+  // The ed-join benchmark's shape: `~=` under the edit-distance session.
+  static std::string EdJoin(const std::string& cond) {
+    return "set simfunction 'edit-distance'; set simthreshold '1'; "
+           "for $l in dataset People for $r in dataset People "
+           "where $l.name ~= $r.name and " + cond +
+           " return {'l': $l.id, 'r': $r.id}";
+  }
+
+  void UsePlans(bool index_join, bool three_stage, bool surrogate = true) {
+    algebricks::OptContext& opt = engine_->opt_context();
+    opt.enable_index_join = index_join;
+    opt.enable_three_stage_join = three_stage;
+    opt.enable_surrogate_join = surrogate;
+  }
+
+  std::vector<std::string> Rows(const std::string& aql) {
+    QueryResult result;
+    Status s = engine_->Execute(aql, &result);
+    EXPECT_TRUE(s.ok()) << s.ToString() << "\nquery: " << aql;
+    std::vector<std::string> rows;
+    for (const Value& v : result.rows) rows.push_back(v.ToJson());
+    std::sort(rows.begin(), rows.end());
+    return rows;
+  }
+
+  std::string Plan(const std::string& aql) {
+    Result<std::string> plan = engine_->Explain(aql);
+    EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+    return plan.ok() ? *plan : std::string();
+  }
+
+  /// The plan lines above the three-stage join's rid-pair GROUP-BY (the
+  /// stage-3 joins back to the records) and the rest (stages 1 and 2).
+  static std::pair<std::string, std::string> SplitAtRidPairs(
+      const std::string& plan) {
+    size_t at = plan.find("GROUP-BY $");
+    while (at != std::string::npos &&
+           plan.substr(at, plan.find('\n', at) - at).find("_glid:=") ==
+               std::string::npos) {
+      at = plan.find("GROUP-BY $", at + 1);
+    }
+    EXPECT_NE(at, std::string::npos) << plan;
+    if (at == std::string::npos) return {plan, ""};
+    return {plan.substr(0, at), plan.substr(at)};
+  }
+};
+
+TEST_F(PkConjunctPlacementTest, ThreeStageAppliesPkConjunctInStageTwo) {
+  UsePlans(/*index_join=*/false, /*three_stage=*/true);
+  std::string plan = Plan(JaccardJoin("$l.id < $r.id"));
+  auto [stage3, below] = SplitAtRidPairs(plan);
+  // The stage-2 pt join drops mirror and self pairs as its residual...
+  EXPECT_TRUE(std::regex_search(
+      below, std::regex(R"(JOIN cond=and\(eq\(\$v\d+_ret\.pt, )"
+                        R"(\$v\d+_ret\.pt\), lt\(\$v\d+_ret\.id, )"
+                        R"(\$v\d+_ret\.id\)\))")))
+      << plan;
+  // ...and no join above the rid-pair GROUP-BY applies it again.
+  EXPECT_EQ(stage3.find("lt("), std::string::npos) << plan;
+  EXPECT_NE(stage3.find("JOIN cond=eq("), std::string::npos) << plan;
+}
+
+TEST_F(PkConjunctPlacementTest, IndexJoinAppliesPkConjunctAboveIndexSearch) {
+  UsePlans(/*index_join=*/true, /*three_stage=*/true);
+  std::string plan = Plan(EdJoin("$l.id < $r.id"));
+  EXPECT_TRUE(std::regex_search(
+      plan, std::regex(R"(SELECT cond=lt\(\$r\d+_surr, \$r\d+_pk\)\n)"
+                       R"(\s*INDEX-SEARCH)")))
+      << plan;
+  // The surrogate-resolution join keeps it for the corner rows.
+  EXPECT_TRUE(std::regex_search(
+      plan, std::regex(R"(JOIN cond=and\(eq\(\$v\d+_l\.id, \$r\d+_surr\), )"
+                       R"(lt\(\$v\d+_l\.id, \$v\d+_r\.id\)\))")))
+      << plan;
+  // Without a corner branch (Jaccard) nothing above INDEX-SEARCH re-tests it.
+  plan = Plan(JaccardJoin("$l.id < $r.id"));
+  EXPECT_TRUE(std::regex_search(
+      plan, std::regex(R"(SELECT cond=lt\(\$r\d+_surr, \$r\d+_pk\)\n)"
+                       R"(\s*INDEX-SEARCH)")))
+      << plan;
+  EXPECT_EQ(plan.find("lt($v"), std::string::npos) << plan;
+}
+
+TEST_F(PkConjunctPlacementTest, ConjunctReadingNonPkFieldStaysOnTop) {
+  const std::string cond = "($l.id < $r.id or $l.name = $r.name)";
+  UsePlans(/*index_join=*/false, /*three_stage=*/true);
+  std::string plan = Plan(JaccardJoin(cond));
+  auto [stage3, below] = SplitAtRidPairs(plan);
+  EXPECT_NE(stage3.find("or(lt($v"), std::string::npos) << plan;
+  EXPECT_EQ(below.find("or("), std::string::npos) << plan;
+  EXPECT_EQ(below.find("lt("), std::string::npos) << plan;
+
+  UsePlans(/*index_join=*/true, /*three_stage=*/true);
+  plan = Plan(EdJoin(cond));
+  EXPECT_TRUE(std::regex_search(plan, std::regex(R"(LOCAL-SORT\n\s*INDEX-SEARCH)")))
+      << plan;
+  EXPECT_TRUE(std::regex_search(
+      plan, std::regex(R"(JOIN cond=and\(eq\(\$v\d+_l\.id, \$r\d+_surr\), )"
+                       R"(or\(lt\()")))
+      << plan;
+
+  for (const std::string& aql : {JaccardJoin(cond), EdJoin(cond)}) {
+    UsePlans(false, false);
+    std::vector<std::string> nl = Rows(aql);
+    EXPECT_FALSE(nl.empty());
+    UsePlans(false, true);
+    EXPECT_EQ(Rows(aql), nl) << aql;
+    UsePlans(true, true);
+    EXPECT_EQ(Rows(aql), nl) << aql;
+  }
+}
+
+TEST_F(PkConjunctPlacementTest, EveryComparatorMatchesNestedLoop) {
+  for (const char* cmp : {"<", "<=", ">", ">=", "!=", "="}) {
+    for (bool swapped : {false, true}) {
+      std::string cond = swapped ? "$r.id " + std::string(cmp) + " $l.id"
+                                 : "$l.id " + std::string(cmp) + " $r.id";
+      for (const std::string& aql : {JaccardJoin(cond), EdJoin(cond)}) {
+        UsePlans(/*index_join=*/false, /*three_stage=*/false);
+        std::vector<std::string> nl = Rows(aql);
+        EXPECT_FALSE(nl.empty()) << aql;
+        UsePlans(/*index_join=*/false, /*three_stage=*/true);
+        EXPECT_EQ(Rows(aql), nl) << "three-stage: " << aql;
+        UsePlans(/*index_join=*/true, /*three_stage=*/true);
+        EXPECT_EQ(Rows(aql), nl) << "index-NL: " << aql;
+        UsePlans(/*index_join=*/true, /*three_stage=*/true,
+                 /*surrogate=*/false);
+        EXPECT_EQ(Rows(aql), nl) << "index-NL, no surrogate: " << aql;
+      }
+    }
+  }
+  UsePlans(true, true);
 }
 
 // ---------- misc query features ----------
