@@ -22,8 +22,10 @@ std::string Escape(const std::string& s) {
   return out;
 }
 
+constexpr size_t kPoolThreads = 1;
+
 Status Run() {
-  BenchEnv env({2, 2});
+  BenchEnv env({2, 2}, kPoolThreads);
   core::QueryProcessor& engine = env.engine();
   int64_t count = Scaled(20000);
   const int kQueries = 10;
@@ -123,8 +125,8 @@ Status Run() {
     }
   }
   std::printf("records: %lld, %d queries per row; simulated 2x2 cluster "
-              "makespans\n",
-              static_cast<long long>(count), kQueries);
+              "makespans; pool threads: %zu\n",
+              static_cast<long long>(count), kQueries, kPoolThreads);
   return Status::OK();
 }
 

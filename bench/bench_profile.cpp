@@ -46,9 +46,11 @@ std::string Escape(const std::string& s) {
   return out;
 }
 
+constexpr size_t kPoolThreads = 1;
+
 Status Run(bool quick, const std::string& json_path,
            const std::string& trace_path) {
-  BenchEnv env({2, 2});
+  BenchEnv env({2, 2}, kPoolThreads);
   core::QueryProcessor& engine = env.engine();
   int64_t count = Scaled(quick ? 400 : 4000);
 
@@ -151,7 +153,8 @@ Status Run(bool quick, const std::string& json_path,
       Seconds(on_seconds).c_str(), overhead_pct);
 
   if (!json_path.empty()) {
-    std::string json = "{\n  \"queries\": [\n";
+    std::string json = "{\n  \"pool_threads\": " +
+                       std::to_string(kPoolThreads) + ",\n  \"queries\": [\n";
     for (size_t i = 0; i < queries.size(); ++i) {
       json += "    {\"name\": \"" + queries[i].name +
               "\", \"profile\": " + queries[i].profile->ToJson() + "}";

@@ -32,6 +32,8 @@ using namespace simdb::bench;
 
 namespace {
 
+constexpr size_t kPoolThreads = 4;
+
 using Clock = std::chrono::steady_clock;
 
 double SecondsSince(Clock::time_point start) {
@@ -69,7 +71,7 @@ struct ServingBench {
     core::EngineOptions options;
     options.data_dir = dir;
     options.topology = {2, 2};
-    options.num_threads = 4;
+    options.num_threads = kPoolThreads;
     engine =
         std::make_unique<serving::QueryEngine>(options, serving_options);
     auto gen = LoadTextDataset(engine->processor(), "AmazonReview",
@@ -270,7 +272,8 @@ int Main(int argc, char** argv) {
 
   if (!json_path.empty()) {
     auto u64 = [](uint64_t v) { return std::to_string(v); };
-    std::string json = "{\n  \"clients\": [\n";
+    std::string json = "{\n  \"pool_threads\": " +
+                       std::to_string(kPoolThreads) + ",\n  \"clients\": [\n";
     for (size_t i = 0; i < series.size(); ++i) {
       const SeriesResult& r = series[i];
       json += "    {\"clients\": " + std::to_string(r.clients) +

@@ -36,6 +36,8 @@ using namespace simdb::bench;
 
 namespace {
 
+constexpr size_t kPoolThreads = 2;
+
 struct ScalingPoint {
   int nodes = 0;
   const char* backend = "";
@@ -56,7 +58,7 @@ std::string JoinQuery() {
 
 Result<ScalingPoint> RunConfig(int nodes, int64_t records,
                                transport::TransportKind kind) {
-  BenchEnv env({nodes, 2}, /*threads=*/2);
+  BenchEnv env({nodes, 2}, kPoolThreads);
   core::QueryProcessor& engine = env.engine();
   engine.set_transport(kind);
   SIMDB_ASSIGN_OR_RETURN(auto gen,
@@ -101,7 +103,7 @@ Result<RemoteComputePoint> RunRemoteCompute(transport::TransportKind kind,
                                             int64_t records,
                                             std::string* profile_json) {
   const bool on_workers = kind == transport::TransportKind::kSocket;
-  BenchEnv env({4, 2}, /*threads=*/2);
+  BenchEnv env({4, 2}, kPoolThreads);
   core::QueryProcessor& engine = env.engine();
   engine.set_transport(kind);
   engine.set_profile_queries(true);
@@ -283,7 +285,8 @@ int Main(int argc, char** argv) {
   }
 
   if (!json_path.empty()) {
-    std::string json = "{\n  \"scaling\": [\n";
+    std::string json = "{\n  \"pool_threads\": " +
+                       std::to_string(kPoolThreads) + ",\n  \"scaling\": [\n";
     for (size_t i = 0; i < scaling.size(); ++i) {
       const ScalingPoint& p = scaling[i];
       json += "    {\"nodes\": " + std::to_string(p.nodes) +

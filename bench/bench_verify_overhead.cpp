@@ -14,6 +14,8 @@
 
 namespace {
 
+constexpr size_t kPoolThreads = 2;
+
 using namespace simdb;
 
 const char* kDdl =
@@ -43,7 +45,7 @@ std::unique_ptr<core::QueryProcessor> MakeEngine(bool verify,
   core::EngineOptions options;
   options.data_dir = dir;
   options.topology = {2, 2};
-  options.num_threads = 2;
+  options.num_threads = kPoolThreads;
   options.verify_plans = verify;
   auto engine = std::make_unique<core::QueryProcessor>(std::move(options));
   Status ddl = engine->Execute(kDdl);
@@ -74,4 +76,11 @@ BENCHMARK(BM_OptimizeVerifyOn)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::AddCustomContext("pool_threads", std::to_string(kPoolThreads));
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -3,6 +3,12 @@
 # similarity-selection benchmark (bench_fig22_selection) and merges their
 # results into BENCH_kernels.json at the repo root.
 #
+# Every section carries a "stamp": the commit it was built from (suffixed
+# "-dirty" when tracked files differ from it), the host's core count
+# (nproc), the build directory's CMAKE_BUILD_TYPE, and the engine pool size
+# the bench ran with (null where the bench sets none; bench_scheduler's pool
+# size is each benchmark's first argument).
+#
 # Usage: bench/run_benches.sh [build_dir]     (default: <repo>/build)
 #
 # Environment:
@@ -31,6 +37,13 @@ for bin in "$KERNELS_BIN" "$SCHEDULER_BIN" "$VERIFY_BIN" "$FIG22_BIN" \
     exit 1
   fi
 done
+
+COMMIT="$(git -C "$ROOT" rev-parse HEAD 2>/dev/null || echo unknown)"
+if [[ "$COMMIT" != unknown ]] && ! git -C "$ROOT" diff --quiet HEAD --; then
+  COMMIT="$COMMIT-dirty"
+fi
+NPROC="$(nproc)"
+BUILD_TYPE="$(sed -n 's/^CMAKE_BUILD_TYPE:[A-Z]*=//p' "$BUILD/CMakeCache.txt")"
 
 KERNEL_FLAGS=()
 QUICK="${SIMDB_BENCH_QUICK:-0}"
@@ -77,11 +90,12 @@ fi
 
 python3 - "$TMP/kernels.json" "$TMP/scheduler.json" "$TMP/verify.json" \
   "$TMP/fig22.txt" "$TMP/profile.json" "$TMP/serving.json" \
-  "$TMP/transport.json" "$OUT" "$QUICK" <<'PY'
-import json, sys
+  "$TMP/transport.json" "$OUT" "$QUICK" "$COMMIT" "$NPROC" "$BUILD_TYPE" <<'PY'
+import json, os, re, sys
 
 (kernels_path, scheduler_path, verify_path, fig22_path, profile_path,
- serving_path, transport_path, out_path, quick) = sys.argv[1:10]
+ serving_path, transport_path, out_path, quick, commit, nproc,
+ build_type) = sys.argv[1:13]
 with open(kernels_path) as f:
     kernels = json.load(f)
 with open(scheduler_path) as f:
@@ -97,16 +111,30 @@ with open(serving_path) as f:
 with open(transport_path) as f:
     transport = json.load(f)
 
+# A binary's absolute path describes the build machine, not the numbers.
+for report in (kernels, scheduler, verify):
+    report["context"]["executable"] = os.path.basename(
+        report["context"]["executable"])
+
+def stamp(section, pool_threads):
+    section["stamp"] = {"commit": commit, "nproc": int(nproc),
+                        "build_type": build_type,
+                        "pool_threads": pool_threads}
+    return section
+
+fig22_pool = int(re.search(r"pool threads: (\d+)",
+                           "\n".join(fig22_lines)).group(1))
 merged = {
     "generated_by": "bench/run_benches.sh",
     "quick_mode": quick == "1",
-    "bench_kernels": kernels,
-    "bench_scheduler": scheduler,
-    "bench_verify_overhead": verify,
-    "bench_fig22_selection": {"raw": fig22_lines},
-    "query_profile": query_profile,
-    "bench_serving": serving,
-    "bench_transport": transport,
+    "bench_kernels": stamp(kernels, None),
+    "bench_scheduler": stamp(scheduler, None),
+    "bench_verify_overhead": stamp(
+        verify, int(verify["context"]["pool_threads"])),
+    "bench_fig22_selection": stamp({"raw": fig22_lines}, fig22_pool),
+    "query_profile": stamp(query_profile, query_profile.pop("pool_threads")),
+    "bench_serving": stamp(serving, serving.pop("pool_threads")),
+    "bench_transport": stamp(transport, transport.pop("pool_threads")),
 }
 with open(out_path, "w") as f:
     json.dump(merged, f, indent=2)

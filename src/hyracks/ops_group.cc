@@ -2,8 +2,6 @@
 
 #include <unordered_map>
 
-#include "storage/key.h"
-
 namespace simdb::hyracks {
 
 using adm::Value;
@@ -11,21 +9,20 @@ using adm::Value;
 namespace {
 
 struct GroupState {
-  Tuple keys;
   std::vector<Value> accumulators;  // one per agg
   std::vector<int64_t> counts;      // row counts per agg (for kCount)
   std::vector<Value::Array> lists;  // for kListify
-  bool initialized = false;
 };
 
 }  // namespace
 
 Result<Rows> HashGroupOp::ExecutePartition(
     ExecContext&, int, const std::vector<const Rows*>& inputs) {
-  // Group states keyed by the encoded key tuple; output in first-seen order
-  // so results are deterministic under any executor.
-  std::unordered_map<std::string, GroupState> groups;
-  std::vector<std::string> order;
+  // Group states keyed by the key tuple; output in first-seen order so
+  // results are deterministic under any executor.
+  using Groups = std::unordered_map<Tuple, GroupState, KeyHash, KeyEq>;
+  Groups groups;
+  std::vector<Groups::value_type*> order;
   for (const Tuple& row : *inputs[0]) {
     Tuple keys;
     keys.reserve(key_exprs_.size());
@@ -33,16 +30,13 @@ Result<Rows> HashGroupOp::ExecutePartition(
       SIMDB_ASSIGN_OR_RETURN(Value k, ke->Eval(row));
       keys.push_back(std::move(k));
     }
-    std::string encoded = storage::EncodeKey(keys);
-    auto [it, inserted] = groups.try_emplace(encoded);
+    auto [it, inserted] = groups.try_emplace(std::move(keys));
     GroupState& g = it->second;
     if (inserted) {
-      order.push_back(encoded);
-      g.keys = std::move(keys);
+      order.push_back(&*it);
       g.accumulators.resize(aggs_.size());
       g.counts.assign(aggs_.size(), 0);
       g.lists.resize(aggs_.size());
-      g.initialized = true;
     }
     for (size_t a = 0; a < aggs_.size(); ++a) {
       const AggSpec& spec = aggs_[a];
@@ -95,9 +89,9 @@ Result<Rows> HashGroupOp::ExecutePartition(
   }
   Rows rows;
   rows.reserve(groups.size());
-  for (const std::string& encoded : order) {
-    GroupState& g = groups[encoded];
-    Tuple row = std::move(g.keys);
+  for (Groups::value_type* entry : order) {
+    GroupState& g = entry->second;
+    Tuple row = entry->first;
     for (size_t a = 0; a < aggs_.size(); ++a) {
       switch (aggs_[a].kind) {
         case AggSpec::Kind::kCount:

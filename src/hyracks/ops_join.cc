@@ -2,8 +2,6 @@
 
 #include <unordered_map>
 
-#include "storage/key.h"
-
 namespace simdb::hyracks {
 
 using adm::Value;
@@ -15,7 +13,7 @@ Result<Rows> HashJoinOp::ExecutePartition(
   uint64_t probe_matches = 0;
   uint64_t residual_dropped = 0;
   // Build on the right side.
-  std::unordered_map<std::string, std::vector<const Tuple*>> table;
+  std::unordered_map<Tuple, std::vector<const Tuple*>, KeyHash, KeyEq> table;
   for (const Tuple& row : right) {
     Tuple keys;
     keys.reserve(right_keys_.size());
@@ -29,7 +27,7 @@ Result<Rows> HashJoinOp::ExecutePartition(
       keys.push_back(v);
     }
     if (missing) continue;
-    table[storage::EncodeKey(keys)].push_back(&row);
+    table[std::move(keys)].push_back(&row);
   }
   // Probe with the left side. One buffer builds each match: a match the
   // residual drops leaves its capacity to the next one.
@@ -48,7 +46,7 @@ Result<Rows> HashJoinOp::ExecutePartition(
       keys.push_back(v);
     }
     if (missing) continue;
-    auto it = table.find(storage::EncodeKey(keys));
+    auto it = table.find(keys);
     if (it == table.end()) continue;
     for (const Tuple* rrow : it->second) {
       ++probe_matches;

@@ -2,6 +2,22 @@
 
 namespace simdb::hyracks {
 
+size_t KeyHash::operator()(const Tuple& keys) const {
+  uint64_t h = 0x5150;
+  for (const adm::Value& v : keys) {
+    h ^= v.Hash() + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+  }
+  return static_cast<size_t>(h);
+}
+
+bool KeyEq::operator()(const Tuple& a, const Tuple& b) const {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (adm::Value::Compare(a[i], b[i]) != 0) return false;
+  }
+  return true;
+}
+
 int RowSchema::IndexOf(std::string_view name) const {
   for (size_t i = 0; i < columns_.size(); ++i) {
     if (columns_[i] == name) return static_cast<int>(i);

@@ -19,6 +19,17 @@ using Tuple = std::vector<adm::Value>;
 /// All rows of one partition.
 using Rows = std::vector<Tuple>;
 
+/// The key equality of HASH-JOIN and HASH-GROUP tables: a key tuple hashes by
+/// Value::Hash, and two are equal when Value::Compare finds every column
+/// equal. So int64 1 and double 1.0 are one key, as they are for `eq` and
+/// for the hash exchange's routing.
+struct KeyHash {
+  size_t operator()(const Tuple& keys) const;
+};
+struct KeyEq {
+  bool operator()(const Tuple& a, const Tuple& b) const;
+};
+
 /// Operator input/output: one Rows per partition. Every operator in a job
 /// produces the same number of partitions (the cluster's total partition
 /// count).

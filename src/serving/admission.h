@@ -12,14 +12,19 @@ namespace simdb::serving {
 /// fairness: cheap selections must not starve behind long similarity joins.
 enum class QueryClass { kCheap, kHeavy };
 
+/// Dequeue weights of the two classes: a backlogged queue drains
+/// cheap:heavy 3:1.
+inline constexpr uint64_t kCheapWeight = 3;
+inline constexpr uint64_t kHeavyWeight = 1;
+
 /// Bounded two-class admission queue with weighted fair dequeue.
 ///
 /// Each class is FIFO internally; across classes the next query is chosen by
 /// smallest virtual finish time (served_so_far + 1) / weight — classic
-/// weighted round robin. With cheap_weight=3, heavy_weight=1 a full queue
-/// drains cheap:heavy 3:1, so a burst of heavy joins delays a waiting cheap
-/// selection by a bounded number of heavy dequeues instead of the whole
-/// burst. Ties break toward cheap (lower tail latency is the whole point).
+/// weighted round robin. A full queue drains cheap:heavy kCheapWeight:
+/// kHeavyWeight, so a burst of heavy joins delays a waiting cheap selection
+/// by a bounded number of heavy dequeues instead of the whole burst. Ties
+/// break toward cheap (lower tail latency is the whole point).
 ///
 /// Push refusal (queue at max_depth) is the engine's load-shedding signal:
 /// the caller maps it to kOverloaded, never blocks.
@@ -29,10 +34,7 @@ enum class QueryClass { kCheap, kHeavy };
 /// of the push/pop history (asserted by the admission unit tests).
 class WeightedQueue {
  public:
-  WeightedQueue(size_t max_depth, double cheap_weight, double heavy_weight)
-      : max_depth_(max_depth),
-        cheap_weight_(cheap_weight > 0 ? cheap_weight : 1.0),
-        heavy_weight_(heavy_weight > 0 ? heavy_weight : 1.0) {}
+  explicit WeightedQueue(size_t max_depth) : max_depth_(max_depth) {}
 
   /// False when the queue is full; nothing is enqueued.
   bool TryPush(QueryClass c, uint64_t id) {
@@ -50,10 +52,11 @@ class WeightedQueue {
     } else if (heavy_.empty()) {
       pick = QueryClass::kCheap;
     } else {
-      double cheap_finish = (cheap_served_ + 1) / cheap_weight_;
-      double heavy_finish = (heavy_served_ + 1) / heavy_weight_;
-      pick = cheap_finish <= heavy_finish ? QueryClass::kCheap
-                                          : QueryClass::kHeavy;
+      // (cheap_served_ + 1) / kCheapWeight <= (heavy_served_ + 1) /
+      // kHeavyWeight, cross-multiplied so it stays exact.
+      bool cheap_first = (cheap_served_ + 1) * kHeavyWeight <=
+                         (heavy_served_ + 1) * kCheapWeight;
+      pick = cheap_first ? QueryClass::kCheap : QueryClass::kHeavy;
     }
     return PopClass(pick, c, id);
   }
@@ -96,8 +99,6 @@ class WeightedQueue {
 
  private:
   size_t max_depth_;
-  double cheap_weight_;
-  double heavy_weight_;
   std::deque<uint64_t> cheap_;
   std::deque<uint64_t> heavy_;
   uint64_t cheap_served_ = 0;

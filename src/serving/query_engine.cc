@@ -129,10 +129,6 @@ double QueryTicket::exec_seconds() const {
 
 // ---- Session ----
 
-Result<std::shared_ptr<QueryTicket>> Session::Submit(const std::string& aql) {
-  return Submit(aql, defaults_);
-}
-
 Result<std::shared_ptr<QueryTicket>> Session::Submit(
     const std::string& aql, const SubmitOptions& opts) {
   submitted_.fetch_add(1, std::memory_order_relaxed);
@@ -145,8 +141,7 @@ QueryEngine::QueryEngine(core::EngineOptions engine_options,
                          ServingOptions serving_options)
     : processor_(std::move(engine_options)),
       serving_(serving_options),
-      queue_(serving_options.max_queue, serving_options.cheap_weight,
-             serving_options.heavy_weight) {
+      queue_(serving_options.max_queue) {
   // Touch every serving metric so the catalogue check sees the full set even
   // in runs that never hit a given outcome (rejections, deadlines, ...).
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
@@ -165,10 +160,9 @@ QueryEngine::QueryEngine(core::EngineOptions engine_options,
   }
 
   int n = std::max(1, serving_.max_concurrent);
-  bool reserve = serving_.reserve_cheap_slot && n > 1;
   workers_.reserve(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
-    bool cheap_only = reserve && i == 0;
+    bool cheap_only = n > 1 && i == 0;
     workers_.emplace_back([this, cheap_only] { WorkerLoop(cheap_only); });
   }
 }
@@ -196,22 +190,15 @@ Result<std::shared_ptr<QueryTicket>> QueryEngine::Submit(
   }
   QueryClass qc = ClassifyProgram(parsed.value());
 
-  int64_t memory_quota = opts.memory_quota_bytes >= 0
-                             ? opts.memory_quota_bytes
-                             : serving_.default_memory_quota_bytes;
-  int64_t task_quota =
-      opts.task_quota >= 0 ? opts.task_quota : serving_.default_task_quota;
-  double deadline = opts.deadline_seconds >= 0
-                        ? opts.deadline_seconds
-                        : serving_.default_deadline_seconds;
-
-  auto ticket = std::shared_ptr<QueryTicket>(
-      new QueryTicket(next_query_id_.fetch_add(1, std::memory_order_relaxed),
-                      qc, aql, memory_quota, task_quota));
+  auto ticket = std::shared_ptr<QueryTicket>(new QueryTicket(
+      next_query_id_.fetch_add(1, std::memory_order_relaxed), qc, aql,
+      opts.memory_quota_bytes, opts.task_quota));
   ticket->submit_tp_ = Clock::now();
   // The deadline clock starts at admission: it bounds total latency (queue
   // wait included), which is what a client timeout actually means.
-  if (deadline > 0) ticket->cancel_.SetDeadlineAfter(deadline);
+  if (opts.deadline_seconds > 0) {
+    ticket->cancel_.SetDeadlineAfter(opts.deadline_seconds);
+  }
 
   {
     MutexLock lock(mu_);

@@ -21,29 +21,21 @@ namespace simdb::serving {
 
 /// Serving-layer knobs on top of core::EngineOptions.
 struct ServingOptions {
-  /// Worker threads = queries in flight at once. One of them is the
-  /// reserved cheap slot when reserve_cheap_slot is on (and max_concurrent
-  /// is > 1): it only ever takes cheap queries, so a selection's p99 stays
-  /// bounded while heavy joins occupy every other slot.
+  /// Worker threads = queries in flight at once. When max_concurrent is > 1,
+  /// one of them is the reserved cheap slot: it only ever takes cheap
+  /// queries, so a selection's p99 stays bounded while heavy joins occupy
+  /// every other slot.
   int max_concurrent = 4;
   /// Bounded wait queue; a submit that finds it full is refused immediately
   /// with kOverloaded (load shedding, never blocking the client).
   size_t max_queue = 16;
-  double cheap_weight = 3.0;
-  double heavy_weight = 1.0;
-  bool reserve_cheap_slot = true;
-  /// Defaults applied to every query unless overridden per submit; 0 means
-  /// unlimited / no deadline.
-  int64_t default_memory_quota_bytes = 0;
-  int64_t default_task_quota = 0;
-  double default_deadline_seconds = 0;
 };
 
-/// Per-submit overrides; a negative field means "use the engine default".
+/// Per-query quotas; 0 means unlimited / no deadline.
 struct SubmitOptions {
-  int64_t memory_quota_bytes = -1;
-  int64_t task_quota = -1;
-  double deadline_seconds = -1;
+  int64_t memory_quota_bytes = 0;
+  int64_t task_quota = 0;
+  double deadline_seconds = 0;
 };
 
 /// Where a query is in its lifecycle (see docs/SERVING.md).
@@ -111,18 +103,16 @@ class QueryTicket {
 
 class QueryEngine;
 
-/// A client session: carries a prelude of session `set` statements and
-/// default quotas applied to every query submitted through it. Sessions are
-/// cheap handles — any number may submit concurrently.
+/// A client session: carries a prelude of session `set` statements
+/// prepended to every query submitted through it. Sessions are cheap
+/// handles — any number may submit concurrently.
 class Session {
  public:
   /// Statements prepended to every submit ("set simfunction 'jaccard'; ...").
   void set_prelude(std::string prelude) { prelude_ = std::move(prelude); }
-  void set_defaults(SubmitOptions defaults) { defaults_ = defaults; }
 
-  Result<std::shared_ptr<QueryTicket>> Submit(const std::string& aql);
   Result<std::shared_ptr<QueryTicket>> Submit(const std::string& aql,
-                                              const SubmitOptions& opts);
+                                              const SubmitOptions& opts = {});
 
   uint64_t session_id() const { return session_id_; }
   uint64_t queries_submitted() const {
@@ -137,7 +127,6 @@ class Session {
   QueryEngine* engine_;
   const uint64_t session_id_;
   std::string prelude_;
-  SubmitOptions defaults_;
   std::atomic<uint64_t> submitted_{0};
 };
 

@@ -62,13 +62,13 @@ class RunSource : public MergeSource {
 };
 
 /// K-way merge honoring LSM precedence: among equal keys the lowest age
-/// (newest) wins and older duplicates are consumed silently.
+/// (newest) wins and older duplicates are consumed silently; a key whose
+/// newest entry is a tombstone is skipped.
 class MergedIterator : public LsmIndex::Iterator {
  public:
-  MergedIterator(std::vector<std::unique_ptr<MergeSource>> sources,
-                 bool skip_tombstones, const CompositeKey* upper_bound = nullptr)
+  explicit MergedIterator(std::vector<std::unique_ptr<MergeSource>> sources,
+                          const CompositeKey* upper_bound = nullptr)
       : sources_(std::move(sources)),
-        skip_tombstones_(skip_tombstones),
         upper_bound_(upper_bound ? std::optional<CompositeKey>(*upper_bound)
                                  : std::nullopt) {}
 
@@ -77,7 +77,6 @@ class MergedIterator : public LsmIndex::Iterator {
   bool Valid() const override { return valid_; }
   const CompositeKey& key() const override { return key_; }
   const std::string& value() const override { return value_; }
-  bool is_tombstone() const { return tombstone_; }
 
   Status Next() override { return FindNext(); }
 
@@ -103,25 +102,23 @@ class MergedIterator : public LsmIndex::Iterator {
         valid_ = false;
         return Status::OK();
       }
-      tombstone_ = sources_[best]->is_tombstone();
-      if (!tombstone_) value_ = sources_[best]->value();
+      bool tombstone = sources_[best]->is_tombstone();
+      if (!tombstone) value_ = sources_[best]->value();
       // Consume this key from every source that carries it.
       for (auto& src : sources_) {
         while (src->Valid() && CompareKeys(src->key(), key_) == 0) {
           SIMDB_RETURN_IF_ERROR(src->Next());
         }
       }
-      if (tombstone_ && skip_tombstones_) continue;
+      if (tombstone) continue;
       valid_ = true;
       return Status::OK();
     }
   }
 
   std::vector<std::unique_ptr<MergeSource>> sources_;
-  bool skip_tombstones_;
   std::optional<CompositeKey> upper_bound_;
   bool valid_ = false;
-  bool tombstone_ = false;
   CompositeKey key_;
   std::string value_;
 };
@@ -280,8 +277,8 @@ Result<std::unique_ptr<LsmIndex::Iterator>> LsmIndex::NewIterator(
     SIMDB_ASSIGN_OR_RETURN(auto it, run->NewIterator(lower_bound));
     sources.push_back(std::make_unique<RunSource>(std::move(it)));
   }
-  auto merged = std::make_unique<MergedIterator>(
-      std::move(sources), /*skip_tombstones=*/true, upper_bound);
+  auto merged = std::make_unique<MergedIterator>(std::move(sources),
+                                                 upper_bound);
   SIMDB_RETURN_IF_ERROR(merged->Init());
   return std::unique_ptr<Iterator>(std::move(merged));
 }
@@ -305,69 +302,35 @@ Status LsmIndex::Flush() {
 
 Status LsmIndex::MaybeMerge() {
   if (static_cast<int>(runs_.size()) <= options_.max_runs) return Status::OK();
-  if (options_.merge_policy == MergePolicy::kFullMerge) return Compact();
-  // Size-tiered: find the newest contiguous group of >= tier_min_runs runs
-  // whose sizes are within size_ratio of the group's smallest member.
-  for (size_t first = 0; first + 1 < runs_.size(); ++first) {
-    uint64_t smallest = runs_[first]->file_size();
-    size_t last = first;
-    for (size_t i = first; i < runs_.size(); ++i) {
-      uint64_t size = runs_[i]->file_size();
-      uint64_t lo = std::min(smallest, size);
-      uint64_t hi = std::max(smallest, size);
-      if (lo == 0 ||
-          static_cast<double>(hi) / static_cast<double>(lo) >
-              options_.size_ratio) {
-        break;
-      }
-      smallest = lo;
-      last = i;
-    }
-    if (static_cast<int>(last - first + 1) >= options_.tier_min_runs) {
-      return CompactRange(first, last);
-    }
-  }
-  // No tier qualifies but we are over budget: merge the newest pair so the
-  // run count stays bounded.
-  return CompactRange(0, 1);
+  return Compact();
 }
 
 Status LsmIndex::Compact() {
   if (runs_.size() <= 1) return Status::OK();
-  return CompactRange(0, runs_.size() - 1);
-}
-
-Status LsmIndex::CompactRange(size_t first, size_t last) {
-  if (first >= last || last >= runs_.size()) return Status::OK();
-  // Tombstones may only be dropped when the merge covers the oldest run;
-  // otherwise they must keep shadowing entries in older components.
-  bool covers_oldest = last == runs_.size() - 1;
+  // The merge covers the oldest run, so no tombstone has anything left to
+  // shadow and all of them drop.
   std::vector<std::unique_ptr<MergeSource>> sources;
-  for (size_t i = first; i <= last; ++i) {
-    SIMDB_ASSIGN_OR_RETURN(auto it, runs_[i]->NewIterator(nullptr));
+  for (const auto& run : runs_) {
+    SIMDB_ASSIGN_OR_RETURN(auto it, run->NewIterator(nullptr));
     sources.push_back(std::make_unique<RunSource>(std::move(it)));
   }
-  MergedIterator merged(std::move(sources),
-                        /*skip_tombstones=*/covers_oldest);
+  MergedIterator merged(std::move(sources));
   SIMDB_RETURN_IF_ERROR(merged.Init());
 
   std::string path = NextRunPath();
   SortedRunWriter writer(path, options_.sparse_interval);
   while (merged.Valid()) {
-    SIMDB_RETURN_IF_ERROR(writer.Add(
-        merged.is_tombstone() ? EntryKind::kTombstone : EntryKind::kPut,
-        merged.key(), merged.is_tombstone() ? "" : merged.value()));
+    SIMDB_RETURN_IF_ERROR(
+        writer.Add(EntryKind::kPut, merged.key(), merged.value()));
     SIMDB_RETURN_IF_ERROR(merged.Next());
   }
   SIMDB_RETURN_IF_ERROR(writer.Finish());
 
   std::vector<std::string> old_paths;
-  for (size_t i = first; i <= last; ++i) old_paths.push_back(runs_[i]->path());
+  for (const auto& run : runs_) old_paths.push_back(run->path());
   SIMDB_ASSIGN_OR_RETURN(auto reader, SortedRunReader::Open(path));
-  runs_.erase(runs_.begin() + static_cast<std::ptrdiff_t>(first),
-              runs_.begin() + static_cast<std::ptrdiff_t>(last) + 1);
-  runs_.insert(runs_.begin() + static_cast<std::ptrdiff_t>(first),
-               std::move(reader));
+  runs_.clear();
+  runs_.push_back(std::move(reader));
   for (const std::string& p : old_paths) {
     SIMDB_RETURN_IF_ERROR(RemoveAll(p));
   }

@@ -15,29 +15,15 @@
 
 namespace simdb::storage {
 
-/// How disk components are merged when they accumulate.
-enum class MergePolicy {
-  /// Merge every run into one once there are more than max_runs (the
-  /// simplest correct policy; write-amplification heavy).
-  kFullMerge,
-  /// Merge groups of >= tier_min_runs size-similar runs (each within
-  /// size_ratio of the group's smallest), like size-tiered compaction;
-  /// tombstones are only dropped when a merge covers every run.
-  kSizeTiered,
-};
-
 /// Tuning knobs for one LSM index instance (scaled-down analogues of the
 /// paper's Table 2 parameters).
 struct LsmOptions {
   /// In-memory component budget; a flush is triggered when exceeded.
   size_t memtable_budget_bytes = 8 * 1024 * 1024;
-  /// Trigger compaction when the disk-run count exceeds this.
+  /// Merge every run into one once the disk-run count exceeds this.
   int max_runs = 6;
   /// Sparse-index granularity inside each run.
   int sparse_interval = 64;
-  MergePolicy merge_policy = MergePolicy::kFullMerge;
-  double size_ratio = 3.0;  // kSizeTiered: max size spread within a tier
-  int tier_min_runs = 3;    // kSizeTiered: runs needed to trigger a merge
 };
 
 /// A log-structured merge index: an in-memory component (std::map) plus a
@@ -117,8 +103,8 @@ class LsmIndex {
   /// Merges all disk runs into one, dropping tombstones.
   Status Compact();
 
-  /// Applies the configured merge policy once (called after every flush;
-  /// exposed for tests).
+  /// Compacts once the run count exceeds max_runs (called after every
+  /// flush; exposed for tests).
   Status MaybeMerge();
 
   /// Sorted bulk load: writes one run directly, bypassing the memtable.
@@ -137,9 +123,6 @@ class LsmIndex {
   Status MaybeFlush();
   /// The runs, newest first, as a PointReader takes them.
   std::vector<const SortedRunReader*> RunPointers() const;
-  /// Merges the runs at positions [first, last] (newest-first order) into
-  /// one; tombstones are dropped only when the range covers the oldest run.
-  Status CompactRange(size_t first, size_t last);
   std::string NextRunPath();
 
   std::string dir_;

@@ -15,6 +15,7 @@ constexpr uint64_t kStreamData = 2;
 constexpr uint64_t kStreamQuery = 3;
 constexpr uint64_t kStreamSampler = 4;
 constexpr uint64_t kStreamPkPredicate = 5;
+constexpr uint64_t kStreamAggregate = 6;
 
 std::string FmtDouble(double v) {
   // Stable short rendering for thresholds (0, 0.1, ..., 1).
@@ -141,16 +142,14 @@ FuzzCase MakeFuzzCase(uint64_t seed) {
         {"jaccard-select",
          "for $t in dataset D where " +
              jaccard_pred("$t." + text_field, "'" + v + "'", delta) +
-             " return $t",
-         /*is_join=*/false});
+             " return $t"});
   } else {
     int k = PickEditK(query_rng);
     std::string v = SampleName(names, "maria");
     c.queries.push_back(
         {"ed-select",
          "for $t in dataset D where " +
-             ed_pred("$t." + name_field, "'" + v + "'", k) + " return $t",
-         /*is_join=*/false});
+             ed_pred("$t." + name_field, "'" + v + "'", k) + " return $t"});
   }
 
   // 2. A self join (Jaccard or edit distance) with a drawn pk conjunct and,
@@ -163,8 +162,7 @@ FuzzCase MakeFuzzCase(uint64_t seed) {
          "for $o in dataset D for $i in dataset D where " +
              jaccard_pred("$o." + text_field, "$i." + text_field, delta) +
              pk_conjunct + PickNonPkConjunct(pk_rng, name_field) +
-             " return {'o': $o.id, 'i': $i.id}",
-         /*is_join=*/true});
+             " return {'o': $o.id, 'i': $i.id}"});
   } else {
     int k = PickEditK(query_rng);
     c.queries.push_back(
@@ -172,8 +170,7 @@ FuzzCase MakeFuzzCase(uint64_t seed) {
          "for $o in dataset D for $i in dataset D where " +
              ed_pred("$o." + name_field, "$i." + name_field, k) +
              pk_conjunct + PickNonPkConjunct(pk_rng, text_field) +
-             " return {'o': $o.id, 'i': $i.id}",
-         /*is_join=*/true});
+             " return {'o': $o.id, 'i': $i.id}"});
   }
 
   // 3. Every third seed: a multi-way join (two similarity predicates in one
@@ -193,8 +190,16 @@ FuzzCase MakeFuzzCase(uint64_t seed) {
         {"multiway-join",
          "for $o in dataset D for $i in dataset D where $o.id < " +
              std::to_string(limit) + " and " + first + " and " + second +
-             PickPkConjunct(pk_rng) + " return {'o': $o.id, 'i': $i.id}",
-         /*is_join=*/true});
+             PickPkConjunct(pk_rng) + " return {'o': $o.id, 'i': $i.id}"});
+  }
+
+  // 4. On half the seeds: the selection or the self join again inside
+  //    count(...), which the translator turns into a COUNT aggregate.
+  Random agg_rng = master.Fork(kStreamAggregate);
+  if (agg_rng.OneIn(2)) {
+    // A copy, not a reference: the push_back below may reallocate.
+    FuzzQuery inner = c.queries[agg_rng.Uniform(2)];
+    c.queries.push_back({"count-" + inner.label, "count(" + inner.aql + ")"});
   }
   return c;
 }

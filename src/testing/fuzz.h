@@ -13,19 +13,19 @@ namespace simdb::testing {
 /// One randomly generated similarity query over the fuzz dataset "D". The
 /// query is a plain FLWOR returning rows (records of ids for joins, whole
 /// records for selections) so the differential runner can compare full
-/// order-normalized result sets, not just counts.
+/// order-normalized result sets, or one of those inside count(...).
 struct FuzzQuery {
-  std::string label;  // "jaccard-select", "ed-join", "multiway-join", ...
+  std::string label;  // "jaccard-select", "ed-join", "count-ed-join", ...
   std::string aql;    // the query text (no trailing ';')
-  bool is_join = false;
 };
 
 /// A complete differential test case derived from one uint64_t seed: a text
 /// dataset profile, a record count, DDL (dataset + keyword/ngram indexes),
 /// and a handful of queries mixing Jaccard and edit-distance selections,
-/// self joins, and multi-way (two-similarity-predicate) joins. Thresholds
-/// include the corner cases delta in {0, 1} and k in {0, large} so the
-/// T-occurrence corner paths (T <= 0) are exercised.
+/// self joins, multi-way (two-similarity-predicate) joins, and counts of a
+/// selection or self join. Thresholds include the corner cases delta in
+/// {0, 1} and k in {0, large} so the T-occurrence corner paths (T <= 0) are
+/// exercised.
 struct FuzzCase {
   uint64_t seed = 0;
   datagen::TextProfile profile;

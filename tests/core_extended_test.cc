@@ -465,6 +465,59 @@ TEST_F(CoreExtendedTest, ExplicitJoinClause) {
   EXPECT_EQ(count, 1);
 }
 
+// int64 1 and double 1.0 compare equal (`1 = 1.0` is true), so HASH-JOIN and
+// HASH-GROUP must key them as one value, as the NL join and the hash
+// exchange do. NULL and MISSING join keys still match nothing.
+TEST_F(CoreExtendedTest, MixedIntDoubleKeysJoinAndGroupAsEqual) {
+  ASSERT_TRUE(engine_
+                  ->Execute("create dataset L primary key id;"
+                            "create dataset R primary key id;")
+                  .ok());
+  for (int64_t i = 0; i < 4; ++i) {
+    ASSERT_TRUE(engine_
+                    ->Insert("L", Value::MakeObject({{"id", Value::Int64(i)},
+                                                     {"k", Value::Int64(i)}}))
+                    .ok());
+    ASSERT_TRUE(
+        engine_
+            ->Insert("R",
+                     Value::MakeObject(
+                         {{"id", Value::Int64(i)},
+                          {"k", Value::Double(static_cast<double>(i))}}))
+            .ok());
+  }
+  for (const char* dataset : {"L", "R"}) {
+    ASSERT_TRUE(engine_
+                    ->Insert(dataset, Value::MakeObject({{"id", Value::Int64(4)},
+                                                         {"k", Value::Null()}}))
+                    .ok());
+    ASSERT_TRUE(
+        engine_->Insert(dataset, Value::MakeObject({{"id", Value::Int64(5)}}))
+            .ok());
+  }
+
+  EXPECT_EQ(RunCount("count(for $l in dataset L for $r in dataset R "
+                     "where $l.k = $r.k return $l.id)"),
+            4);
+  EXPECT_EQ(RunCount("count(for $l in dataset L for $r in dataset R "
+                     "where $l.k <= $r.k and $l.k >= $r.k return $l.id)"),
+            4);
+  EXPECT_EQ(RunCount("count(for $l in dataset L for $r in dataset L "
+                     "where $l.id = $r.id + 0.0 return $l.id)"),
+            6);
+
+  QueryResult result;
+  ASSERT_TRUE(engine_
+                  ->Execute("for $x in [1, 1.0, 2, 2.0] "
+                            "group by $g := $x with $x return $g",
+                            &result)
+                  .ok());
+  std::vector<std::string> groups;
+  for (const Value& row : result.rows) groups.push_back(row.ToJson());
+  std::sort(groups.begin(), groups.end());
+  EXPECT_EQ(groups, (std::vector<std::string>{"1", "2"}));
+}
+
 TEST_F(CoreExtendedTest, DataPersistsAcrossEngineInstances) {
   Load("Docs", {{"a", "persisted text"}});
   ASSERT_TRUE(engine_->catalog()->Find("Docs")->FlushAll().ok());

@@ -1,7 +1,7 @@
 // Tests for the static analysis subsystem: hand-crafted invalid plans with
 // precise deterministic diagnostics (plan verifier), task-graph
-// well-formedness (dag verifier), rewrite-rule contract enforcement, the
-// plan JSON serde, and the regressions the verifiers originally surfaced.
+// well-formedness (dag verifier), rewrite-rule contract enforcement, and
+// the regressions the verifiers originally surfaced.
 
 #include <gtest/gtest.h>
 
@@ -15,7 +15,6 @@
 #include "algebricks/lop.h"
 #include "algebricks/rules.h"
 #include "analysis/dag_verifier.h"
-#include "analysis/plan_serde.h"
 #include "analysis/plan_verifier.h"
 #include "analysis/rule_contract.h"
 #include "core/query_processor.h"
@@ -42,6 +41,23 @@ LExprPtr Field(const std::string& var, const std::string& field) {
 
 LExprPtr IntLit(int64_t v) { return LExpr::Lit(Value::Int64(v)); }
 
+/// gt and le selects over one join shared by both union branches, the shape
+/// the index-join corner split produces. Stores the shared join in `*join`.
+LOpPtr SharedJoinPlan(LOpPtr* join) {
+  *join = algebricks::MakeJoin(
+      algebricks::MakeDataScan("D", "d"), algebricks::MakeDataScan("E", "e"),
+      LExpr::CallF("eq", {Field("d", "id"), Field("e", "id")}));
+  LOpPtr gt = algebricks::MakeProject(
+      algebricks::MakeSelect(*join,
+                             LExpr::CallF("gt", {Field("d", "len"), IntLit(5)})),
+      {"d"});
+  LOpPtr le = algebricks::MakeProject(
+      algebricks::MakeSelect(*join,
+                             LExpr::CallF("le", {Field("d", "len"), IntLit(5)})),
+      {"d"});
+  return algebricks::MakeUnionAll(gt, le, {"d"});
+}
+
 // ---------------------------------------------------------------------------
 // Plan verifier: invalid-plan classes with deterministic diagnostics
 // ---------------------------------------------------------------------------
@@ -50,6 +66,14 @@ TEST(PlanVerifier, AcceptsSimpleValidPlan) {
   LOpPtr plan = algebricks::MakeSelect(
       algebricks::MakeDataScan("D", "d"),
       LExpr::CallF("gt", {Field("d", "len"), IntLit(5)}));
+  EXPECT_TRUE(PlanVerifier::Verify(plan).ok());
+}
+
+TEST(PlanVerifier, AcceptsSharedPlan) {
+  LOpPtr join;
+  LOpPtr plan = SharedJoinPlan(&join);
+  // The join node is reached from both union branches through one pointer.
+  EXPECT_EQ(algebricks::CollectSharedNodes(plan).size(), 1u);
   EXPECT_TRUE(PlanVerifier::Verify(plan).ok());
 }
 
@@ -275,61 +299,6 @@ TEST(DagVerifier, RejectsSchemaWidthMismatch) {
 }
 
 // ---------------------------------------------------------------------------
-// Plan serde
-// ---------------------------------------------------------------------------
-
-TEST(PlanSerde, RoundTripsSharedPlan) {
-  // Two selects over one shared join: sharing must survive the round trip.
-  LOpPtr join = algebricks::MakeJoin(
-      algebricks::MakeDataScan("D", "d"), algebricks::MakeDataScan("E", "e"),
-      LExpr::CallF("eq", {Field("d", "id"), Field("e", "id")}));
-  LOpPtr gt = algebricks::MakeProject(
-      algebricks::MakeSelect(join,
-                             LExpr::CallF("gt", {Field("d", "len"), IntLit(5)})),
-      {"d"});
-  LOpPtr le = algebricks::MakeProject(
-      algebricks::MakeSelect(join,
-                             LExpr::CallF("le", {Field("d", "len"), IntLit(5)})),
-      {"d"});
-  LOpPtr plan = algebricks::MakeUnionAll(gt, le, {"d"});
-
-  std::string json = PlanToJson(plan);
-  Result<LOpPtr> parsed = PlanFromJson(json);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(PlanToJson(parsed.value()), json);
-  EXPECT_EQ(parsed.value()->ToString(), plan->ToString());
-  // The join node is reached from both union branches through one pointer.
-  EXPECT_EQ(algebricks::CollectSharedNodes(parsed.value()).size(), 1u);
-  EXPECT_TRUE(PlanVerifier::Verify(parsed.value()).ok());
-}
-
-TEST(PlanSerde, RejectsForwardEdgeAsCycle) {
-  // Node 0 references node 1, which is not yet defined: the serialized form
-  // of a cyclic plan.
-  const std::string json = R"({"version": 1, "root": 1, "nodes": [
-    {"id": 0, "kind": "SELECT", "inputs": [1],
-     "expr": {"kind": "lit", "value": true}},
-    {"id": 1, "kind": "SELECT", "inputs": [0],
-     "expr": {"kind": "lit", "value": true}}]})";
-  Result<LOpPtr> parsed = PlanFromJson(json);
-  ASSERT_FALSE(parsed.ok());
-  EXPECT_NE(parsed.status().message().find(
-                "is not defined by an earlier node"),
-            std::string::npos)
-      << parsed.status().ToString();
-}
-
-TEST(PlanSerde, RejectsUnknownKind) {
-  const std::string json =
-      R"({"version": 1, "root": 0, "nodes": [
-          {"id": 0, "kind": "TELEPORT", "inputs": []}]})";
-  Result<LOpPtr> parsed = PlanFromJson(json);
-  ASSERT_FALSE(parsed.ok());
-  EXPECT_NE(parsed.status().message().find("unknown operator kind 'TELEPORT'"),
-            std::string::npos);
-}
-
-// ---------------------------------------------------------------------------
 // Rule contracts
 // ---------------------------------------------------------------------------
 
@@ -405,18 +374,8 @@ TEST(RuleContract, SelectMergeSkipsSharedJoin) {
   // into a join shared by another parent (the index-join corner split shares
   // the join pipeline between gt/le selects). Merging both contradictory
   // conditions into the shared node emptied both branches.
-  LOpPtr join = algebricks::MakeJoin(
-      algebricks::MakeDataScan("D", "d"), algebricks::MakeDataScan("E", "e"),
-      LExpr::CallF("eq", {Field("d", "id"), Field("e", "id")}));
-  LOpPtr gt = algebricks::MakeProject(
-      algebricks::MakeSelect(join,
-                             LExpr::CallF("gt", {Field("d", "len"), IntLit(5)})),
-      {"d"});
-  LOpPtr le = algebricks::MakeProject(
-      algebricks::MakeSelect(join,
-                             LExpr::CallF("le", {Field("d", "len"), IntLit(5)})),
-      {"d"});
-  LOpPtr plan = algebricks::MakeUnionAll(gt, le, {"d"});
+  LOpPtr join;
+  LOpPtr plan = SharedJoinPlan(&join);
 
   const std::string join_cond_before = join->expr->ToString();
 

@@ -473,7 +473,6 @@ TEST_F(ServingTest, ParseErrorsAndDdlAreRefused) {
 TEST_F(ServingTest, ReservedSlotBoundsCheapLatencyUnderHeavyLoad) {
   ServingOptions serving;
   serving.max_concurrent = 2;
-  serving.reserve_cheap_slot = true;
   serving.max_queue = 32;
   QueryEngine& engine = MakeEngine(serving, /*records=*/16);
 
@@ -590,8 +589,7 @@ TEST_F(ServingTest, SessionSettingsAreIsolated) {
 // ---------- WeightedQueue unit tests ----------
 
 TEST(WeightedQueueTest, WeightedDequeueOrderIsDeterministic) {
-  WeightedQueue q(/*max_depth=*/16, /*cheap_weight=*/3.0,
-                  /*heavy_weight=*/1.0);
+  WeightedQueue q(/*max_depth=*/16);
   for (uint64_t i = 0; i < 6; ++i) {
     ASSERT_TRUE(q.TryPush(QueryClass::kCheap, 100 + i));
     ASSERT_TRUE(q.TryPush(QueryClass::kHeavy, 200 + i));
@@ -611,7 +609,7 @@ TEST(WeightedQueueTest, WeightedDequeueOrderIsDeterministic) {
 }
 
 TEST(WeightedQueueTest, BoundedDepthAndFifoWithinClass) {
-  WeightedQueue q(/*max_depth=*/2, 1.0, 1.0);
+  WeightedQueue q(/*max_depth=*/2);
   EXPECT_TRUE(q.TryPush(QueryClass::kCheap, 1));
   EXPECT_TRUE(q.TryPush(QueryClass::kHeavy, 2));
   EXPECT_FALSE(q.TryPush(QueryClass::kCheap, 3));  // full -> shed
@@ -628,7 +626,7 @@ TEST(WeightedQueueTest, BoundedDepthAndFifoWithinClass) {
 }
 
 TEST(WeightedQueueTest, RemoveDropsQueuedEntry) {
-  WeightedQueue q(8, 1.0, 1.0);
+  WeightedQueue q(/*max_depth=*/8);
   ASSERT_TRUE(q.TryPush(QueryClass::kHeavy, 7));
   ASSERT_TRUE(q.TryPush(QueryClass::kHeavy, 8));
   EXPECT_TRUE(q.Remove(7));

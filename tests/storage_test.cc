@@ -481,6 +481,8 @@ TEST_P(LsmModelProperty, MatchesReferenceModel) {
       }
     }
   }
+  // MaybeMerge kept the run count within max_runs after every flush.
+  EXPECT_LE(lsm->num_runs(), static_cast<size_t>(options.max_runs));
   // Full scan must equal the model.
   auto it = *lsm->NewIterator();
   auto mit = model.begin();
@@ -522,94 +524,6 @@ TEST(LsmTest, BulkLoadSorted) {
   ASSERT_TRUE(lsm->BulkLoadSorted(entries).ok());
   EXPECT_EQ(**lsm->Get(IntKey(50)), "b");
   EXPECT_EQ(lsm->num_runs(), 1u);
-}
-
-TEST(LsmTest, SizeTieredPolicyMergesTiers) {
-  TempDir dir;
-  LsmOptions options;
-  options.merge_policy = MergePolicy::kSizeTiered;
-  options.max_runs = 3;
-  options.tier_min_runs = 3;
-  auto lsm = *LsmIndex::Open(dir.path() + "/lsm", options);
-  // Produce several similar-size runs; the policy must keep the count
-  // bounded without merging everything into one run each time.
-  for (int run = 0; run < 10; ++run) {
-    for (int i = 0; i < 20; ++i) {
-      ASSERT_TRUE(lsm->Put(IntKey(run * 1000 + i), "v").ok());
-    }
-    ASSERT_TRUE(lsm->Flush().ok());
-  }
-  EXPECT_LE(lsm->num_runs(), 6u);
-  // All data still visible.
-  auto it = *lsm->NewIterator();
-  int count = 0;
-  while (it->Valid()) {
-    ++count;
-    ASSERT_TRUE(it->Next().ok());
-  }
-  EXPECT_EQ(count, 200);
-}
-
-TEST(LsmTest, SizeTieredKeepsTombstonesUntilFullMerge) {
-  TempDir dir;
-  LsmOptions options;
-  options.merge_policy = MergePolicy::kSizeTiered;
-  options.max_runs = 2;
-  options.tier_min_runs = 2;
-  auto lsm = *LsmIndex::Open(dir.path() + "/lsm", options);
-  // Oldest run holds the value.
-  ASSERT_TRUE(lsm->Put(IntKey(1), "old").ok());
-  ASSERT_TRUE(lsm->Flush().ok());
-  // Newer runs: a tombstone plus filler, flushed until tier merges happen
-  // among the NEW runs only.
-  ASSERT_TRUE(lsm->Delete(IntKey(1)).ok());
-  ASSERT_TRUE(lsm->Flush().ok());
-  for (int run = 0; run < 4; ++run) {
-    for (int i = 0; i < 5; ++i) {
-      ASSERT_TRUE(lsm->Put(IntKey(100 + run * 10 + i), "x").ok());
-    }
-    ASSERT_TRUE(lsm->Flush().ok());
-  }
-  // The tombstone must still shadow the old value regardless of which
-  // partial merges ran.
-  EXPECT_FALSE((*lsm->Get(IntKey(1))).has_value());
-  // A full compaction finally drops it.
-  ASSERT_TRUE(lsm->Compact().ok());
-  EXPECT_EQ(lsm->num_runs(), 1u);
-  EXPECT_FALSE((*lsm->Get(IntKey(1))).has_value());
-}
-
-// Property: the size-tiered LSM behaves like std::map too.
-TEST(LsmTest, SizeTieredMatchesReferenceModel) {
-  TempDir dir;
-  LsmOptions options;
-  options.memtable_budget_bytes = 1024;
-  options.max_runs = 3;
-  options.merge_policy = MergePolicy::kSizeTiered;
-  auto lsm = *LsmIndex::Open(dir.path() + "/lsm", options);
-  std::map<int64_t, std::string> model;
-  Random rng(77);
-  for (int op = 0; op < 1500; ++op) {
-    int64_t k = rng.UniformRange(0, 120);
-    if (rng.OneIn(3)) {
-      ASSERT_TRUE(lsm->Delete(IntKey(k)).ok());
-      model.erase(k);
-    } else {
-      std::string v = "v" + std::to_string(op);
-      ASSERT_TRUE(lsm->Put(IntKey(k), v).ok());
-      model[k] = v;
-    }
-  }
-  auto it = *lsm->NewIterator();
-  auto mit = model.begin();
-  while (it->Valid()) {
-    ASSERT_NE(mit, model.end());
-    EXPECT_EQ(it->key()[0].AsInt64(), mit->first);
-    EXPECT_EQ(it->value(), mit->second);
-    ASSERT_TRUE(it->Next().ok());
-    ++mit;
-  }
-  EXPECT_EQ(mit, model.end());
 }
 
 // ---------- inverted index ----------
