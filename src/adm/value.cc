@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace simdb::adm {
 
@@ -89,9 +90,14 @@ int TypeClass(ValueType t) {
   return 8;
 }
 
+// NaN equals NaN and sorts above every other number (PostgreSQL's rule), so
+// the order is total: sorts get a strict weak order and `eq`, hash joins and
+// hash groups agree that NaN is one key.
 int CompareDouble(double a, double b) {
   if (a < b) return -1;
   if (a > b) return 1;
+  bool a_nan = std::isnan(a), b_nan = std::isnan(b);
+  if (a_nan != b_nan) return a_nan ? 1 : -1;
   return 0;
 }
 
@@ -193,6 +199,8 @@ uint64_t Value::Hash() const {
       // Hash by numeric (double) value so 1 and 1.0 collide, matching ==.
       double d = AsNumber();
       if (d == 0.0) d = 0.0;  // normalize -0.0
+      // Every NaN is one key; their sign and payload bits differ.
+      if (std::isnan(d)) d = std::numeric_limits<double>::quiet_NaN();
       uint64_t bits;
       std::memcpy(&bits, &d, 8);
       return Mix(HashCombine(0x6e756d, bits));

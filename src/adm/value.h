@@ -132,15 +132,17 @@ class Value {
   const Value& GetField(std::string_view name) const;
 
   /// Total order across all types: MISSING < NULL < bool < numbers (compared
-  /// numerically across int64/double) < strings < arrays < multisets <
-  /// objects. Returns <0, 0, >0.
+  /// numerically across int64/double; NaN equals NaN and sorts above every
+  /// other number) < strings < arrays < multisets < objects. Returns <0, 0,
+  /// >0.
   static int Compare(const Value& a, const Value& b);
 
   bool operator==(const Value& other) const { return Compare(*this, other) == 0; }
   bool operator!=(const Value& other) const { return !(*this == other); }
   bool operator<(const Value& other) const { return Compare(*this, other) < 0; }
 
-  /// Hash consistent with operator== (numeric values hash by double value).
+  /// Hash consistent with operator== (numeric values hash by double value;
+  /// every NaN hashes alike).
   uint64_t Hash() const;
 
   /// Compact JSON-style rendering (objects print fields in sorted order).

@@ -1,6 +1,8 @@
 #include "algebricks/jobgen.h"
 
+#include <functional>
 #include <set>
+#include <unordered_set>
 
 #include "hyracks/ops_basic.h"
 #include "hyracks/ops_exchange.h"
@@ -65,6 +67,86 @@ Result<ExprPtr> CompileLExpr(const LExprPtr& expr,
   return Status::Internal("unreachable expr kind");
 }
 
+namespace {
+
+void AddVars(const LExprPtr& expr, std::set<std::string>* out) {
+  if (expr != nullptr) expr->CollectVars(out);
+}
+
+/// A listify or count aggregate is computed only when a parent reads it.
+/// Neither kind can raise an error, so dropping an unread one hides none.
+bool AggIsLive(const LAgg& agg, const std::set<std::string>& live) {
+  return (agg.kind != LAgg::Kind::kListify &&
+          agg.kind != LAgg::Kind::kCount) ||
+         live.count(agg.out_var) > 0;
+}
+
+/// The variables `op` reads from its inputs when its parents read `live`
+/// from its output. Both inputs of a join or union get the same set: a
+/// variable is bound on one side only, and narrowing keeps only the
+/// variables a side binds.
+std::set<std::string> ReadsFromInputs(const LOp& op,
+                                      const std::set<std::string>& live) {
+  std::set<std::string> reads;
+  switch (op.kind) {
+    case LOpKind::kDataScan:
+    case LOpKind::kConstantTuple:
+      break;
+    case LOpKind::kSelect:
+    case LOpKind::kJoin:
+    case LOpKind::kLimit:
+    case LOpKind::kOrderBy:
+    case LOpKind::kLocalSort:
+      reads = live;
+      AddVars(op.expr, &reads);
+      for (const LSortKey& k : op.sort_keys) AddVars(k.expr, &reads);
+      break;
+    case LOpKind::kAssign:
+      reads = live;
+      for (const auto& [name, e] : op.assigns) reads.erase(name);
+      // Every assignment is computed, read or not: its inputs are live.
+      for (const auto& [name, e] : op.assigns) AddVars(e, &reads);
+      break;
+    case LOpKind::kGroupBy:
+      for (const auto& [name, e] : op.group_keys) AddVars(e, &reads);
+      for (const LAgg& agg : op.group_aggs) {
+        if (AggIsLive(agg, live)) AddVars(agg.input, &reads);
+      }
+      break;
+    case LOpKind::kUnnest:
+      reads = live;
+      reads.erase(op.out_var);
+      reads.erase(op.pos_var);
+      AddVars(op.expr, &reads);
+      break;
+    case LOpKind::kRank:
+      reads = live;
+      reads.erase(op.pos_var);
+      break;
+    case LOpKind::kProject:
+    case LOpKind::kUnionAll:
+      // Both keep only their live variables (see LiveProjectVars).
+      for (const std::string& v : op.project_vars) {
+        if (live.count(v) > 0) reads.insert(v);
+      }
+      break;
+    case LOpKind::kIndexSearch:
+    case LOpKind::kBtreeSearch:
+      reads = live;
+      reads.erase(op.pk_var);
+      AddVars(op.expr, &reads);
+      break;
+    case LOpKind::kPrimaryLookup:
+      reads = live;
+      reads.erase(op.out_var);
+      reads.insert(op.pk_var);
+      break;
+  }
+  return reads;
+}
+
+}  // namespace
+
 Result<adm::Value> EvaluateConstant(const LExprPtr& expr) {
   SIMDB_ASSIGN_OR_RETURN(ExprPtr compiled, CompileLExpr(expr, {}));
   return compiled->Eval(hyracks::Tuple{});
@@ -119,6 +201,76 @@ Result<std::vector<int>> JobGenerator::MaterializeColumns(
     }
   }
   return cols;
+}
+
+Status JobGenerator::ComputeLiveness(const LOpPtr& root) {
+  live_.clear();
+  // Reverse postorder visits every parent before its inputs, so a node's
+  // live set is complete (the union over its parents) when it is expanded.
+  std::vector<const LOp*> order;
+  std::unordered_set<const LOp*> seen;
+  std::function<void(const LOp*)> visit = [&](const LOp* op) {
+    if (!seen.insert(op).second) return;
+    for (const LOpPtr& in : op->inputs) visit(in.get());
+    order.push_back(op);
+  };
+  visit(root.get());
+  SIMDB_ASSIGN_OR_RETURN(std::vector<std::string> out, root->OutputVars());
+  live_[root.get()].insert(out.begin(), out.end());
+  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+    std::set<std::string> reads = ReadsFromInputs(**it, live_[*it]);
+    for (const LOpPtr& in : (*it)->inputs) {
+      live_[in.get()].insert(reads.begin(), reads.end());
+    }
+  }
+  return Status::OK();
+}
+
+const std::set<std::string>& JobGenerator::Live(const LOp* op) const {
+  static const std::set<std::string> kNone;
+  auto it = live_.find(op);
+  return it == live_.end() ? kNone : it->second;
+}
+
+std::vector<std::string> JobGenerator::LiveProjectVars(const LOp& op) const {
+  const std::set<std::string>& live = Live(&op);
+  std::vector<std::string> vars;
+  for (const std::string& v : op.project_vars) {
+    if (live.count(v) > 0) vars.push_back(v);
+  }
+  return vars;
+}
+
+void JobGenerator::Narrow(Compiled* plan, const std::set<std::string>& keep,
+                          std::vector<int>* key_cols) {
+  std::vector<bool> kept(static_cast<size_t>(plan->width), false);
+  for (const auto& [name, col] : plan->vars) {
+    if (keep.count(name) > 0) kept[static_cast<size_t>(col)] = true;
+  }
+  if (key_cols != nullptr) {
+    for (int c : *key_cols) kept[static_cast<size_t>(c)] = true;
+  }
+  std::vector<int> columns;
+  std::vector<int> remap(kept.size(), -1);
+  for (size_t c = 0; c < kept.size(); ++c) {
+    if (!kept[c]) continue;
+    remap[c] = static_cast<int>(columns.size());
+    columns.push_back(static_cast<int>(c));
+  }
+  if (columns.size() == kept.size()) return;
+  Compiled projected;
+  for (const auto& [name, col] : plan->vars) {
+    int to = remap[static_cast<size_t>(col)];
+    if (to >= 0) projected.vars[name] = to;
+  }
+  projected.width = static_cast<int>(columns.size());
+  projected.node = job_.Add(
+      std::make_unique<hyracks::ProjectOp>(std::move(columns)), {plan->node},
+      SchemaOf(projected));
+  if (key_cols != nullptr) {
+    for (int& c : *key_cols) c = remap[static_cast<size_t>(c)];
+  }
+  *plan = std::move(projected);
 }
 
 Result<JobGenerator::Compiled> JobGenerator::CompileJoin(const LOpPtr& op) {
@@ -178,6 +330,9 @@ Result<JobGenerator::Compiled> JobGenerator::CompileJoin(const LOpPtr& op) {
 
   if (nested_loop) {
     // Broadcast the right side and run a local theta join.
+    std::set<std::string> keep = Live(op.get());
+    AddVars(op->expr, &keep);
+    Narrow(&right, keep, nullptr);
     right.node = job_.Add(std::make_unique<hyracks::BroadcastExchangeOp>(),
                           {right.node}, SchemaOf(right));
     Compiled out;
@@ -200,10 +355,17 @@ Result<JobGenerator::Compiled> JobGenerator::CompileJoin(const LOpPtr& op) {
   SIMDB_ASSIGN_OR_RETURN(std::vector<int> rcols,
                          MaterializeColumns(&right, right_keys, "rjk"));
 
+  // The equi keys travel as columns; a key such as `$l.id` ships without
+  // the record it was read from unless something else reads the record.
+  std::set<std::string> keep = Live(op.get());
+  for (const LExprPtr& c : residual) AddVars(c, &keep);
   if (bcast) {
+    Narrow(&right, keep, &rcols);
     right.node = job_.Add(std::make_unique<hyracks::BroadcastExchangeOp>(),
                           {right.node}, SchemaOf(right));
   } else {
+    Narrow(&left, keep, &lcols);
+    Narrow(&right, keep, &rcols);
     left.node = job_.Add(std::make_unique<hyracks::HashExchangeOp>(lcols),
                          {left.node}, SchemaOf(left));
     right.node = job_.Add(std::make_unique<hyracks::HashExchangeOp>(rcols),
@@ -282,6 +444,15 @@ Result<JobGenerator::Compiled> JobGenerator::Compile(const LOpPtr& op) {
       }
       SIMDB_ASSIGN_OR_RETURN(std::vector<int> key_cols,
                              MaterializeColumns(&out, key_exprs, "gk"));
+      const std::set<std::string>& live = Live(op.get());
+      std::vector<const LAgg*> live_aggs;
+      std::set<std::string> keep;
+      for (const LAgg& agg : op->group_aggs) {
+        if (!AggIsLive(agg, live)) continue;
+        live_aggs.push_back(&agg);
+        AddVars(agg.input, &keep);
+      }
+      Narrow(&out, keep, &key_cols);
       out.node = job_.Add(std::make_unique<hyracks::HashExchangeOp>(key_cols),
                           {out.node}, SchemaOf(out));
       std::vector<ExprPtr> keys;
@@ -289,7 +460,8 @@ Result<JobGenerator::Compiled> JobGenerator::Compile(const LOpPtr& op) {
         keys.push_back(hyracks::Col(key_cols[i], op->group_keys[i].first));
       }
       std::vector<AggSpec> aggs;
-      for (const LAgg& agg : op->group_aggs) {
+      for (const LAgg* live_agg : live_aggs) {
+        const LAgg& agg = *live_agg;
         AggSpec spec;
         switch (agg.kind) {
           case LAgg::Kind::kListify:
@@ -323,7 +495,7 @@ Result<JobGenerator::Compiled> JobGenerator::Compile(const LOpPtr& op) {
         (void)e;
         grouped.vars[name] = col++;
       }
-      for (const LAgg& agg : op->group_aggs) grouped.vars[agg.out_var] = col++;
+      for (const LAgg* agg : live_aggs) grouped.vars[agg->out_var] = col++;
       grouped.width = col;
       grouped.node = job_.Add(
           std::make_unique<hyracks::HashGroupOp>(std::move(keys), std::move(aggs)),
@@ -338,6 +510,8 @@ Result<JobGenerator::Compiled> JobGenerator::Compile(const LOpPtr& op) {
       for (const LSortKey& k : op->sort_keys) key_exprs.push_back(k.expr);
       SIMDB_ASSIGN_OR_RETURN(std::vector<int> cols,
                              MaterializeColumns(&out, key_exprs, "sk"));
+      // ORDER-BY's merge-gather ships rows; a local sort moves none.
+      if (op->kind == LOpKind::kOrderBy) Narrow(&out, Live(op.get()), &cols);
       std::vector<hyracks::SortKey> keys;
       for (size_t i = 0; i < cols.size(); ++i) {
         keys.push_back({cols[i], op->sort_keys[i].ascending});
@@ -374,7 +548,7 @@ Result<JobGenerator::Compiled> JobGenerator::Compile(const LOpPtr& op) {
       SIMDB_ASSIGN_OR_RETURN(out, Compile(op->inputs[0]));
       std::vector<int> keep;
       Compiled projected;
-      for (const std::string& v : op->project_vars) {
+      for (const std::string& v : LiveProjectVars(*op)) {
         auto it = out.vars.find(v);
         if (it == out.vars.end()) {
           return Status::PlanError("project of unbound variable $" + v);
@@ -397,9 +571,10 @@ Result<JobGenerator::Compiled> JobGenerator::Compile(const LOpPtr& op) {
     case LOpKind::kUnionAll: {
       SIMDB_ASSIGN_OR_RETURN(Compiled left, Compile(op->inputs[0]));
       SIMDB_ASSIGN_OR_RETURN(Compiled right, Compile(op->inputs[1]));
+      const std::vector<std::string> union_vars = LiveProjectVars(*op);
       auto project_side = [&](Compiled& side) -> Status {
         std::vector<int> keep;
-        for (const std::string& v : op->project_vars) {
+        for (const std::string& v : union_vars) {
           auto it = side.vars.find(v);
           if (it == side.vars.end()) {
             return Status::PlanError("union branch missing variable $" + v);
@@ -407,8 +582,8 @@ Result<JobGenerator::Compiled> JobGenerator::Compile(const LOpPtr& op) {
           keep.push_back(it->second);
         }
         Compiled projected;
-        for (size_t i = 0; i < op->project_vars.size(); ++i) {
-          projected.vars[op->project_vars[i]] = static_cast<int>(i);
+        for (size_t i = 0; i < union_vars.size(); ++i) {
+          projected.vars[union_vars[i]] = static_cast<int>(i);
         }
         projected.width = static_cast<int>(keep.size());
         projected.node = job_.Add(std::make_unique<hyracks::ProjectOp>(keep),
@@ -425,6 +600,10 @@ Result<JobGenerator::Compiled> JobGenerator::Compile(const LOpPtr& op) {
     }
     case LOpKind::kIndexSearch: {
       SIMDB_ASSIGN_OR_RETURN(out, Compile(op->inputs[0]));
+      std::set<std::string> keep = Live(op.get());
+      keep.erase(op->pk_var);
+      AddVars(op->expr, &keep);
+      Narrow(&out, keep, nullptr);
       out.node = job_.Add(std::make_unique<hyracks::BroadcastExchangeOp>(),
                           {out.node}, SchemaOf(out));
       SIMDB_ASSIGN_OR_RETURN(ExprPtr key, CompileExpr(op->expr, out.vars));
@@ -438,6 +617,10 @@ Result<JobGenerator::Compiled> JobGenerator::Compile(const LOpPtr& op) {
     }
     case LOpKind::kBtreeSearch: {
       SIMDB_ASSIGN_OR_RETURN(out, Compile(op->inputs[0]));
+      std::set<std::string> keep = Live(op.get());
+      keep.erase(op->pk_var);
+      AddVars(op->expr, &keep);
+      Narrow(&out, keep, nullptr);
       out.node = job_.Add(std::make_unique<hyracks::BroadcastExchangeOp>(),
                           {out.node}, SchemaOf(out));
       SIMDB_ASSIGN_OR_RETURN(ExprPtr key, CompileExpr(op->expr, out.vars));
@@ -470,6 +653,7 @@ Result<JobGenerator::Compiled> JobGenerator::Compile(const LOpPtr& op) {
 Status JobGenerator::Generate(const LOpPtr& root, hyracks::Job* out_job) {
   job_ = hyracks::Job();
   cache_.clear();
+  SIMDB_RETURN_IF_ERROR(ComputeLiveness(root));
   SIMDB_ASSIGN_OR_RETURN(Compiled root_compiled, Compile(root));
   job_.Add(std::make_unique<hyracks::GatherOp>(), {root_compiled.node},
            SchemaOf(root_compiled));

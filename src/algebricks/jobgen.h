@@ -2,6 +2,7 @@
 #define SIMDB_ALGEBRICKS_JOBGEN_H_
 
 #include <map>
+#include <set>
 #include <string>
 #include <unordered_map>
 
@@ -26,6 +27,12 @@ Result<adm::Value> EvaluateConstant(const LExprPtr& expr);
 /// merge), compiles variable-based expressions to positional ones, and shares
 /// the compiled form of LOp nodes referenced by several parents (REPLICATE /
 /// materialize-reuse, paper Figure 20).
+///
+/// Every exchange ships only live columns: before adding one, the generator
+/// projects its input to the variables some operator above reads plus the
+/// key columns the exchange and its consumer use. PROJECT and UNION-ALL keep
+/// only their live variables, and a listify or count aggregate nothing
+/// reads is not computed (neither kind can raise an error).
 class JobGenerator {
  public:
   /// Compiles `root`; the job's final node gathers results at partition 0
@@ -43,6 +50,21 @@ class JobGenerator {
   Result<Compiled> Compile(const LOpPtr& op);
   Result<Compiled> CompileJoin(const LOpPtr& op);
 
+  /// Fills `live_`: for each node, the variables some parent reads from its
+  /// output (the union over parents for a shared node). The root's output
+  /// variables are live.
+  Status ComputeLiveness(const LOpPtr& root);
+  const std::set<std::string>& Live(const LOp* op) const;
+  /// A PROJECT's or UNION-ALL's variables that a parent reads: the columns
+  /// its PROJECTs keep, so an exchange above finds nothing more to drop.
+  std::vector<std::string> LiveProjectVars(const LOp& op) const;
+
+  /// Projects `plan` to the columns of the variables in `keep` plus
+  /// `*key_cols`, when that drops a column, and remaps `*key_cols` to their
+  /// new positions. Called right before an exchange is added.
+  void Narrow(Compiled* plan, const std::set<std::string>& keep,
+              std::vector<int>* key_cols);
+
   Result<hyracks::ExprPtr> CompileExpr(const LExprPtr& expr,
                                        const std::map<std::string, int>& vars);
 
@@ -56,6 +78,7 @@ class JobGenerator {
 
   hyracks::Job job_;
   std::unordered_map<const LOp*, Compiled> cache_;
+  std::unordered_map<const LOp*, std::set<std::string>> live_;
 };
 
 }  // namespace simdb::algebricks

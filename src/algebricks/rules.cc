@@ -1,6 +1,8 @@
 #include "algebricks/rules.h"
 
+#include <cctype>
 #include <functional>
+#include <map>
 #include <set>
 #include <unordered_map>
 #include <unordered_set>
@@ -196,6 +198,14 @@ class RemoveTrivialSelectRule : public RewriteRule {
   }
 };
 
+/// Every node of the DAG under `op`, once each, in depth-first preorder.
+void CollectNodes(const LOpPtr& op, std::unordered_set<const LOp*>& visited,
+                  std::vector<LOpPtr>* out) {
+  if (!visited.insert(op.get()).second) return;
+  out->push_back(op);
+  for (const LOpPtr& in : op->inputs) CollectNodes(in, visited, out);
+}
+
 // ---- count/listify rewrite ----
 
 /// Walks every expression in the plan, invoking `fn` with a mutable pointer
@@ -256,23 +266,232 @@ LExprPtr ReplaceCountCalls(const LExprPtr& expr, const std::string& var) {
   return copy;
 }
 
-void CollectGroupBys(const LOpPtr& op, std::unordered_set<const LOp*>& visited,
-                     std::vector<LOp*>* out) {
-  if (!visited.insert(op.get()).second) return;
-  if (op->kind == LOpKind::kGroupBy) out->push_back(op.get());
-  for (const LOpPtr& in : op->inputs) CollectGroupBys(in, visited, out);
+// ---- split-record rewrite ----
+
+bool ContainsCall(const LExprPtr& expr) {
+  if (expr->kind == LExpr::Kind::kCall) return true;
+  for (const LExprPtr& c : expr->children) {
+    if (ContainsCall(c)) return true;
+  }
+  return false;
+}
+
+bool IsFieldOfVar(const LExprPtr& expr) {
+  return expr->kind == LExpr::Kind::kField && expr->children.size() == 1 &&
+         expr->children[0]->kind == LExpr::Kind::kVar;
+}
+
+/// How one record-constructor variable is bound and read across the plan.
+struct RecordUse {
+  LExprPtr ctor;  // every binding site builds this same constructor
+  bool keep_whole = false;
+  std::set<std::string> read_fields;
+};
+
+/// Notes each read of a candidate in `expr`: `$v.f` reads field f; any other
+/// occurrence of `$v` reads the record whole.
+void NoteReads(const LExprPtr& expr, std::map<std::string, RecordUse>* uses) {
+  if (expr == nullptr) return;
+  if (IsFieldOfVar(expr)) {
+    auto it = uses->find(expr->children[0]->name);
+    if (it != uses->end()) it->second.read_fields.insert(expr->name);
+    return;
+  }
+  if (expr->kind == LExpr::Kind::kVar) {
+    auto it = uses->find(expr->name);
+    if (it != uses->end()) it->second.keep_whole = true;
+    return;
+  }
+  for (const LExprPtr& c : expr->children) NoteReads(c, uses);
+}
+
+/// Split variable -> (field name -> field variable).
+using FieldVars = std::map<std::string, std::map<std::string, std::string>>;
+
+/// Rewrites each `$v.f` of a split `$v` to its field variable, or to MISSING
+/// when the constructor has no field f. Returns `expr` itself when nothing
+/// in it changed.
+LExprPtr RewriteFieldReads(const LExprPtr& expr, const FieldVars& split) {
+  if (expr == nullptr) return expr;
+  if (IsFieldOfVar(expr)) {
+    auto it = split.find(expr->children[0]->name);
+    if (it != split.end()) {
+      auto field = it->second.find(expr->name);
+      return field == it->second.end() ? LExpr::Lit(adm::Value::Missing())
+                                       : LExpr::Var(field->second);
+    }
+  }
+  std::shared_ptr<LExpr> copy;
+  for (size_t i = 0; i < expr->children.size(); ++i) {
+    LExprPtr c = RewriteFieldReads(expr->children[i], split);
+    if (c == expr->children[i]) continue;
+    if (copy == nullptr) copy = std::make_shared<LExpr>(*expr);
+    copy->children[i] = std::move(c);
+  }
+  return copy != nullptr ? copy : expr;
+}
+
+/// One pass of the split-record rewrite. Returns whether it split anything.
+Result<bool> SplitRecordsOnce(LOpPtr& root) {
+  // Owning pointers: unlinking an emptied ASSIGN must not free a node this
+  // pass still visits.
+  std::vector<LOpPtr> nodes;
+  {
+    std::unordered_set<const LOp*> visited;
+    CollectNodes(root, visited, &nodes);
+  }
+  std::map<std::string, RecordUse> uses;
+  std::set<std::string> bound;       // every variable name the plan binds
+  std::set<std::string> non_record;  // ... by anything but a record ASSIGN
+  for (const LOpPtr& op : nodes) {
+    for (const auto& [name, e] : op->assigns) {
+      bound.insert(name);
+      if (e->kind != LExpr::Kind::kRecord) {
+        non_record.insert(name);
+        continue;
+      }
+      auto [it, inserted] = uses.try_emplace(name);
+      if (inserted) {
+        it->second.ctor = e;
+      } else if (it->second.ctor->ToString() != e->ToString()) {
+        it->second.keep_whole = true;  // two different records, one name
+      }
+    }
+    for (const std::string* name : {&op->out_var, &op->pos_var, &op->pk_var}) {
+      if (!name->empty()) non_record.insert(*name);
+    }
+    for (const auto& [name, e] : op->group_keys) non_record.insert(name);
+    for (const LAgg& agg : op->group_aggs) non_record.insert(agg.out_var);
+  }
+  bound.insert(non_record.begin(), non_record.end());
+  if (uses.empty()) return false;
+
+  auto keep_whole = [&uses](const std::string& var) {
+    auto it = uses.find(var);
+    if (it != uses.end()) it->second.keep_whole = true;
+  };
+  for (const std::string& v : non_record) keep_whole(v);
+  SIMDB_ASSIGN_OR_RETURN(std::vector<std::string> root_vars,
+                         root->OutputVars());
+  for (const std::string& v : root_vars) keep_whole(v);
+  for (const LOpPtr& op : nodes) {
+    if (op->kind == LOpKind::kUnionAll) {
+      for (const std::string& v : op->project_vars) keep_whole(v);
+    }
+  }
+  {
+    std::unordered_set<const LOp*> visited;
+    ForEachExpr(root, visited, [&uses](LExprPtr* e) { NoteReads(*e, &uses); });
+  }
+
+  FieldVars split;
+  for (const auto& [var, use] : uses) {
+    if (use.keep_whole) continue;
+    const std::vector<std::string>& names = use.ctor->field_names;
+    bool ok = std::set<std::string>(names.begin(), names.end()).size() ==
+              names.size();
+    for (size_t i = 0; ok && i < names.size(); ++i) {
+      ok = use.read_fields.count(names[i]) > 0 ||
+           !ContainsCall(use.ctor->children[i]);
+    }
+    if (!ok) continue;
+    std::map<std::string, std::string>& fields = split[var];
+    for (const std::string& f : names) {
+      if (use.read_fields.count(f) == 0) continue;
+      std::string base = var + "_";
+      for (char c : f) {
+        base += std::isalnum(static_cast<unsigned char>(c)) ? c : '_';
+      }
+      std::string fresh = base;
+      for (int n = 1; !bound.insert(fresh).second; ++n) {
+        fresh = base + "_" + std::to_string(n);
+      }
+      fields[f] = fresh;
+    }
+  }
+  if (split.empty()) return false;
+
+  {
+    std::unordered_set<const LOp*> visited;
+    ForEachExpr(root, visited,
+                [&split](LExprPtr* e) { *e = RewriteFieldReads(*e, split); });
+  }
+  for (const LOpPtr& op : nodes) {
+    std::vector<std::pair<std::string, LExprPtr>> assigns;
+    for (const auto& [name, e] : op->assigns) {
+      auto it = split.find(name);
+      if (it == split.end()) {
+        assigns.emplace_back(name, e);
+        continue;
+      }
+      // Field variables in constructor order: evaluation order, and so the
+      // first error raised, stay those of the record they replace.
+      for (size_t i = 0; i < e->field_names.size(); ++i) {
+        auto field = it->second.find(e->field_names[i]);
+        if (field != it->second.end()) {
+          assigns.emplace_back(field->second, e->children[i]);
+        }
+      }
+    }
+    op->assigns = std::move(assigns);
+    if (op->kind == LOpKind::kProject) {
+      std::vector<std::string> vars;
+      for (const std::string& v : op->project_vars) {
+        auto it = split.find(v);
+        if (it == split.end()) {
+          vars.push_back(v);
+          continue;
+        }
+        for (const std::string& f : uses[v].ctor->field_names) {
+          auto field = it->second.find(f);
+          if (field != it->second.end()) vars.push_back(field->second);
+        }
+      }
+      op->project_vars = std::move(vars);
+    }
+  }
+  // An ASSIGN whose only records were never read is left with nothing.
+  auto skip_empty = [](LOpPtr& edge) {
+    while (edge->kind == LOpKind::kAssign && edge->assigns.empty()) {
+      edge = edge->inputs[0];
+    }
+  };
+  skip_empty(root);
+  for (const LOpPtr& op : nodes) {
+    for (LOpPtr& in : op->inputs) skip_empty(in);
+  }
+  return true;
 }
 
 }  // namespace
 
+Result<bool> ApplySplitRecordRewrite(LOpPtr& root, OptContext& ctx) {
+  bool changed = false;
+  // Splitting `$v` can leave a record read only by field behind it, e.g. the
+  // `{b: ...}` of `$v := {a: {b: ...}}` read as `$v.a.b`.
+  for (;;) {
+    SIMDB_ASSIGN_OR_RETURN(bool split, SplitRecordsOnce(root));
+    if (!split) break;
+    changed = true;
+  }
+  if (changed) {
+    ctx.fired_rules.push_back("split-records-read-by-field");
+    if (ctx.check_hook != nullptr) {
+      SIMDB_RETURN_IF_ERROR(ctx.check_hook->AfterGlobalRewrite(
+          "split-records-read-by-field", root));
+    }
+  }
+  return changed;
+}
+
 Result<bool> ApplyCountListifyRewrite(LOpPtr& root, OptContext& ctx) {
-  std::vector<LOp*> group_bys;
+  std::vector<LOpPtr> nodes;
   {
     std::unordered_set<const LOp*> visited;
-    CollectGroupBys(root, visited, &group_bys);
+    CollectNodes(root, visited, &nodes);
   }
   bool changed = false;
-  for (LOp* gb : group_bys) {
+  for (const LOpPtr& gb : nodes) {
     for (LAgg& agg : gb->group_aggs) {
       if (agg.kind != LAgg::Kind::kListify) continue;
       int total = 0, as_count = 0;

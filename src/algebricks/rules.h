@@ -140,6 +140,18 @@ std::shared_ptr<RewriteRule> MakeRemoveTrivialSelectRule();
 /// Applied as a whole-plan pass because it needs global variable usage.
 Result<bool> ApplyCountListifyRewrite(LOpPtr& root, OptContext& ctx);
 
+/// Records an ASSIGN builds and that are read only by field (`$v.f` with a
+/// constant f) or listed in a PROJECT are never built: each read field gets
+/// its own variable, bound at the same ASSIGN to that field's expression,
+/// `$v.f` reads it (a field the constructor lacks reads MISSING), and each
+/// PROJECT lists the field variables instead of `$v`. A variable stays whole
+/// when it is read whole anywhere, named by a UNION-ALL, used as a pk
+/// variable or in the root's output, or when its constructor repeats a
+/// field name or has an unread field that calls a function (dropping the
+/// call could hide its error). Applied as a whole-plan pass, after the
+/// rule sets, because it needs global variable usage.
+Result<bool> ApplySplitRecordRewrite(LOpPtr& root, OptContext& ctx);
+
 }  // namespace simdb::algebricks
 
 #endif  // SIMDB_ALGEBRICKS_RULES_H_

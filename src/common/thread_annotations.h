@@ -4,7 +4,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
-#include <shared_mutex>
 
 #include "analysis/lock_rank.h"
 
@@ -119,6 +118,13 @@ class SIMDB_CAPABILITY("mutex") Mutex {
 };
 
 /// Rank-checked reader/writer mutex (core::QueryProcessor engine state).
+/// Writer-preferring: once a writer waits, new readers queue behind it, so a
+/// stream of overlapping readers cannot starve Insert or DDL (glibc's
+/// std::shared_mutex prefers readers). The price: a thread holding the lock
+/// shared must never take it shared again, or it waits behind a writer that
+/// waits for it. The engine's only shared acquisition is ExecuteConcurrent's
+/// (src/core/query_processor.cc), and nothing inside a query takes the lock
+/// again.
 class SIMDB_CAPABILITY("shared_mutex") SharedMutex {
  public:
   explicit SharedMutex(lockrank::Rank rank, const char* name)
@@ -130,10 +136,20 @@ class SIMDB_CAPABILITY("shared_mutex") SharedMutex {
 #if SIMDB_LOCK_RANK_CHECKS
     lockrank::OnAcquire(rank_, name_, this);
 #endif
-    mu_.lock();
+    std::unique_lock<std::mutex> lock(mu_);  // simdb-lint: raw-mutex-ok (the wrapper itself)
+    ++waiting_writers_;
+    while (writer_ || readers_ > 0) {
+      cv_.wait(lock);  // simdb-lint: bare-cv-wait-ok (the primitive itself; the loop re-checks)
+    }
+    --waiting_writers_;
+    writer_ = true;
   }
   void Unlock() SIMDB_RELEASE() {
-    mu_.unlock();
+    {
+      std::lock_guard<std::mutex> lock(mu_);  // simdb-lint: raw-mutex-ok (the wrapper itself)
+      writer_ = false;
+    }
+    cv_.notify_all();
 #if SIMDB_LOCK_RANK_CHECKS
     lockrank::OnRelease(this);
 #endif
@@ -142,17 +158,44 @@ class SIMDB_CAPABILITY("shared_mutex") SharedMutex {
 #if SIMDB_LOCK_RANK_CHECKS
     lockrank::OnAcquire(rank_, name_, this);
 #endif
-    mu_.lock_shared();
+    std::unique_lock<std::mutex> lock(mu_);  // simdb-lint: raw-mutex-ok (the wrapper itself)
+    ++waiting_readers_;
+    while (writer_ || waiting_writers_ > 0) {
+      cv_.wait(lock);  // simdb-lint: bare-cv-wait-ok (the primitive itself; the loop re-checks)
+    }
+    --waiting_readers_;
+    ++readers_;
   }
   void UnlockShared() SIMDB_RELEASE_SHARED() {
-    mu_.unlock_shared();
+    bool last = false;
+    {
+      std::lock_guard<std::mutex> lock(mu_);  // simdb-lint: raw-mutex-ok (the wrapper itself)
+      last = --readers_ == 0;
+    }
+    if (last) cv_.notify_all();
 #if SIMDB_LOCK_RANK_CHECKS
     lockrank::OnRelease(this);
 #endif
   }
 
+  /// Threads blocked in Lock() / LockShared(). They let a test order a
+  /// reader behind a waiting writer without sleeping.
+  int waiting_writers() const {
+    std::lock_guard<std::mutex> lock(mu_);  // simdb-lint: raw-mutex-ok (the wrapper itself)
+    return waiting_writers_;
+  }
+  int waiting_readers() const {
+    std::lock_guard<std::mutex> lock(mu_);  // simdb-lint: raw-mutex-ok (the wrapper itself)
+    return waiting_readers_;
+  }
+
  private:
-  std::shared_mutex mu_;  // simdb-lint: raw-mutex-ok (the wrapper itself)
+  mutable std::mutex mu_;  // simdb-lint: raw-mutex-ok (the wrapper itself)
+  std::condition_variable cv_;  // simdb-lint: raw-mutex-ok (the wrapper itself)
+  int readers_ = 0;  // holders of the shared lock
+  bool writer_ = false;
+  int waiting_writers_ = 0;
+  int waiting_readers_ = 0;
   const int rank_;
   const char* const name_;
 };

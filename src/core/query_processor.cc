@@ -146,7 +146,8 @@ Status QueryProcessor::OptimizePlan(LOpPtr& plan,
   // Paper Section 5.3: normalize, apply the similarity rule set (which may
   // regenerate whole subplans through AQL+), then let the newly generated
   // plan go through the earlier rules again, and finally specialize
-  // aggregates.
+  // aggregates. Records read only by field are split last, once every rule
+  // set has run.
   RuleSet finalize;
   finalize.name = "finalize";
   finalize.rules = {MakeUseCheckVariantRule()};
@@ -156,6 +157,7 @@ Status QueryProcessor::OptimizePlan(LOpPtr& plan,
   SIMDB_RETURN_IF_ERROR(ApplyRuleSet(plan, normalize, opt).status());
   SIMDB_RETURN_IF_ERROR(ApplyCountListifyRewrite(plan, opt).status());
   SIMDB_RETURN_IF_ERROR(ApplyRuleSet(plan, finalize, opt).status());
+  SIMDB_RETURN_IF_ERROR(algebricks::ApplySplitRecordRewrite(plan, opt).status());
   return Status::OK();
 }
 
@@ -509,7 +511,7 @@ Status QueryProcessor::ExecuteConcurrent(std::string_view aql,
   return Status::OK();
 }
 
-Result<std::string> QueryProcessor::Explain(std::string_view aql) {
+Result<LOpPtr> QueryProcessor::PlanLastQuery(std::string_view aql) {
   SIMDB_ASSIGN_OR_RETURN(aql::Program program, aql::ParseProgram(aql));
   WriterLock lock(state_mu_);
   const aql::AExprPtr* query = nullptr;
@@ -529,7 +531,24 @@ Result<std::string> QueryProcessor::Explain(std::string_view aql) {
   if (options_.verify_plans) {
     SIMDB_RETURN_IF_ERROR(analysis::PlanVerifier::Verify(tr.plan, &catalog_));
   }
-  return tr.plan->ToString();
+  return tr.plan;
+}
+
+Result<std::string> QueryProcessor::Explain(std::string_view aql) {
+  SIMDB_ASSIGN_OR_RETURN(LOpPtr plan, PlanLastQuery(aql));
+  return plan->ToString();
+}
+
+Result<hyracks::Job> QueryProcessor::CompileJob(std::string_view aql) {
+  SIMDB_ASSIGN_OR_RETURN(LOpPtr plan, PlanLastQuery(aql));
+  hyracks::Job job;
+  algebricks::JobGenerator jobgen;
+  SIMDB_RETURN_IF_ERROR(jobgen.Generate(plan, &job));
+  if (options_.verify_plans) {
+    SIMDB_RETURN_IF_ERROR(
+        analysis::DagVerifier::Verify(job, options_.topology));
+  }
+  return job;
 }
 
 }  // namespace simdb::core

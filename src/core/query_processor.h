@@ -132,6 +132,10 @@ class QueryProcessor {
   /// optimized logical plan rendering.
   Result<std::string> Explain(std::string_view aql);
 
+  /// Compiles (but does not run) the last query in `aql` into the job
+  /// Execute would run, e.g. to inspect what each exchange ships.
+  Result<hyracks::Job> CompileJob(std::string_view aql);
+
   /// Session + optimizer state: simfunction/simthreshold and the feature
   /// flags used by ablation benchmarks.
   algebricks::OptContext& opt_context() { return opt_; }
@@ -231,6 +235,9 @@ class QueryProcessor {
   Status RunQuery(const aql::AExprPtr& query, QueryResult* result,
                   algebricks::OptContext& opt, const QueryGovernor* gov);
   Status OptimizePlan(algebricks::LOpPtr& plan, algebricks::OptContext& opt);
+  /// Runs the non-query statements of `aql` and returns its last query's
+  /// optimized plan (Explain, CompileJob).
+  Result<algebricks::LOpPtr> PlanLastQuery(std::string_view aql);
 
   /// Verifies each optimizer step in verify mode (null otherwise); owned
   /// here, installed into `opt_.check_hook`. Concurrent queries install a

@@ -157,8 +157,9 @@ struct ServingStats {
 /// under the query's own cancellation token and resource budget.
 ///
 /// DDL / data loading go through processor().Execute(), which serializes
-/// exclusively against all in-flight queries (a shared_mutex inside the
-/// processor) — the serving path itself is read-only.
+/// exclusively against all in-flight queries (a writer-preferring shared
+/// lock inside the processor: a waiting writer holds back new queries
+/// until the ones in flight finish) — the serving path itself is read-only.
 class QueryEngine {
  public:
   QueryEngine(core::EngineOptions engine_options,

@@ -164,6 +164,90 @@ TEST(RulesTest, CountListifyKeepsListWhenUsedDirectly) {
   EXPECT_EQ(group->group_aggs[0].kind, LAgg::Kind::kListify);
 }
 
+// ---------- split-record rewrite ----------
+
+LExprPtr FieldOf(const std::string& var, const std::string& field) {
+  return LExpr::Field(LExpr::Var(var), field);
+}
+
+TEST(RulesTest, SplitRecordReadOnlyByField) {
+  // $r := {a: $t.x, b: {c: $t.y}, d: $t.z}; PROJECT $r; read $r.a, $r.b.c
+  // and the absent $r.e. $r.d is never read and is not a call: dropped.
+  LOpPtr build = MakeAssign(
+      MakeDataScan("X", "t"),
+      {{"r", LExpr::Record({"a", "b", "d"},
+                           {FieldOf("t", "x"),
+                            LExpr::Record({"c"}, {FieldOf("t", "y")}),
+                            FieldOf("t", "z")})}});
+  LOpPtr root = MakeProject(
+      MakeAssign(MakeProject(build, {"r"}),
+                 {{"out", LExpr::List({FieldOf("r", "a"),
+                                       LExpr::Field(FieldOf("r", "b"), "c"),
+                                       FieldOf("r", "e")})}}),
+      {"out"});
+  OptContext ctx = Ctx();
+  ASSERT_TRUE(*ApplySplitRecordRewrite(root, ctx));
+  EXPECT_EQ(ctx.fired_rules,
+            (std::vector<std::string>{"split-records-read-by-field"}));
+  // The nested {c: ...} was read only as $r.b.c, so a second pass split it.
+  EXPECT_EQ(root->ToString(),
+            "PROJECT $out\n"
+            "  ASSIGN $out:=[$r_a, $r_b_c, missing]\n"
+            "    PROJECT $r_a $r_b_c\n"
+            "      ASSIGN $r_a:=$t.x $r_b_c:=$t.y\n"
+            "        DATA-SCAN X -> $t\n");
+  EXPECT_FALSE(*ApplySplitRecordRewrite(root, ctx));
+}
+
+TEST(RulesTest, SplitRecordUnlinksAnAssignLeftEmpty) {
+  // Nothing reads $r's fields: its ASSIGN has nothing left to bind.
+  LOpPtr root = MakeProject(
+      MakeAssign(MakeDataScan("X", "t"),
+                 {{"r", LExpr::Record({"a"}, {FieldOf("t", "x")})}}),
+      {"t"});
+  OptContext ctx = Ctx();
+  ASSERT_TRUE(*ApplySplitRecordRewrite(root, ctx));
+  EXPECT_EQ(root->ToString(), "PROJECT $t\n  DATA-SCAN X -> $t\n");
+}
+
+TEST(RulesTest, SplitRecordKeepsRecordsReadWhole) {
+  auto plan_with_read = [](LExprPtr ctor, LExprPtr read) {
+    return MakeProject(
+        MakeAssign(MakeAssign(MakeDataScan("X", "t"), {{"r", ctor}}),
+                   {{"out", read}}),
+        {"out"});
+  };
+  LExprPtr ab = LExpr::Record({"a", "b"}, {FieldOf("t", "x"), FieldOf("t", "y")});
+  const std::vector<std::pair<const char*, LOpPtr>> cases = {
+      {"passed to a function",
+       plan_with_read(ab, LExpr::CallF("is-missing", {LExpr::Var("r")}))},
+      {"read whole inside a list", plan_with_read(ab, LExpr::List({LExpr::Var("r")}))},
+      {"repeated field name",
+       plan_with_read(LExpr::Record({"a", "a"}, {FieldOf("t", "x"),
+                                                 FieldOf("t", "y")}),
+                      FieldOf("r", "a"))},
+      {"unread call-valued field",
+       plan_with_read(LExpr::Record({"a", "b"},
+                                    {FieldOf("t", "x"),
+                                     LExpr::CallF("len", {FieldOf("t", "y")})}),
+                      FieldOf("r", "a"))},
+      {"in the root's output",
+       MakeAssign(MakeDataScan("X", "t"), {{"r", ab}})},
+      {"named by a UNION-ALL",
+       MakeAssign(MakeUnionAll(MakeAssign(MakeDataScan("X", "t"), {{"r", ab}}),
+                               MakeAssign(MakeDataScan("X", "t"), {{"r", ab}}),
+                               {"r"}),
+                  {{"out", FieldOf("r", "a")}})},
+  };
+  for (const auto& [why, plan] : cases) {
+    LOpPtr root = plan;
+    std::string before = root->ToString();
+    OptContext ctx = Ctx();
+    EXPECT_FALSE(*ApplySplitRecordRewrite(root, ctx)) << why;
+    EXPECT_EQ(root->ToString(), before) << why;
+  }
+}
+
 TEST(RulesTest, RuleSetStopsAtFixpoint) {
   LOpPtr root = MakeSelect(MakeDataScan("X", "a"),
                            LExpr::Lit(Value::Boolean(true)));

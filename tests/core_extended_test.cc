@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <filesystem>
+#include <limits>
 #include <regex>
 
 #include "aql/parser.h"
@@ -345,15 +347,66 @@ TEST_F(PkConjunctPlacementTest, ThreeStageAppliesPkConjunctInStageTwo) {
   UsePlans(/*index_join=*/false, /*three_stage=*/true);
   std::string plan = Plan(JaccardJoin("$l.id < $r.id"));
   auto [stage3, below] = SplitAtRidPairs(plan);
-  // The stage-2 pt join drops mirror and self pairs as its residual...
+  // The stage-2 pt join drops mirror and self pairs as its residual. The
+  // `{id, ranks, pt}` records are split, so it reads their field variables...
   EXPECT_TRUE(std::regex_search(
-      below, std::regex(R"(JOIN cond=and\(eq\(\$v\d+_ret\.pt, )"
-                        R"(\$v\d+_ret\.pt\), lt\(\$v\d+_ret\.id, )"
-                        R"(\$v\d+_ret\.id\)\))")))
+      below, std::regex(R"(JOIN cond=and\(eq\(\$v\d+_ret_pt, )"
+                        R"(\$v\d+_ret_pt\), lt\(\$v\d+_ret_id, )"
+                        R"(\$v\d+_ret_id\)\))")))
       << plan;
   // ...and no join above the rid-pair GROUP-BY applies it again.
   EXPECT_EQ(stage3.find("lt("), std::string::npos) << plan;
   EXPECT_NE(stage3.find("JOIN cond=eq("), std::string::npos) << plan;
+}
+
+// Every exchange ships only the columns something above it reads: the
+// rid-pair group's exchange ships the two pks alone, and each stage-2 pt
+// exchange the three fields of the split `{id, ranks, pt}` record.
+TEST_F(PkConjunctPlacementTest, ThreeStageExchangesShipOnlyLiveColumns) {
+  UsePlans(/*index_join=*/false, /*three_stage=*/true);
+  Result<hyracks::Job> job = engine_->CompileJob(JaccardJoin("$l.id < $r.id"));
+  ASSERT_TRUE(job.ok()) << job.status().ToString();
+  auto columns = [&](int node) {
+    return job->nodes()[static_cast<size_t>(node)].schema.columns();
+  };
+  auto ends_with = [](const std::string& s, const std::string& suffix) {
+    return s.size() >= suffix.size() &&
+           s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
+  };
+  const std::regex pk(R"(v\d+_ret_id)");
+  int rid_pair_groups = 0, pt_joins = 0;
+  for (const hyracks::Job::Node& node : job->nodes()) {
+    const std::vector<std::string>& cols = node.schema.columns();
+    if (node.op->name() == "HASH-GROUP" && !cols.empty() &&
+        ends_with(cols[0], "_glid")) {
+      ++rid_pair_groups;
+      const hyracks::Job::Node& exchange =
+          job->nodes()[static_cast<size_t>(node.inputs[0])];
+      EXPECT_EQ(exchange.op->name(), "HASH-EXCHANGE");
+      ASSERT_EQ(exchange.schema.size(), 2u) << exchange.schema.ToString();
+      for (const std::string& c : exchange.schema.columns()) {
+        EXPECT_TRUE(std::regex_match(c, pk)) << exchange.schema.ToString();
+      }
+    }
+    bool reads_pt = std::any_of(cols.begin(), cols.end(), [&](const auto& c) {
+      return ends_with(c, "_pt");
+    });
+    if (node.op->name() == "HASH-JOIN" && reads_pt) {
+      ++pt_joins;
+      for (int input : node.inputs) {
+        std::vector<std::string> shipped = columns(input);
+        EXPECT_EQ(job->nodes()[static_cast<size_t>(input)].op->name(),
+                  "HASH-EXCHANGE");
+        ASSERT_EQ(shipped.size(), 3u);
+        std::string record = shipped[0].substr(0, shipped[0].rfind('_'));
+        EXPECT_EQ(shipped, (std::vector<std::string>{record + "_id",
+                                                     record + "_ranks",
+                                                     record + "_pt"}));
+      }
+    }
+  }
+  EXPECT_EQ(rid_pair_groups, 1);
+  EXPECT_EQ(pt_joins, 1);
 }
 
 TEST_F(PkConjunctPlacementTest, IndexJoinAppliesPkConjunctAboveIndexSearch) {
@@ -516,6 +569,139 @@ TEST_F(CoreExtendedTest, MixedIntDoubleKeysJoinAndGroupAsEqual) {
   for (const Value& row : result.rows) groups.push_back(row.ToJson());
   std::sort(groups.begin(), groups.end());
   EXPECT_EQ(groups, (std::vector<std::string>{"1", "2"}));
+}
+
+// A record read only by field is never built: each read field gets its own
+// variable. The answers are those of the whole record: an absent field reads
+// MISSING, a null field null, and `$r.inner.name` still reaches the nested
+// record's field.
+TEST_F(CoreExtendedTest, SplitRecordsAnswerAsWholeRecords) {
+  Load("P", {{"ann", "red apple"}, {"bob", "blue sky"}});
+  const std::string let =
+      "for $x in dataset P let $r := {'id': $x.id, 'nil': null, "
+      "'inner': {'name': $x.name}, 'unused': $x.text} ";
+  const std::string reads = "return [$r.id, $r.nil, $r.absent, $r.inner.name]";
+  QueryResult split;
+  ASSERT_TRUE(engine_->Execute(let + reads, &split).ok());
+  EXPECT_NE(std::find(split.fired_rules.begin(), split.fired_rules.end(),
+                      "split-records-read-by-field"),
+            split.fired_rules.end());
+  EXPECT_EQ(split.logical_plan.find("{id:"), std::string::npos)
+      << split.logical_plan;
+  // One whole read of $r keeps it whole.
+  QueryResult whole;
+  ASSERT_TRUE(
+      engine_->Execute(let + "where not(is-missing($r)) " + reads, &whole).ok());
+  EXPECT_NE(whole.logical_plan.find("{id:"), std::string::npos)
+      << whole.logical_plan;
+
+  auto sorted = [](const QueryResult& r) {
+    std::vector<std::string> rows;
+    for (const Value& v : r.rows) rows.push_back(v.ToJson());
+    std::sort(rows.begin(), rows.end());
+    return rows;
+  };
+  EXPECT_EQ(sorted(split), sorted(whole));
+  ASSERT_EQ(split.rows.size(), 2u);
+  for (const Value& row : split.rows) {
+    const Value::Array& items = row.AsList();
+    ASSERT_EQ(items.size(), 4u);
+    EXPECT_TRUE(items[1].is_null());
+    EXPECT_TRUE(items[2].is_missing());
+    EXPECT_TRUE(items[3].is_string());
+  }
+}
+
+// A record stays whole when it is returned, feeds a UNION-ALL, repeats a
+// field name, or has an unread field that calls a function: dropping that
+// call would hide its error.
+TEST_F(CoreExtendedTest, SplitRecordsLeavesOtherRecordsWhole) {
+  Load("P", {{"ann", "red apple"}, {"bob", "blue sky"}});
+  for (const std::string aql :
+       {"for $x in dataset P let $r := {'a': $x.id, 'b': $x.name} return $r",
+        "for $y in union((for $x in dataset P return {'a': $x.id}), "
+        "(for $x in dataset P return {'a': $x.id + 100})) return $y.a",
+        "for $x in dataset P let $r := {'a': $x.id, 'a': $x.name} return $r.a"}) {
+    QueryResult result;
+    ASSERT_TRUE(engine_->Execute(aql, &result).ok()) << aql;
+    EXPECT_EQ(std::find(result.fired_rules.begin(), result.fired_rules.end(),
+                        "split-records-read-by-field"),
+              result.fired_rules.end())
+        << aql << "\n" << result.logical_plan;
+    EXPECT_NE(result.logical_plan.find("{a:"), std::string::npos) << aql;
+  }
+  QueryResult result;
+  Status s = engine_->Execute(
+      "for $x in dataset P let $r := {'a': $x.id, 'b': len($x.id)} "
+      "return $r.a",
+      &result);
+  EXPECT_EQ(s.code(), StatusCode::kTypeError) << s.ToString();
+}
+
+// NaN equals NaN and sorts above every other number (PostgreSQL's rule), and
+// every NaN hashes alike whatever its sign and payload bits. Comparisons,
+// hash joins, hash groups and sorts all see that one order.
+TEST_F(CoreExtendedTest, NaNIsOneKeyAboveEveryNumber) {
+  const std::string nan = "let $n := 1e308 * 10.0 - 1e308 * 10.0 ";
+  QueryResult result;
+  ASSERT_TRUE(
+      engine_->Execute(nan + "return [$n = 1, $n = $n, $n < 1, $n > 1]", &result)
+          .ok());
+  ASSERT_EQ(result.rows.size(), 1u);
+  EXPECT_EQ(result.rows[0].ToJson(), "[false,true,false,true]");
+
+  // Only 1-1, 2-2 and NaN-NaN match.
+  EXPECT_EQ(RunCount("count(" + nan +
+                     "for $a in [1, 2, $n] for $b in [1, 2, $n] "
+                     "where $a = $b return $a)"),
+            3);
+
+  ASSERT_TRUE(engine_->Execute("create dataset N primary key id;").ok());
+  const double quiet = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<Value> values = {Value::Double(quiet), Value::Int64(1),
+                                     Value::Double(-quiet),
+                                     Value::Double(std::nan("7")),
+                                     Value::Double(2.5)};
+  for (size_t i = 0; i < values.size(); ++i) {
+    ASSERT_TRUE(engine_
+                    ->Insert("N", Value::MakeObject(
+                                      {{"id", Value::Int64(static_cast<int64_t>(i))},
+                                       {"v", values[i]}}))
+                    .ok());
+  }
+  ASSERT_TRUE(engine_
+                  ->Execute("for $x in dataset N group by $g := $x.v with $x "
+                            "order by $g return count($x)",
+                            &result)
+                  .ok());
+  std::vector<std::string> counts;
+  for (const Value& row : result.rows) counts.push_back(row.ToJson());
+  EXPECT_EQ(counts, (std::vector<std::string>{"1", "1", "3"}));
+
+  // Half NaN, half numbers in a scrambled order: the numbers come back
+  // ascending, then every NaN.
+  ASSERT_TRUE(engine_->Execute("create dataset S primary key id;").ok());
+  const int kRows = 3000;
+  for (int i = 0; i < kRows; ++i) {
+    double v = i % 2 == 0 ? quiet : static_cast<double>((i * 7919) % 1009);
+    ASSERT_TRUE(engine_
+                    ->Insert("S", Value::MakeObject({{"id", Value::Int64(i)},
+                                                     {"v", Value::Double(v)}}))
+                    .ok());
+  }
+  ASSERT_TRUE(
+      engine_->Execute("for $x in dataset S order by $x.v return $x.v", &result)
+          .ok());
+  ASSERT_EQ(result.rows.size(), static_cast<size_t>(kRows));
+  int misplaced = 0;
+  for (int i = 0; i < kRows; ++i) {
+    double v = result.rows[static_cast<size_t>(i)].AsNumber();
+    bool in_place = std::isnan(v) == (i >= kRows / 2) &&
+                    (i == 0 || i >= kRows / 2 ||
+                     result.rows[static_cast<size_t>(i) - 1].AsNumber() <= v);
+    if (!in_place) ++misplaced;
+  }
+  EXPECT_EQ(misplaced, 0);
 }
 
 TEST_F(CoreExtendedTest, DataPersistsAcrossEngineInstances) {

@@ -586,6 +586,40 @@ TEST_F(ServingTest, SessionSettingsAreIsolated) {
   EXPECT_EQ(b_session->queries_submitted(), 12u);
 }
 
+// ---------- engine state lock ----------
+
+// The state lock prefers writers: once a writer waits, a new reader queues
+// behind it, so overlapping queries cannot starve Insert and DDL. Ordered by
+// the lock's waiter counts, not by sleeps.
+TEST(StateLockTest, NewReaderQueuesBehindWaitingWriter) {
+  SharedMutex mu(lockrank::Rank::kEngineState, "StateLockTest::mu");
+  std::atomic<int> next{0};
+  std::atomic<int> writer_at{-1};
+  std::atomic<int> reader_at{-1};
+  mu.LockShared();  // a query in flight
+  std::thread writer([&] {
+    WriterLock lock(mu);
+    writer_at = next++;
+  });
+  while (mu.waiting_writers() == 0) std::this_thread::yield();
+  std::thread reader([&] {
+    ReaderLock lock(mu);
+    reader_at = next++;
+  });
+  // The second reader either queues behind the writer or overtakes it.
+  while (mu.waiting_readers() == 0 && reader_at.load() < 0) {
+    std::this_thread::yield();
+  }
+  EXPECT_LT(reader_at.load(), 0) << "a new reader overtook a waiting writer";
+  mu.UnlockShared();
+  writer.join();
+  reader.join();
+  EXPECT_EQ(writer_at.load(), 0);
+  EXPECT_EQ(reader_at.load(), 1);
+  EXPECT_EQ(mu.waiting_writers(), 0);
+  EXPECT_EQ(mu.waiting_readers(), 0);
+}
+
 // ---------- WeightedQueue unit tests ----------
 
 TEST(WeightedQueueTest, WeightedDequeueOrderIsDeterministic) {
