@@ -204,7 +204,7 @@ void BM_JaccardCheckIdsScalarBatch(benchmark::State& state) {
 BENCHMARK(BM_JaccardCheckIdsScalarBatch)->Arg(8)->Arg(64);
 
 /// Verifies 1024 candidates per call through the CSR batch kernel — the
-/// shape the SELECT/JOIN batch paths produce. Per-item time against
+/// shape NL-JOIN's batch path produces. Per-item time against
 /// BM_JaccardCheckIdsScalarBatch is the batch-execution speedup.
 void BM_JaccardCheckIdsBatch(benchmark::State& state) {
   JaccardWorkload w =
@@ -309,9 +309,9 @@ BENCHMARK_DEFINE_F(InvertedIndexFixture, TOccurrenceHeapMerge)
 }
 BENCHMARK_REGISTER_F(InvertedIndexFixture, TOccurrenceHeapMerge);
 
-// Batch path: occurrences counted in a dense per-slot counter array directly
-// over the cached posting arrays — no gather copy, no per-posting hashing.
-// Compare against TOccurrenceScanCount (the gather baseline).
+// ScanCount with a caller scratch reused across probes, as INVERTED-SEARCH
+// runs it. TOccurrenceScanCount runs the same counter path with a scratch
+// built for each call, so the gap is the counter array's allocation.
 BENCHMARK_DEFINE_F(InvertedIndexFixture, TOccurrenceBatch)
 (benchmark::State& state) {
   simd::TOccurrenceScratch scratch;

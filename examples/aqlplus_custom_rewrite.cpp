@@ -89,7 +89,7 @@ Status RunDemo(core::QueryProcessor& engine) {
   // Register the marker function so the query type-checks, then rewrite.
   hyracks::FunctionRegistry::Global().Register(
       {"top-group", 1, 1,
-       [](const std::vector<Value>&) -> Result<Value> {
+       [](std::span<const Value>) -> Result<Value> {
          return Status::Internal(
              "top-group is a rewrite marker and must be optimized away");
        }});

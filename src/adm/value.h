@@ -149,7 +149,9 @@ class Value {
   std::string ToJson() const;
 
   /// Parses a JSON document. Integers without fraction/exponent parse as
-  /// int64; `{{ ... }}` parses as a multiset (AsterixDB ADM syntax).
+  /// int64; `{{ ... }}` parses as a multiset (AsterixDB ADM syntax). A
+  /// document nesting arrays, objects and multisets more than kMaxJsonDepth
+  /// deep is a kParseError.
   static Result<Value> FromJson(std::string_view text);
 
   /// Binary serialization (storage format).
@@ -172,6 +174,11 @@ class Value {
                ObjectPtr>
       data_;
 };
+
+/// Deepest container nesting Value::FromJson accepts. It bounds the parser's
+/// recursion, and it is above the AQL parser's kMaxParseDepth, so a value an
+/// AQL literal can build always parses back.
+inline constexpr int kMaxJsonDepth = 256;
 
 /// The canonical MISSING singleton returned by failed field lookups.
 const Value& MissingValue();

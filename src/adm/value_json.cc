@@ -142,11 +142,18 @@ class JsonParser {
     SkipWhitespace();
     if (pos_ >= text_.size()) return Err("unexpected end of input");
     char c = text_[pos_];
-    if (c == '{') {
-      if (text_.substr(pos_, 2) == "{{") return ParseMultiset();
-      return ParseObject();
+    if (c == '{' || c == '[') {
+      if (depth_ == kMaxJsonDepth) {
+        return Err("nesting deeper than " + std::to_string(kMaxJsonDepth) +
+                   " levels");
+      }
+      ++depth_;
+      Result<Value> v = c == '['                        ? ParseArray()
+                        : text_.substr(pos_, 2) == "{{" ? ParseMultiset()
+                                                        : ParseObject();
+      --depth_;
+      return v;
     }
-    if (c == '[') return ParseArray();
     if (c == '"') {
       SIMDB_ASSIGN_OR_RETURN(std::string s, ParseString());
       return Value::String(std::move(s));
@@ -324,6 +331,7 @@ class JsonParser {
 
   std::string_view text_;
   size_t pos_;
+  int depth_ = 0;  // open arrays, objects and multisets
 };
 
 }  // namespace

@@ -99,6 +99,24 @@ class Parser {
     return AtKeyword("for") || AtKeyword("let") || AtKeyword("join");
   }
 
+  /// One level of nesting for as long as it lives: every expression,
+  /// unary operator and FLWOR holds one while it parses what it contains.
+  class Nesting {
+   public:
+    explicit Nesting(int& depth) : depth_(depth) { ++depth_; }
+    ~Nesting() { --depth_; }
+    Nesting(const Nesting&) = delete;
+    Nesting& operator=(const Nesting&) = delete;
+    bool too_deep() const { return depth_ > kMaxParseDepth; }
+
+   private:
+    int& depth_;
+  };
+  Status TooDeep() const {
+    return Err("query nests deeper than " + std::to_string(kMaxParseDepth) +
+               " levels");
+  }
+
   Result<Statement> ParseStatement();
   Result<FlworPtr> ParseFlwor();
   Result<Clause> ParseClause(bool* done);
@@ -115,6 +133,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  int depth_ = 0;  // see Nesting
 };
 
 Result<Program> Parser::ParseProgram() {
@@ -264,6 +283,8 @@ Result<Statement> Parser::ParseStatement() {
 }
 
 Result<FlworPtr> Parser::ParseFlwor() {
+  Nesting nest(depth_);
+  if (nest.too_deep()) return TooDeep();
   auto flwor = std::make_shared<Flwor>();
   bool done = false;
   while (!done) {
@@ -362,7 +383,11 @@ Result<Clause> Parser::ParseClause(bool* done) {
   return Err("expected a FLWOR clause");
 }
 
-Result<AExprPtr> Parser::ParseExpr() { return ParseOr(); }
+Result<AExprPtr> Parser::ParseExpr() {
+  Nesting nest(depth_);
+  if (nest.too_deep()) return TooDeep();
+  return ParseOr();
+}
 
 Result<AExprPtr> Parser::ParseOr() {
   SIMDB_ASSIGN_OR_RETURN(AExprPtr left, ParseAnd());
@@ -439,12 +464,14 @@ Result<AExprPtr> Parser::ParseMultiplicative() {
 }
 
 Result<AExprPtr> Parser::ParseUnary() {
-  if (ConsumeSymbol("-")) {
+  const bool negate = ConsumeSymbol("-");
+  if (negate || ConsumeKeyword("not")) {
+    Nesting nest(depth_);
+    if (nest.too_deep()) return TooDeep();
     SIMDB_ASSIGN_OR_RETURN(AExprPtr inner, ParseUnary());
-    return MakeCall("sub", {MakeLiteral(adm::Value::Int64(0)), inner});
-  }
-  if (ConsumeKeyword("not")) {
-    SIMDB_ASSIGN_OR_RETURN(AExprPtr inner, ParseUnary());
+    if (negate) {
+      return MakeCall("sub", {MakeLiteral(adm::Value::Int64(0)), inner});
+    }
     return MakeCall("not", {inner});
   }
   return ParsePostfix();

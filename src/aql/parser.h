@@ -8,6 +8,13 @@
 
 namespace simdb::aql {
 
+/// Deepest nesting of expressions, unary operators and FLWOR subqueries the
+/// parser accepts; deeper input is a kParseError. Real queries (the AQL+
+/// three-stage template, examples/, the differential generator) nest a few
+/// levels; the bound keeps recursive descent's stack use small even with
+/// sanitizer-sized frames.
+inline constexpr int kMaxParseDepth = 128;
+
 /// Parses a full AQL/AQL+ program: statements separated by ';' with an
 /// optional trailing query expression.
 Result<Program> ParseProgram(std::string_view text);

@@ -34,6 +34,11 @@ Result<TranslationResult> Translator::TranslateQuery(const AExprPtr& root) {
       root->children[0]->kind == AExpr::Kind::kSubquery) {
     SIMDB_ASSIGN_OR_RETURN(TranslationResult inner,
                            TranslateFlwor(*root->children[0]->subquery));
+    // Only the number of rows is read: the FLWOR's PROJECT keeps no
+    // variable, so liveness and the split-record rewrite see the returned
+    // value as unread.
+    inner.plan->project_vars.clear();
+    inner.out_var.clear();
     inner.is_count = true;
     return inner;
   }

@@ -29,7 +29,8 @@ struct TranslationResult {
   algebricks::LOpPtr plan;
   std::string out_var;
   /// Set when the root was count(<subquery>): the caller should return the
-  /// row count of `plan` instead of its rows.
+  /// row count of `plan` instead of its rows. `plan` then outputs no
+  /// variable and `out_var` is empty.
   bool is_count = false;
 };
 

@@ -118,7 +118,7 @@ void QueryProcessor::RegisterSimilarityUdf(similarity::SimilarityFunction fn) {
   def.min_args = 2;
   def.max_args = 2;
   auto eval = fn.eval;
-  def.fn = [eval](const std::vector<adm::Value>& args) {
+  def.fn = [eval](std::span<const adm::Value> args) {
     return eval(args[0], args[1]);
   };
   hyracks::FunctionRegistry::Global().Register(std::move(def));

@@ -34,9 +34,10 @@ struct EngineOptions {
       storage::TOccurrenceAlgorithm::kScanCount;
   /// Serve inverted-index probes from the decoded posting-list cache.
   bool posting_cache_enabled = true;
-  /// Batch execution: hot similarity operators process rows in columnar
-  /// scratch batches through the runtime-dispatched SIMD kernels. Off forces
-  /// the tuple-at-a-time path everywhere; the two are answer-identical.
+  /// Batch execution: NL-JOIN verifies a similarity check one probe against
+  /// all candidates through the runtime-dispatched SIMD kernels, encoding
+  /// each side once. Off forces its pair-at-a-time row path; the two are
+  /// answer-identical. Every other operator has only the row path.
   bool batch_execution = true;
   /// Exchange transport backend (see transport/transport.h and
   /// docs/TRANSPORT.md). kModeled is the paper-figure default; the
@@ -157,9 +158,9 @@ class QueryProcessor {
     options_.posting_cache_enabled = enabled;
   }
 
-  /// Toggles the columnar/SIMD batch execution path for subsequent queries.
-  /// Batch and tuple execution must be answer-identical; the batch
-  /// differential fuzz seeds toggle this per execution variant.
+  /// Toggles NL-JOIN's batch kernels for subsequent queries. Batch and row
+  /// execution must be answer-identical; the batch differential fuzz seeds
+  /// toggle this per execution variant.
   void set_batch_execution(bool enabled) {
     options_.batch_execution = enabled;
   }

@@ -187,19 +187,6 @@ bool IsScanChain(const LOpPtr& plan) {
   return false;
 }
 
-/// Finds the (single) DATA-SCAN node in `plan` that binds `var`.
-const LOp* FindScanOfVar(const LOpPtr& plan, const std::string& var) {
-  if (plan == nullptr) return nullptr;
-  if (plan->kind == LOpKind::kDataScan && plan->out_var == var) {
-    return plan.get();
-  }
-  for (const LOpPtr& input : plan->inputs) {
-    const LOp* found = FindScanOfVar(input, var);
-    if (found != nullptr) return found;
-  }
-  return nullptr;
-}
-
 bool ExprHasVars(const LExprPtr& e) {
   std::set<std::string> vars;
   e->CollectVars(&vars);

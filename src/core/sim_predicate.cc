@@ -4,6 +4,9 @@ namespace simdb::core {
 
 using algebricks::LExpr;
 using algebricks::LExprPtr;
+using algebricks::LOp;
+using algebricks::LOpKind;
+using algebricks::LOpPtr;
 
 namespace {
 
@@ -146,6 +149,18 @@ hyracks::SimSearchSpec ToSearchSpec(const SimPredicate& pred) {
   }
   spec.threshold = pred.threshold;
   return spec;
+}
+
+const LOp* FindScanOfVar(const LOpPtr& plan, const std::string& var) {
+  if (plan == nullptr) return nullptr;
+  if (plan->kind == LOpKind::kDataScan && plan->out_var == var) {
+    return plan.get();
+  }
+  for (const LOpPtr& input : plan->inputs) {
+    const LOp* found = FindScanOfVar(input, var);
+    if (found != nullptr) return found;
+  }
+  return nullptr;
 }
 
 }  // namespace simdb::core

@@ -6,6 +6,7 @@
 #include <string>
 
 #include "algebricks/lexpr.h"
+#include "algebricks/lop.h"
 #include "hyracks/ops_index.h"
 #include "similarity/index_compat.h"
 
@@ -51,6 +52,11 @@ std::optional<algebricks::LExprPtr> RewritePkConjunct(
     const algebricks::LExprPtr& conjunct, const algebricks::LExprPtr& left_pk,
     const algebricks::LExprPtr& left_to, const algebricks::LExprPtr& right_pk,
     const algebricks::LExprPtr& right_to);
+
+/// Finds the DATA-SCAN node in `plan` that binds `var`; nullptr when none
+/// does.
+const algebricks::LOp* FindScanOfVar(const algebricks::LOpPtr& plan,
+                                     const std::string& var);
 
 /// The index kind able to serve a given similarity function (Figure 13).
 similarity::IndexKind CompatibleIndexKind(SimPredicate::Fn fn);

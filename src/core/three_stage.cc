@@ -33,18 +33,6 @@ std::string ReplaceAll(std::string text, const std::string& from,
   return text;
 }
 
-const LOp* FindScanOfVar(const LOpPtr& plan, const std::string& var) {
-  if (plan == nullptr) return nullptr;
-  if (plan->kind == LOpKind::kDataScan && plan->out_var == var) {
-    return plan.get();
-  }
-  for (const LOpPtr& input : plan->inputs) {
-    const LOp* found = FindScanOfVar(input, var);
-    if (found != nullptr) return found;
-  }
-  return nullptr;
-}
-
 /// Per-side information needed by the template.
 struct SideInfo {
   LOpPtr plan;

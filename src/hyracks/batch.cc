@@ -43,19 +43,6 @@ std::optional<SimBatchCall> MatchSimCheckCall(const ExprPtr& expr) {
   return out;
 }
 
-std::optional<SimBatchCall> MatchSimEvalCall(const ExprPtr& expr) {
-  const auto* call = dynamic_cast<const CallExpr*>(expr.get());
-  if (call == nullptr || call->name() != "similarity-jaccard" ||
-      call->args().size() != 2) {
-    return std::nullopt;
-  }
-  SimBatchCall out;
-  out.kind = SimBatchCall::Kind::kJaccardEval;
-  out.arg_a = call->args()[0];
-  out.arg_b = call->args()[1];
-  return out;
-}
-
 bool ColumnRange(const Expr* expr, int* min_col, int* max_col) {
   if (const auto* col = dynamic_cast<const ColumnExpr*>(expr)) {
     *min_col = std::min(*min_col, col->index());
@@ -128,25 +115,6 @@ void TokenIdEncoder::EncodeInts(const adm::Value& v,
     out->push_back(IdFor(it->second));
   }
   std::sort(out->begin(), out->end());
-}
-
-bool TokenIdEncoder::EncodePair(const adm::Value& a, const adm::Value& b,
-                                std::vector<uint32_t>* out_a,
-                                std::vector<uint32_t>* out_b) {
-  if (!a.is_list() || !b.is_list()) return false;
-  // Same dispatch order as CheckJaccard: all-strings wins over all-int64
-  // (both are vacuously true on empty lists).
-  if (AllStrings(a) && AllStrings(b)) {
-    EncodeStrings(a, out_a);
-    EncodeStrings(b, out_b);
-    return true;
-  }
-  if (AllInt64(a) && AllInt64(b)) {
-    EncodeInts(a, out_a);
-    EncodeInts(b, out_b);
-    return true;
-  }
-  return false;
 }
 
 bool TokenIdEncoder::EncodeValue(const adm::Value& v,

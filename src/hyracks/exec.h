@@ -1,7 +1,6 @@
 #ifndef SIMDB_HYRACKS_EXEC_H_
 #define SIMDB_HYRACKS_EXEC_H_
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -130,27 +129,6 @@ struct ExecStats {
   }
 };
 
-/// One remote-eligible exchange build task, as seen by the scheduler's
-/// remote-task lease bookkeeping (the contract is documented in DESIGN.md).
-/// A lease opens when the scheduler admits a kBuild task whose context could
-/// dispatch it to a worker, and closes — exactly once — when the task's
-/// outcome is recorded, whether the destination was built remotely, locally,
-/// or failed. The scheduler asserts every lease closed at finalize, so a
-/// fragment can never be silently lost between dispatch and completion.
-struct RemoteTaskLease {
-  int op_node = -1;        // job DAG node id of the exchange
-  int dst_partition = -1;  // destination partition the task built
-  int cluster_node = -1;   // cluster node owning the destination
-  bool remote = false;     // true: built inside a worker process
-  bool ok = false;         // task outcome
-  double remote_compute_seconds = 0;  // worker-side build time (remote only)
-};
-
-/// Completion callback for remote-task leases. Invoked by the scheduler from
-/// pool threads, outside its own mutex, once per closing lease; the callee
-/// synchronizes its own state.
-using RemoteLeaseCallback = std::function<void(const RemoteTaskLease&)>;
-
 /// Everything an operator needs at runtime. `stats` may be null.
 struct ExecContext {
   ThreadPool* pool = nullptr;
@@ -163,12 +141,11 @@ struct ExecContext {
   /// cached and uncached paths must be answer-identical (checked by the
   /// differential fuzz harness).
   bool posting_cache_enabled = true;
-  /// Batch execution: the hot similarity operators (inverted-index search,
-  /// select/join verification, similarity assign) process rows in fixed-size
-  /// columnar scratch batches over dense token ids and dispatch to the
-  /// simd:: kernels. Off forces the tuple-at-a-time path everywhere; the
-  /// two paths must be answer-identical (checked by the batch differential
-  /// fuzz seeds).
+  /// Batch execution: NL-JOIN encodes each side's token lists once into
+  /// dense ids and verifies one probe against all candidates through the
+  /// simd:: kernels. Off forces its pair-at-a-time row path; the two must be
+  /// answer-identical (checked by the batch differential fuzz seeds). Every
+  /// other operator has the row path only.
   bool batch_execution = true;
   /// Exchange transport backend. Null behaves exactly like the modeled
   /// backend: destinations are built in place and no bytes move. When the
@@ -198,9 +175,6 @@ struct ExecContext {
   /// must refuse. 0 means "unattributed" (queries outside the serving
   /// layer); workers never match id 0 against their cancel ledger.
   uint64_t query_id = 0;
-  /// When non-null, the scheduler reports every closing remote-task lease
-  /// here (see RemoteTaskLease). Null skips all lease callback work.
-  const RemoteLeaseCallback* on_lease_complete = nullptr;
 };
 
 /// Adds `delta` to the named operator counter when profiling is on; a single

@@ -1,7 +1,9 @@
 #ifndef SIMDB_HYRACKS_EXPR_H_
 #define SIMDB_HYRACKS_EXPR_H_
 
+#include <array>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -88,7 +90,17 @@ class CallExpr : public Expr {
   /// Resolves `name` against the global registry and validates arity.
   static Result<ExprPtr> Make(std::string name, std::vector<ExprPtr> args);
 
+  /// Arguments are evaluated left to right, so the first error raised is
+  /// that of the leftmost failing argument. Up to kInlineArgs of them live
+  /// on the stack; only n-ary calls (`and`/`or`) allocate.
   Result<adm::Value> Eval(const Tuple& row) const override {
+    if (args_.size() <= kInlineArgs) {
+      std::array<adm::Value, kInlineArgs> values;
+      for (size_t i = 0; i < args_.size(); ++i) {
+        SIMDB_ASSIGN_OR_RETURN(values[i], args_[i]->Eval(row));
+      }
+      return def_->fn(std::span<const adm::Value>(values.data(), args_.size()));
+    }
     std::vector<adm::Value> values;
     values.reserve(args_.size());
     for (const ExprPtr& arg : args_) {
@@ -106,6 +118,8 @@ class CallExpr : public Expr {
  private:
   CallExpr(std::string name, std::vector<ExprPtr> args, const FunctionDef* def)
       : name_(std::move(name)), args_(std::move(args)), def_(def) {}
+
+  static constexpr size_t kInlineArgs = 4;
 
   std::string name_;
   std::vector<ExprPtr> args_;

@@ -14,7 +14,7 @@ using adm::Value;
 
 namespace {
 
-using Args = std::vector<Value>;
+using Args = std::span<const Value>;
 
 Status ExpectNumeric(const Value& v, const char* fn) {
   if (!v.is_numeric()) {
@@ -23,7 +23,7 @@ Status ExpectNumeric(const Value& v, const char* fn) {
   return Status::OK();
 }
 
-Result<Value> EvalCompare(const Args& args, int want_lo, int want_hi) {
+Result<Value> EvalCompare(Args args, int want_lo, int want_hi) {
   // MISSING/NULL propagate as per three-valued semantics simplified to
   // "comparison with missing/null is false".
   if (args[0].is_missing() || args[0].is_null() || args[1].is_missing() ||
@@ -41,7 +41,7 @@ Value TokensToValue(std::vector<std::string> tokens) {
   return Value::MakeArray(std::move(items));
 }
 
-Result<Value> EvalArith(const Args& args, char op) {
+Result<Value> EvalArith(Args args, char op) {
   SIMDB_RETURN_IF_ERROR(ExpectNumeric(args[0], "arithmetic"));
   SIMDB_RETURN_IF_ERROR(ExpectNumeric(args[1], "arithmetic"));
   if (args[0].is_int64() && args[1].is_int64() && op != '/') {
@@ -95,61 +95,61 @@ std::vector<std::string> FunctionRegistry::Names() const {
 
 FunctionRegistry::FunctionRegistry() {
   auto add = [this](std::string name, int min_args, int max_args,
-                    std::function<Result<Value>(const Args&)> fn) {
+                    std::function<Result<Value>(Args)> fn) {
     Register({std::move(name), min_args, max_args, std::move(fn)});
   };
 
   // --- logical ---
-  add("and", 2, FunctionDef::kVarArgs, [](const Args& args) -> Result<Value> {
+  add("and", 2, FunctionDef::kVarArgs, [](Args args) -> Result<Value> {
     for (const Value& v : args) {
       if (!v.is_boolean()) return Status::TypeError("and expects booleans");
       if (!v.AsBoolean()) return Value::Boolean(false);
     }
     return Value::Boolean(true);
   });
-  add("or", 2, FunctionDef::kVarArgs, [](const Args& args) -> Result<Value> {
+  add("or", 2, FunctionDef::kVarArgs, [](Args args) -> Result<Value> {
     for (const Value& v : args) {
       if (!v.is_boolean()) return Status::TypeError("or expects booleans");
       if (v.AsBoolean()) return Value::Boolean(true);
     }
     return Value::Boolean(false);
   });
-  add("not", 1, 1, [](const Args& args) -> Result<Value> {
+  add("not", 1, 1, [](Args args) -> Result<Value> {
     if (!args[0].is_boolean()) return Status::TypeError("not expects boolean");
     return Value::Boolean(!args[0].AsBoolean());
   });
 
   // --- comparisons ---
-  add("eq", 2, 2, [](const Args& a) { return EvalCompare(a, 0, 0); });
-  add("neq", 2, 2, [](const Args& a) -> Result<Value> {
+  add("eq", 2, 2, [](Args a) { return EvalCompare(a, 0, 0); });
+  add("neq", 2, 2, [](Args a) -> Result<Value> {
     if (a[0].is_missing() || a[0].is_null() || a[1].is_missing() ||
         a[1].is_null()) {
       return Value::Boolean(false);
     }
     return Value::Boolean(Value::Compare(a[0], a[1]) != 0);
   });
-  add("lt", 2, 2, [](const Args& a) { return EvalCompare(a, -1, -1); });
-  add("le", 2, 2, [](const Args& a) { return EvalCompare(a, -1, 0); });
-  add("gt", 2, 2, [](const Args& a) { return EvalCompare(a, 1, 1); });
-  add("ge", 2, 2, [](const Args& a) { return EvalCompare(a, 0, 1); });
+  add("lt", 2, 2, [](Args a) { return EvalCompare(a, -1, -1); });
+  add("le", 2, 2, [](Args a) { return EvalCompare(a, -1, 0); });
+  add("gt", 2, 2, [](Args a) { return EvalCompare(a, 1, 1); });
+  add("ge", 2, 2, [](Args a) { return EvalCompare(a, 0, 1); });
 
   // --- arithmetic ---
-  add("add", 2, 2, [](const Args& a) { return EvalArith(a, '+'); });
-  add("sub", 2, 2, [](const Args& a) { return EvalArith(a, '-'); });
-  add("mul", 2, 2, [](const Args& a) { return EvalArith(a, '*'); });
-  add("div", 2, 2, [](const Args& a) { return EvalArith(a, '/'); });
+  add("add", 2, 2, [](Args a) { return EvalArith(a, '+'); });
+  add("sub", 2, 2, [](Args a) { return EvalArith(a, '-'); });
+  add("mul", 2, 2, [](Args a) { return EvalArith(a, '*'); });
+  add("div", 2, 2, [](Args a) { return EvalArith(a, '/'); });
 
   // --- misc ---
-  add("is-missing", 1, 1, [](const Args& a) -> Result<Value> {
+  add("is-missing", 1, 1, [](Args a) -> Result<Value> {
     return Value::Boolean(a[0].is_missing());
   });
-  add("if-then-else", 3, 3, [](const Args& a) -> Result<Value> {
+  add("if-then-else", 3, 3, [](Args a) -> Result<Value> {
     if (!a[0].is_boolean()) {
       return Status::TypeError("if-then-else expects boolean condition");
     }
     return a[0].AsBoolean() ? a[1] : a[2];
   });
-  add("len", 1, 1, [](const Args& a) -> Result<Value> {
+  add("len", 1, 1, [](Args a) -> Result<Value> {
     if (a[0].is_string()) {
       return Value::Int64(static_cast<int64_t>(a[0].AsString().size()));
     }
@@ -158,20 +158,20 @@ FunctionRegistry::FunctionRegistry() {
     }
     return Status::TypeError("len expects a string or list");
   });
-  add("get-field", 2, 2, [](const Args& a) -> Result<Value> {
+  add("get-field", 2, 2, [](Args a) -> Result<Value> {
     if (!a[1].is_string()) return Status::TypeError("get-field name");
     return a[0].GetField(a[1].AsString());
   });
 
   // --- tokenizers ---
-  add("word-tokens", 1, 1, [](const Args& a) -> Result<Value> {
+  add("word-tokens", 1, 1, [](Args a) -> Result<Value> {
     if (a[0].is_missing() || a[0].is_null()) {
       return Value::MakeArray({});
     }
     if (!a[0].is_string()) return Status::TypeError("word-tokens expects string");
     return TokensToValue(similarity::WordTokens(a[0].AsString()));
   });
-  add("gram-tokens", 2, 3, [](const Args& a) -> Result<Value> {
+  add("gram-tokens", 2, 3, [](Args a) -> Result<Value> {
     if (a[0].is_missing() || a[0].is_null()) {
       return Value::MakeArray({});
     }
@@ -182,7 +182,7 @@ FunctionRegistry::FunctionRegistry() {
     return TokensToValue(similarity::GramTokens(
         a[0].AsString(), static_cast<int>(a[1].AsInt64()), pad));
   });
-  add("sort-list", 1, 1, [](const Args& a) -> Result<Value> {
+  add("sort-list", 1, 1, [](Args a) -> Result<Value> {
     if (!a[0].is_list()) return Status::TypeError("sort-list expects a list");
     Value::Array items = a[0].AsList();
     std::sort(items.begin(), items.end(),
@@ -191,7 +191,7 @@ FunctionRegistry::FunctionRegistry() {
               });
     return Value::MakeArray(std::move(items));
   });
-  add("edit-distance-t-occurrence", 3, 3, [](const Args& a) -> Result<Value> {
+  add("edit-distance-t-occurrence", 3, 3, [](Args a) -> Result<Value> {
     if (!a[0].is_string() || !a[1].is_int64() || !a[2].is_numeric()) {
       return Status::TypeError(
           "edit-distance-t-occurrence expects (string, int, int)");
@@ -201,52 +201,43 @@ FunctionRegistry::FunctionRegistry() {
         static_cast<int>(a[1].AsInt64()),
         static_cast<int>(a[2].AsNumber())));
   });
-  add("dedup-occurrences", 1, 1, [](const Args& a) -> Result<Value> {
+  add("dedup-occurrences", 1, 1, [](Args a) -> Result<Value> {
     SIMDB_ASSIGN_OR_RETURN(std::vector<std::string> tokens,
                            similarity::ValueToTokens(a[0]));
     return TokensToValue(similarity::DedupOccurrences(tokens));
   });
 
   // --- similarity measures ---
-  add("edit-distance", 2, 2, [](const Args& a) -> Result<Value> {
-    const similarity::SimilarityFunction* fn =
-        similarity::SimilarityFunctionRegistry::Global().Find("edit-distance");
-    return fn->eval(a[0], a[1]);
-  });
-  add("edit-distance-check", 3, 3, [](const Args& a) -> Result<Value> {
+  // Looked up once: SimilarityFunctionRegistry::Register replaces a measure
+  // in place, so these pointers also reach a measure a user re-registers.
+  const auto& measures = similarity::SimilarityFunctionRegistry::Global();
+  const similarity::SimilarityFunction* ed = measures.Find("edit-distance");
+  const similarity::SimilarityFunction* jaccard =
+      measures.Find("similarity-jaccard");
+  const similarity::SimilarityFunction* dice = measures.Find("similarity-dice");
+  const similarity::SimilarityFunction* cosine =
+      measures.Find("similarity-cosine");
+  add("edit-distance", 2, 2,
+      [ed](Args a) -> Result<Value> { return ed->eval(a[0], a[1]); });
+  add("edit-distance-check", 3, 3, [ed](Args a) -> Result<Value> {
     if (!a[2].is_numeric()) return Status::TypeError("threshold must be numeric");
-    const similarity::SimilarityFunction* fn =
-        similarity::SimilarityFunctionRegistry::Global().Find("edit-distance");
-    SIMDB_ASSIGN_OR_RETURN(bool ok, fn->check(a[0], a[1], a[2].AsNumber()));
+    SIMDB_ASSIGN_OR_RETURN(bool ok, ed->check(a[0], a[1], a[2].AsNumber()));
     return Value::Boolean(ok);
   });
-  add("similarity-jaccard", 2, 2, [](const Args& a) -> Result<Value> {
-    const similarity::SimilarityFunction* fn =
-        similarity::SimilarityFunctionRegistry::Global().Find(
-            "similarity-jaccard");
-    return fn->eval(a[0], a[1]);
+  add("similarity-jaccard", 2, 2, [jaccard](Args a) -> Result<Value> {
+    return jaccard->eval(a[0], a[1]);
   });
-  add("similarity-jaccard-check", 3, 3, [](const Args& a) -> Result<Value> {
+  add("similarity-jaccard-check", 3, 3, [jaccard](Args a) -> Result<Value> {
     if (!a[2].is_numeric()) return Status::TypeError("threshold must be numeric");
-    const similarity::SimilarityFunction* fn =
-        similarity::SimilarityFunctionRegistry::Global().Find(
-            "similarity-jaccard");
-    SIMDB_ASSIGN_OR_RETURN(bool ok, fn->check(a[0], a[1], a[2].AsNumber()));
+    SIMDB_ASSIGN_OR_RETURN(bool ok,
+                           jaccard->check(a[0], a[1], a[2].AsNumber()));
     return Value::Boolean(ok);
   });
-  add("similarity-dice", 2, 2, [](const Args& a) -> Result<Value> {
-    const similarity::SimilarityFunction* fn =
-        similarity::SimilarityFunctionRegistry::Global().Find(
-            "similarity-dice");
-    return fn->eval(a[0], a[1]);
-  });
-  add("similarity-cosine", 2, 2, [](const Args& a) -> Result<Value> {
-    const similarity::SimilarityFunction* fn =
-        similarity::SimilarityFunctionRegistry::Global().Find(
-            "similarity-cosine");
-    return fn->eval(a[0], a[1]);
-  });
-  add("contains", 2, 2, [](const Args& a) -> Result<Value> {
+  add("similarity-dice", 2, 2,
+      [dice](Args a) -> Result<Value> { return dice->eval(a[0], a[1]); });
+  add("similarity-cosine", 2, 2,
+      [cosine](Args a) -> Result<Value> { return cosine->eval(a[0], a[1]); });
+  add("contains", 2, 2, [](Args a) -> Result<Value> {
     if (!a[0].is_string() || !a[1].is_string()) {
       return Status::TypeError("contains expects strings");
     }
@@ -255,14 +246,14 @@ FunctionRegistry::FunctionRegistry() {
   });
 
   // --- prefix filtering helpers (paper Section 4.2.2) ---
-  add("prefix-len-jaccard", 2, 2, [](const Args& a) -> Result<Value> {
+  add("prefix-len-jaccard", 2, 2, [](Args a) -> Result<Value> {
     if (!a[0].is_int64() || !a[1].is_numeric()) {
       return Status::TypeError("prefix-len-jaccard expects (int, double)");
     }
     return Value::Int64(similarity::PrefixLenJaccard(
         static_cast<int>(a[0].AsInt64()), a[1].AsNumber()));
   });
-  add("subset-collection", 3, 3, [](const Args& a) -> Result<Value> {
+  add("subset-collection", 3, 3, [](Args a) -> Result<Value> {
     if (!a[0].is_list() || !a[1].is_int64() || !a[2].is_int64()) {
       return Status::TypeError("subset-collection expects (list, int, int)");
     }

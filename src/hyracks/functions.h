@@ -3,6 +3,7 @@
 
 #include <functional>
 #include <map>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -18,7 +19,7 @@ struct FunctionDef {
   std::string name;
   int min_args = 0;
   int max_args = 0;  // inclusive; use kVarArgs for unbounded
-  std::function<Result<adm::Value>(const std::vector<adm::Value>&)> fn;
+  std::function<Result<adm::Value>(std::span<const adm::Value>)> fn;
 
   static constexpr int kVarArgs = 1 << 20;
 };

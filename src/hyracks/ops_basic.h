@@ -5,21 +5,15 @@
 #include <string>
 #include <vector>
 
-#include "hyracks/batch.h"
 #include "hyracks/exec.h"
 #include "hyracks/expr.h"
 
 namespace simdb::hyracks {
 
-/// Filters rows where `predicate` evaluates to boolean true. When the
-/// predicate is a recognized similarity check (see MatchSimCheckCall) and
-/// batch execution is on, rows are verified through the columnar SIMD
-/// kernels in kBatchSize chunks; unvectorizable rows fall back to the tuple
-/// evaluator per row, in order.
+/// Filters rows where `predicate` evaluates to boolean true.
 class SelectOp : public PartitionOperator {
  public:
-  explicit SelectOp(ExprPtr predicate)
-      : predicate_(std::move(predicate)), batch_(MatchSimCheckCall(predicate_)) {}
+  explicit SelectOp(ExprPtr predicate) : predicate_(std::move(predicate)) {}
   std::string name() const override {
     return "SELECT(" + predicate_->ToString() + ")";
   }
@@ -30,18 +24,13 @@ class SelectOp : public PartitionOperator {
 
  private:
   ExprPtr predicate_;
-  std::optional<SimBatchCall> batch_;
 };
 
-/// Appends one computed column per expression to each row. When the last
-/// expression is similarity-jaccard(a, b) and batch execution is on, that
-/// column is computed through the batched SIMD kernel.
+/// Appends one computed column per expression to each row.
 class AssignOp : public PartitionOperator {
  public:
   AssignOp(std::vector<ExprPtr> exprs, std::vector<std::string> names)
-      : exprs_(std::move(exprs)),
-        names_(std::move(names)),
-        batch_(exprs_.empty() ? std::nullopt : MatchSimEvalCall(exprs_.back())) {}
+      : exprs_(std::move(exprs)), names_(std::move(names)) {}
   std::string name() const override;
   Result<Rows> ExecutePartition(ExecContext& ctx, int p,
                                 const std::vector<const Rows*>& inputs)
@@ -51,7 +40,6 @@ class AssignOp : public PartitionOperator {
  private:
   std::vector<ExprPtr> exprs_;
   std::vector<std::string> names_;
-  std::optional<SimBatchCall> batch_;
 };
 
 /// Keeps only the listed column positions, in the given order.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <unordered_map>
 
-#include "hyracks/batch.h"
 #include "similarity/edit_distance.h"
 #include "similarity/jaccard.h"
 #include "similarity/simd_kernels.h"
@@ -47,14 +46,9 @@ Result<Rows> InvertedIndexSearchOp::ExecutePartition(
   storage::InvertedSearchStats search_stats;
   uint64_t memo_hits = 0;
   uint64_t corner_rows = 0;
-  // Batch path: ScanCount counts occurrences in this dense per-slot scratch
-  // directly over the cached posting arrays (no gather copy, no per-posting
-  // hash); the scratch is reused across every probe of the partition.
+  // ScanCount's per-slot counters, reused across every probe of the
+  // partition.
   simd::TOccurrenceScratch scratch;
-  const bool batch =
-      ctx.batch_execution &&
-      ctx.t_occurrence_algorithm == storage::TOccurrenceAlgorithm::kScanCount;
-  BatchStats bs;
   Rows rows;
   // Duplicate search keys are common (e.g. popular outer values after
   // a broadcast); memoize per-key candidate lists for this partition.
@@ -110,13 +104,7 @@ Result<Rows> InvertedIndexSearchOp::ExecutePartition(
         std::vector<int64_t> pks,
         index->SearchTOccurrence(tokens, t, ctx.t_occurrence_algorithm,
                                  profiling ? &search_stats : nullptr,
-                                 ctx.posting_cache_enabled,
-                                 batch ? &scratch : nullptr));
-    if (batch) {
-      ++bs.rows;
-    } else {
-      ++bs.fallback_rows;
-    }
+                                 ctx.posting_cache_enabled, &scratch));
     ReserveAdditional(rows, pks.size());
     for (int64_t pk : pks) {
       Tuple extended = row;
@@ -138,12 +126,6 @@ Result<Rows> InvertedIndexSearchOp::ExecutePartition(
     CountOp(ctx, "invsearch.cache_misses", search_stats.cache_misses);
     CountOp(ctx, "invsearch.memo_hits", memo_hits);
     CountOp(ctx, "invsearch.corner_rows", corner_rows);
-    CountOp(ctx, "invindex.posting_cache.bytes_copied",
-            search_stats.bytes_copied);
-    // For this operator a "batch" is a scratch-reuse group of kBatchSize
-    // probes; rows counts the probes answered on the counter-array path.
-    bs.batches = (bs.rows + kBatchSize - 1) / kBatchSize;
-    bs.Emit(ctx);
   }
   return rows;
 }

@@ -429,16 +429,6 @@ class SchedulerRun {
         PartitionedRows* steal =
             nr.steal ? &outputs_[static_cast<size_t>(jn.inputs[0])] : nullptr;
         OpStats dstats;
-        // Remote-task lease: opened when a remote-eligible build starts,
-        // closed when its outcome is recorded below. Finalize asserts every
-        // lease closed — a fragment cannot be lost between dispatch and
-        // completion (contract: DESIGN.md, "Remote-task leases").
-        const bool leased = ctx_.transport != nullptr &&
-                            ctx_.transport->remote_execution();
-        if (leased) {
-          MutexLock lock(mu_);
-          ++leases_open_;
-        }
         const bool profiling = ctx_.trace != nullptr;
         // Same private-sink pattern as kLocal: remote fragment dispatch
         // emits exec.remote.* op counters through the context.
@@ -450,20 +440,6 @@ class SchedulerRun {
         Result<Rows> r = BuildExchangeDestination(task_ctx, *op, t.p, in,
                                                   nr.routing, steal, &dstats);
         double secs = sw.ElapsedSeconds();
-        // The completion callback runs before this task's CompleteLocked:
-        // once that runs, the run may finish and tear down, so no member may
-        // be touched afterwards. The callback itself stays outside mu_.
-        if (leased && ctx_.on_lease_complete != nullptr &&
-            *ctx_.on_lease_complete) {
-          RemoteTaskLease lease;
-          lease.op_node = t.node;
-          lease.dst_partition = t.p;
-          lease.cluster_node = ctx_.topology.NodeOfPartition(t.p);
-          lease.remote = dstats.remote_builds > 0;
-          lease.ok = r.ok();
-          lease.remote_compute_seconds = dstats.remote_compute_seconds;
-          (*ctx_.on_lease_complete)(lease);
-        }
         if (profiling && r.ok()) {
           obs::TraceEvent ev;
           ev.category = "exchange";
@@ -482,7 +458,6 @@ class SchedulerRun {
             (ctx_.budget != nullptr && r.ok()) ? RowsApproxBytes(r.value()) : 0;
         MutexLock lock(mu_);
         ++tasks_executed_;
-        if (leased) --leases_open_;
         nr.any_ran = true;
         nr.build_seconds[static_cast<size_t>(t.p)] = secs;
         if (profiling) MergeCounterSink(nr.stats, sink);
@@ -654,15 +629,6 @@ class SchedulerRun {
 
   Result<PartitionedRows> Finalize(double wall_seconds) {
     int n = static_cast<int>(job_.nodes().size());
-    {
-      // Every remote-task lease must have closed: the graph has drained, so
-      // an open lease would mean a build dispatched a fragment and never
-      // recorded an outcome for it.
-      MutexLock lock(mu_);
-      SIMDB_CHECK(leases_open_ == 0)
-          << "scheduler finalized with " << leases_open_
-          << " open remote-task leases";
-    }
     // Return every outstanding memory charge (the root's output, anything a
     // failed/cancelled run left behind): after this the query holds zero
     // budget bytes whether it succeeded, failed, or was cancelled.
@@ -740,10 +706,6 @@ class SchedulerRun {
   std::vector<std::vector<int64_t>> charged_;
   uint64_t tasks_executed_ = 0;
   uint64_t tasks_skipped_ = 0;
-  /// Remote-task leases currently open: kBuild tasks under a
-  /// remote-executing transport that have started but not yet recorded an
-  /// outcome. Must be zero by Finalize.
-  int leases_open_ SIMDB_GUARDED_BY(mu_) = 0;
 
   /// Publishes task outcomes to dependents and serializes all shared run
   /// state below. outputs_/nodes_/refcount_/charged_ are published through

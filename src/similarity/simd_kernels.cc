@@ -420,25 +420,6 @@ size_t IntersectUniqueSorted(const uint32_t* a, size_t la, const uint32_t* b,
   return MultisetIntersect(a, la, b, lb);
 }
 
-size_t IntersectDispatch(const uint32_t* a, size_t la, const uint32_t* b,
-                         size_t lb, bool avx2, bool assume_unique) {
-  if (la == 0 || lb == 0) return 0;
-  if (!assume_unique && (HasSortedDuplicates(a, la, avx2) ||
-                         HasSortedDuplicates(b, lb, avx2))) {
-    return MultisetIntersect(a, la, b, lb);
-  }
-  return IntersectUniqueSorted(a, la, b, lb, avx2);
-}
-
-double JaccardDispatch(const uint32_t* a, size_t la, const uint32_t* b,
-                       size_t lb, bool avx2, bool assume_unique) {
-  if (la == 0 && lb == 0) return 0.0;
-  size_t inter = IntersectDispatch(a, la, b, lb, avx2, assume_unique);
-  size_t uni = la + lb - inter;
-  return uni == 0 ? 1.0
-                  : static_cast<double>(inter) / static_cast<double>(uni);
-}
-
 double JaccardCheckDispatch(const uint32_t* a, size_t la, const uint32_t* b,
                             size_t lb, double delta, bool avx2) {
 #if SIMDB_SIMD_X86
@@ -461,13 +442,21 @@ bool Avx2Active() { return ActiveLevel() == DispatchLevel::kAvx2; }
 
 size_t IntersectSortedIds(const uint32_t* a, size_t la, const uint32_t* b,
                           size_t lb) {
-  return IntersectDispatch(a, la, b, lb, Avx2Active(),
-                           /*assume_unique=*/false);
+  if (la == 0 || lb == 0) return 0;
+  const bool avx2 = Avx2Active();
+  if (HasSortedDuplicates(a, la, avx2) || HasSortedDuplicates(b, lb, avx2)) {
+    return MultisetIntersect(a, la, b, lb);
+  }
+  return IntersectUniqueSorted(a, la, b, lb, avx2);
 }
 
 double JaccardSortedIds(const uint32_t* a, size_t la, const uint32_t* b,
                         size_t lb) {
-  return JaccardDispatch(a, la, b, lb, Avx2Active(), /*assume_unique=*/false);
+  if (la == 0 && lb == 0) return 0.0;
+  size_t inter = IntersectSortedIds(a, la, b, lb);
+  size_t uni = la + lb - inter;
+  return uni == 0 ? 1.0
+                  : static_cast<double>(inter) / static_cast<double>(uni);
 }
 
 double JaccardCheckSortedIds(const uint32_t* a, size_t la, const uint32_t* b,
@@ -513,19 +502,6 @@ void JaccardCheckPairs(const uint32_t* a_ids, const size_t* a_offsets,
     out[i] = JaccardCheckDispatch(
         a_ids + a_offsets[i], a_offsets[i + 1] - a_offsets[i],
         b_ids + b_offsets[i], b_offsets[i + 1] - b_offsets[i], delta, false);
-  }
-}
-
-void JaccardEvalPairs(const uint32_t* a_ids, const size_t* a_offsets,
-                      const uint32_t* b_ids, const size_t* b_offsets,
-                      size_t n, double* out, bool assume_unique) {
-  const bool avx2 = Avx2Active();
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = JaccardDispatch(a_ids + a_offsets[i],
-                             a_offsets[i + 1] - a_offsets[i],
-                             b_ids + b_offsets[i],
-                             b_offsets[i + 1] - b_offsets[i], avx2,
-                             assume_unique);
   }
 }
 
@@ -619,11 +595,28 @@ __attribute__((target("avx2"))) void MyersDistance4Avx2(
 
 #endif  // SIMDB_SIMD_X86
 
+/// Longest pattern the Myers recurrence handles: one 64-bit word.
+constexpr size_t kMaxBitParallelPattern = 64;
+
+/// What a check returns when no DP is needed to decide it.
+constexpr int kNeedsDp = -2;
+
+/// Decides a check without a DP where it can: a negative k, lengths more
+/// than k apart (the length filter), or an empty side. Returns kNeedsDp
+/// otherwise.
+int CheckWithoutDp(int n, int m, int k) {
+  if (k < 0 || std::abs(n - m) > k) return -1;
+  if (n == 0) return m <= k ? m : -1;
+  if (m == 0) return n <= k ? n : -1;
+  return kNeedsDp;
+}
+
 }  // namespace
 
 EditDistancePattern::EditDistancePattern(std::string_view pattern)
     : pattern_(pattern) {
-  bit_parallel_ = !pattern_.empty() && pattern_.size() <= 64;
+  bit_parallel_ =
+      !pattern_.empty() && pattern_.size() <= kMaxBitParallelPattern;
   if (bit_parallel_) {
     for (size_t i = 0; i < pattern_.size(); ++i) {
       peq_[static_cast<unsigned char>(pattern_[i])] |= 1ull << i;
@@ -638,12 +631,9 @@ int EditDistancePattern::CheckBitParallel(std::string_view text,
 }
 
 int EditDistancePattern::Check(std::string_view text, int k) const {
-  if (k < 0) return -1;
-  const int n = static_cast<int>(pattern_.size());
-  const int m = static_cast<int>(text.size());
-  if (std::abs(n - m) > k) return -1;  // length filter
-  if (n == 0) return m <= k ? m : -1;
-  if (m == 0) return n <= k ? n : -1;
+  const int verdict = CheckWithoutDp(static_cast<int>(pattern_.size()),
+                                     static_cast<int>(text.size()), k);
+  if (verdict != kNeedsDp) return verdict;
   if (bit_parallel_) return CheckBitParallel(text, k);
   return similarity::internal::EditDistanceCheckImpl(pattern_, text, k);
 }
@@ -655,15 +645,8 @@ void EditDistancePattern::CheckBatch(const char* chars, const size_t* offsets,
   pending.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     const int tlen = static_cast<int>(offsets[i + 1] - offsets[i]);
-    if (k < 0 || std::abs(plen - tlen) > k) {
-      out[i] = -1;
-    } else if (plen == 0) {
-      out[i] = tlen <= k ? tlen : -1;
-    } else if (tlen == 0) {
-      out[i] = plen <= k ? plen : -1;
-    } else {
-      pending.push_back(static_cast<uint32_t>(i));
-    }
+    out[i] = CheckWithoutDp(plen, tlen, k);
+    if (out[i] == kNeedsDp) pending.push_back(static_cast<uint32_t>(i));
   }
   if (pending.empty()) return;
   if (!bit_parallel_) {
@@ -719,7 +702,24 @@ void EditDistancePattern::CheckBatch(const char* chars, const size_t* offsets,
 }
 
 int EditDistanceCheck(std::string_view a, std::string_view b, int k) {
-  return EditDistancePattern(a).Check(b, k);
+  const int verdict = CheckWithoutDp(static_cast<int>(a.size()),
+                                     static_cast<int>(b.size()), k);
+  if (verdict != kNeedsDp) return verdict;
+  if (a.size() > kMaxBitParallelPattern) {
+    return similarity::internal::EditDistanceCheckImpl(a, b, k);
+  }
+  // One pair reads only the match masks of b's bytes. Clearing those
+  // instead of a whole 256-entry table (and copying `a`, as
+  // EditDistancePattern does) is most of the cost of a check on short
+  // strings. Entries of bytes absent from `b` are never read.
+  std::array<uint64_t, 256> peq;
+  for (char c : b) peq[static_cast<unsigned char>(c)] = 0;
+  for (char c : a) peq[static_cast<unsigned char>(c)] = 0;
+  for (size_t i = 0; i < a.size(); ++i) {
+    peq[static_cast<unsigned char>(a[i])] |= 1ull << i;
+  }
+  const int d = MyersDistance(peq, a.size(), b, k);
+  return d <= k ? d : -1;
 }
 
 void EditDistanceCheckPairs(const char* a_chars, const size_t* a_offsets,

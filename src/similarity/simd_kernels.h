@@ -1,7 +1,7 @@
 #ifndef SIMDB_SIMILARITY_SIMD_KERNELS_H_
 #define SIMDB_SIMILARITY_SIMD_KERNELS_H_
 
-// Runtime-dispatched SIMD kernels for the batch execution path.
+// Runtime-dispatched SIMD kernels for the similarity operators.
 //
 // Every kernel here has a scalar body that is bit-identical to the
 // tuple-path reference in similarity/jaccard.h / similarity/edit_distance.h,
@@ -81,18 +81,12 @@ void JaccardCheckBatch(const uint32_t* probe, size_t probe_len,
 
 /// Batched check over `n` independent (a, b) pairs, both sides CSR. Writes
 /// JaccardCheckSortedIds(a_i, b_i, delta) into out[i]. `assume_unique` as
-/// in JaccardCheckBatch.
+/// in JaccardCheckBatch. No operator calls it: it is the pair-at-a-time
+/// shape perfbench's kernel layer times (`kernel.jaccard_check_ns`).
 void JaccardCheckPairs(const uint32_t* a_ids, const size_t* a_offsets,
                        const uint32_t* b_ids, const size_t* b_offsets,
                        size_t n, double delta, double* out,
                        bool assume_unique = false);
-
-/// Batched full-value Jaccard over `n` independent (a, b) pairs, both sides
-/// CSR. Writes JaccardSortedIds(a_i, b_i) into out[i]. `assume_unique` as
-/// in JaccardCheckBatch.
-void JaccardEvalPairs(const uint32_t* a_ids, const size_t* a_offsets,
-                      const uint32_t* b_ids, const size_t* b_offsets,
-                      size_t n, double* out, bool assume_unique = false);
 
 // ---------------------------------------------------------------------------
 // Kernel 2: edit-distance verification (Myers bit-parallel DP)
@@ -127,10 +121,15 @@ class EditDistancePattern {
   std::array<uint64_t, 256> peq_{};  // per-character pattern match masks
 };
 
-/// Convenience single-pair form (builds the pattern table per call).
+/// Single-pair form, same results as EditDistancePattern(a).Check(b, k). It
+/// sets only the match masks of the bytes it reads instead of building a
+/// whole pattern table. The `edit-distance-check` builtin verifies two
+/// strings through it.
 int EditDistanceCheck(std::string_view a, std::string_view b, int k);
 
 /// Batched check over `n` independent (a, b) string pairs, both sides CSR.
+/// No operator calls it: perfbench's kernel layer times it
+/// (`kernel.ed_check_ns`).
 void EditDistanceCheckPairs(const char* a_chars, const size_t* a_offsets,
                             const char* b_chars, const size_t* b_offsets,
                             size_t n, int k, int* out);
@@ -139,12 +138,12 @@ void EditDistanceCheckPairs(const char* a_chars, const size_t* a_offsets,
 // Kernel 3: batched T-occurrence counting over dense ids
 // ---------------------------------------------------------------------------
 
-/// Reusable scratch for counter-array T-occurrence: a dense uint16 counter
+/// Reusable scratch for counter-array T-occurrence: a dense uint32 counter
 /// per candidate slot plus the list of slots touched by the current probe,
 /// so reset cost is proportional to candidates touched, not to the slot
 /// universe.
 struct TOccurrenceScratch {
-  std::vector<uint16_t> counts;
+  std::vector<uint32_t> counts;
   std::vector<uint32_t> touched;
 
   /// Grows (never shrinks) the counter array to cover `num_slots` slots.
@@ -155,10 +154,8 @@ struct TOccurrenceScratch {
 
 /// Counts slot occurrences across `num_lists` posting lists of dense slot
 /// ids and appends every slot whose count >= t to `result` (unsorted).
-/// Slots touched but below threshold are added to *pruned. Replaces the
-/// gather + sort + run-count (previously hash-map) per-probe path; the
-/// caller guarantees num_lists fits the uint16 counters (<= 65535) and
-/// that scratch covers every slot id that appears.
+/// Slots touched but below threshold are added to *pruned. The caller
+/// guarantees that scratch covers every slot id that appears.
 void TOccurrenceCount(const uint32_t* const* lists, const size_t* sizes,
                       size_t num_lists, int t, TOccurrenceScratch& scratch,
                       std::vector<uint32_t>* result, uint64_t* pruned);

@@ -5,6 +5,7 @@
 
 #include "similarity/edit_distance.h"
 #include "similarity/jaccard.h"
+#include "similarity/simd_kernels.h"
 
 namespace simdb::similarity {
 
@@ -45,7 +46,9 @@ Result<bool> CheckEditDistance(const Value& a, const Value& b,
                                double threshold) {
   int k = static_cast<int>(threshold);
   if (a.is_string() && b.is_string()) {
-    return EditDistanceCheck(a.AsString(), b.AsString(), k) >= 0;
+    // Myers' bit-parallel kernel; the banded DP stays the reference the
+    // kernel tests compare it against.
+    return simd::EditDistanceCheck(a.AsString(), b.AsString(), k) >= 0;
   }
   if (a.is_array() && b.is_array()) {
     SIMDB_ASSIGN_OR_RETURN(std::vector<std::string> ta, ValueToTokens(a));

@@ -46,7 +46,7 @@ Status InvertedIndex::RebuildDictionary() {
       } else {
         ++counts.back().second;
       }
-      // The same scan seeds the pk -> slot registry for batch counting.
+      // The same scan seeds the pk -> slot registry ScanCount counts in.
       RegisterPk(key[1].AsInt64());
     }
     SIMDB_RETURN_IF_ERROR(it->Next());
@@ -81,14 +81,16 @@ size_t InvertedIndex::cached_lists() const {
 
 Status InvertedIndex::Insert(const std::vector<std::string>& tokens,
                              int64_t pk) {
+  if (tokens.empty()) return Status::OK();
+  // Registered before the first posting lands, so even a failed insert
+  // leaves no posting without a slot. Remove keeps the slot (a harmless
+  // superset).
+  RegisterPk(pk);
   for (const std::string& t : tokens) {
     dict_.GetOrAssign(t);
     SIMDB_RETURN_IF_ERROR(lsm_->Put(PostingKey(t, pk), ""));
   }
-  if (!tokens.empty()) {
-    RegisterPk(pk);  // Remove keeps the slot (a harmless superset)
-    InvalidateCache();
-  }
+  InvalidateCache();
   return Status::OK();
 }
 
@@ -126,23 +128,18 @@ Result<DecodedPostingList> InvertedIndex::DecodePostings(uint32_t id) const {
   CompositeKey lower = {Value::String(token)};
   CompositeKey upper = PostingUpperBound(token);
   SIMDB_ASSIGN_OR_RETURN(auto it, lsm_->NewIterator(&lower, &upper));
-  bool slots_ok = true;
   while (it->Valid()) {
     const CompositeKey& key = it->key();
     if (key.size() == 2) {
       const int64_t pk = key[1].AsInt64();
-      list.pks.push_back(pk);
-      if (slots_ok) {
-        auto slot = pk_slot_.find(pk);
-        if (slot == pk_slot_.end()) {
-          // Unregistered pk (should not happen): disable the slot view so
-          // searches fall back to the gather path instead of miscounting.
-          slots_ok = false;
-          list.slots.clear();
-        } else {
-          list.slots.push_back(slot->second);
-        }
+      auto slot = pk_slot_.find(pk);
+      if (slot == pk_slot_.end()) {
+        return Status::Internal("inverted index posting for pk " +
+                                std::to_string(pk) +
+                                " has no slot in the pk registry");
       }
+      list.pks.push_back(pk);
+      list.slots.push_back(slot->second);
     }
     SIMDB_RETURN_IF_ERROR(it->Next());
   }
@@ -184,14 +181,6 @@ Result<std::shared_ptr<const DecodedPostingList>> InvertedIndex::FetchDecoded(
   return list;
 }
 
-Result<std::shared_ptr<const std::vector<int64_t>>>
-InvertedIndex::FetchPostings(const std::string& token, bool use_cache,
-                             InvertedSearchStats* stats) const {
-  SIMDB_ASSIGN_OR_RETURN(auto list, FetchDecoded(token, use_cache, stats));
-  // Aliasing constructor: shares ownership of the decoded list, no copy.
-  return std::shared_ptr<const std::vector<int64_t>>(list, &list->pks);
-}
-
 void InvertedIndex::EvictOverBudgetLocked() const {
   while (cache_postings_ > cache_budget_postings_ && !cache_order_.empty()) {
     uint32_t victim = cache_order_.front();
@@ -212,8 +201,8 @@ void InvertedIndex::set_cache_budget_postings(size_t budget) {
 
 Result<std::vector<int64_t>> InvertedIndex::PostingList(
     const std::string& token) const {
-  SIMDB_ASSIGN_OR_RETURN(auto list, FetchPostings(token));
-  return *list;
+  SIMDB_ASSIGN_OR_RETURN(auto list, FetchDecoded(token));
+  return list->pks;
 }
 
 Result<std::vector<int64_t>> InvertedIndex::SearchTOccurrence(
@@ -242,29 +231,19 @@ Result<std::vector<int64_t>> InvertedIndex::SearchTOccurrence(
   // Fetch the decoded lists once (shared, usually from the cache).
   std::vector<std::shared_ptr<const DecodedPostingList>> lists;
   lists.reserve(distinct.size());
-  size_t total_postings = 0;
   for (const std::string* q : distinct) {
     SIMDB_ASSIGN_OR_RETURN(auto list, FetchDecoded(*q, use_cache, &local));
     ++local.lists_probed;
     local.postings_read += list->pks.size();
-    total_postings += list->pks.size();
     if (!list->pks.empty()) lists.push_back(std::move(list));
   }
 
-  // The counter-array path needs the slot view on every list and list
-  // counts that fit the uint16 counters.
-  bool slots_usable = scratch != nullptr && lists.size() <= 65535;
-  for (const auto& list : lists) {
-    if (!list->has_slots()) {
-      slots_usable = false;
-      break;
-    }
-  }
-
-  if (algorithm == TOccurrenceAlgorithm::kScanCount && slots_usable) {
-    // Batch path: count occurrences in a dense counter array indexed by
-    // candidate slot, reading the cached slot arrays in place (zero copy,
-    // zero hashing). Reset cost is proportional to slots touched.
+  if (algorithm == TOccurrenceAlgorithm::kScanCount) {
+    // Count occurrences in a dense counter array indexed by candidate slot,
+    // reading the cached slot arrays in place (zero copy, zero hashing).
+    // Reset cost is proportional to slots touched.
+    simd::TOccurrenceScratch local_scratch;
+    if (scratch == nullptr) scratch = &local_scratch;
     scratch->EnsureSlots(slot_pk_.size());
     std::vector<const uint32_t*> slot_lists;
     std::vector<size_t> sizes;
@@ -280,29 +259,6 @@ Result<std::vector<int64_t>> InvertedIndex::SearchTOccurrence(
     result.reserve(hit_slots.size());
     for (uint32_t s : hit_slots) result.push_back(slot_pk_[s]);
     std::sort(result.begin(), result.end());
-  } else if (algorithm == TOccurrenceAlgorithm::kScanCount) {
-    // ScanCount over integer pks: gather every posting into one flat array,
-    // sort, and count equal runs. Cache-friendly and allocation-light
-    // compared to hashing each posting, but pays a copy of every posting
-    // read (accounted in bytes_copied).
-    std::vector<int64_t> gathered;
-    gathered.reserve(total_postings);
-    for (const auto& list : lists) {
-      gathered.insert(gathered.end(), list->pks.begin(), list->pks.end());
-      local.bytes_copied += list->pks.size() * sizeof(int64_t);
-    }
-    std::sort(gathered.begin(), gathered.end());
-    size_t i = 0;
-    while (i < gathered.size()) {
-      size_t j = i + 1;
-      while (j < gathered.size() && gathered[j] == gathered[i]) ++j;
-      if (j - i >= static_cast<size_t>(t)) {
-        result.push_back(gathered[i]);
-      } else {
-        ++local.keys_pruned;
-      }
-      i = j;
-    }
   } else {
     // Heap merge over the sorted posting lists; a pk appearing in >= t lists
     // produces a run of >= t equal heads.
@@ -339,7 +295,6 @@ Result<std::vector<int64_t>> InvertedIndex::SearchTOccurrence(
     stats->keys_pruned += local.keys_pruned;
     stats->cache_hits += local.cache_hits;
     stats->cache_misses += local.cache_misses;
-    stats->bytes_copied += local.bytes_copied;
   }
   return result;
 }

@@ -18,7 +18,7 @@ namespace simdb::storage {
 
 /// Algorithm used to solve the T-occurrence problem over posting lists.
 enum class TOccurrenceAlgorithm {
-  kScanCount,  // gather postings, sort, count runs (robust default)
+  kScanCount,  // count occurrences in a slot-indexed counter array (default)
   kHeapMerge,  // k-way merge of sorted lists counting equal runs
 };
 
@@ -36,21 +36,13 @@ struct InvertedSearchStats {
   /// neither (they are proven empty without storage access).
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
-  /// Bytes memcpy'd out of decoded posting lists while answering the search.
-  /// The batch path counts occurrences directly over the cached dense-slot
-  /// arrays and keeps this at zero; only the legacy gather path (batch
-  /// execution off, or slot registry unavailable) copies postings.
-  uint64_t bytes_copied = 0;
 };
 
 /// One decoded posting list: the sorted pks plus, aligned 1:1, the dense
-/// per-index candidate slot of each pk (see the slot registry below). The
-/// slots array is empty only if a pk was missing from the registry, in
-/// which case searches fall back to the gather path.
+/// per-index candidate slot of each pk (see the slot registry below).
 struct DecodedPostingList {
   std::vector<int64_t> pks;
   std::vector<uint32_t> slots;
-  bool has_slots() const { return slots.size() == pks.size(); }
 };
 
 /// A secondary inverted index on one field, stored as an LSM index with
@@ -89,22 +81,15 @@ class InvertedIndex {
       const std::string& token, bool use_cache = true,
       InvertedSearchStats* stats = nullptr) const;
 
-  /// Back-compat view of FetchDecoded: the pks of the decoded list, aliased
-  /// into the same shared allocation (still no copy).
-  Result<std::shared_ptr<const std::vector<int64_t>>> FetchPostings(
-      const std::string& token, bool use_cache = true,
-      InvertedSearchStats* stats = nullptr) const;
-
   /// Solves the T-occurrence problem: returns the sorted pks that appear on
   /// at least `t` of the query tokens' posting lists. `t` must be >= 1 (the
   /// caller is responsible for corner-case detection when t <= 0). Query
   /// tokens must be occurrence-deduped (duplicates are ignored here).
   ///
-  /// With a non-null `scratch` (the batch execution path), ScanCount counts
-  /// occurrences in dense counter arrays indexed by candidate slot directly
-  /// over the cached posting arrays — no gather copy, no per-posting hash —
-  /// and reuses the scratch across probes. A null scratch keeps the legacy
-  /// gather+sort path (its copies are reported via stats->bytes_copied).
+  /// ScanCount counts occurrences in a dense counter array indexed by
+  /// candidate slot, directly over the cached posting arrays: no gather
+  /// copy, no per-posting hash. Callers that probe repeatedly pass a
+  /// `scratch` to reuse across probes; a null one means a local scratch.
   Result<std::vector<int64_t>> SearchTOccurrence(
       const std::vector<std::string>& query_tokens, int t,
       TOccurrenceAlgorithm algorithm = TOccurrenceAlgorithm::kScanCount,
@@ -121,10 +106,6 @@ class InvertedIndex {
   size_t cached_postings() const;
   size_t cached_lists() const;
 
-  /// Number of candidate slots in the pk registry (the counter-array size
-  /// the batch T-occurrence path needs).
-  size_t slot_count() const { return slot_pk_.size(); }
-
   Status Flush() { return lsm_->Flush(); }
   uint64_t DiskSizeBytes() const { return lsm_->DiskSizeBytes(); }
   LsmIndex* lsm() { return lsm_.get(); }
@@ -137,7 +118,8 @@ class InvertedIndex {
   Status RebuildDictionary();
 
   /// Decodes the posting list of the dictionary token `id` from the LSM,
-  /// resolving each pk to its dense slot.
+  /// resolving each pk to its dense slot. A pk missing from the registry is
+  /// an internal error.
   Result<DecodedPostingList> DecodePostings(uint32_t id) const;
 
   /// Registers `pk` in the slot registry (idempotent).
@@ -151,11 +133,12 @@ class InvertedIndex {
   std::unique_ptr<LsmIndex> lsm_;
   TokenDictionary dict_;
 
-  /// Dense pk -> slot registry for the counter-array T-occurrence path:
-  /// every pk this index has stored gets a small dense id (a "slot"), so a
-  /// probe can count occurrences in a flat uint16 array instead of hashing
-  /// 64-bit pks. Rebuilt by Open/BulkLoad, extended by Insert; mutations
-  /// happen under the same exclusive-DDL regime as the token dictionary.
+  /// Dense pk -> slot registry for ScanCount: every pk this index has
+  /// stored gets a small dense id (a "slot"), so a probe can count
+  /// occurrences in a flat uint32 array instead of hashing 64-bit pks.
+  /// Rebuilt by Open/BulkLoad, extended by Insert before its first posting
+  /// lands; mutations happen under the same exclusive-DDL regime as the
+  /// token dictionary.
   std::unordered_map<int64_t, uint32_t> pk_slot_;
   std::vector<int64_t> slot_pk_;
 

@@ -235,12 +235,11 @@ std::vector<ExecVariant> PlanVariantMatrix() {
 }
 
 std::vector<ExecVariant> BatchVariantMatrix() {
-  // Three plan shapes reach the batch-capable operators through different
-  // operator mixes: indexed (inverted-index search + SELECT verify +
-  // index-nested-loop join), scan (pure SELECT / NL-JOIN verification over
-  // full scans), and threestage (ASSIGN similarity-jaccard + NL-JOIN).
-  // Each shape runs with batch execution on and off; the pair must agree
-  // bit-for-bit.
+  // Batch execution selects NL-JOIN's one-probe-against-many kernels, and
+  // three plan shapes reach NL-JOIN: indexed (the edit-distance join's
+  // corner branch), scan (every similarity join), and threestage (joins the
+  // three-stage rule does not take, such as edit distance). Each shape runs
+  // with batch execution on and off; the pair must agree bit-for-bit.
   std::vector<ExecVariant> variants;
   ExecVariant indexed;
   ExecVariant scan;

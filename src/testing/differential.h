@@ -25,8 +25,8 @@ struct ExecVariant {
       storage::TOccurrenceAlgorithm::kScanCount;
   /// Serve inverted-index probes from the decoded posting-list cache.
   bool posting_cache = true;
-  /// Columnar/SIMD batch execution in the hot similarity operators. Batch
-  /// and tuple execution must be answer-identical on every query.
+  /// NL-JOIN's batch similarity kernels. Batch and row execution must be
+  /// answer-identical on every query.
   bool batch_execution = true;
   /// Executor pool size. 0 runs on the harness's shared 2-thread engine;
   /// any other value gets an engine of its own with that many threads. Pool
@@ -63,9 +63,9 @@ struct ExecVariant {
 std::vector<ExecVariant> PlanVariantMatrix();
 
 /// The batch-execution differential matrix: the three plan shapes that
-/// exercise the batch-capable operators (index select/join, scan + verify,
-/// three-stage join), each run with batch execution on and off. The on/off
-/// pair must be bit-identical per plan shape.
+/// reach NL-JOIN (indexed, scan, three-stage), each run with batch
+/// execution on and off. The on/off pair must be bit-identical per plan
+/// shape.
 std::vector<ExecVariant> BatchVariantMatrix();
 
 /// The transport differential matrix: the fully-indexed plan shape run under

@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
+
 #include "aql/lexer.h"
 #include "aql/parser.h"
 #include "aql/translator.h"
+#include "core/query_processor.h"
+#include "storage/file_util.h"
 
 namespace simdb::aql {
 namespace {
@@ -288,6 +294,96 @@ TEST(TranslatorTest, UdfInlining) {
   ASSERT_TRUE(tr.ok()) << tr.status().ToString();
   // The inlined call must appear in the select condition.
   EXPECT_NE(tr->plan->ToString().find("similarity-jaccard"), std::string::npos);
+}
+
+// ---------- nesting limit ----------
+
+std::string Repeat(const std::string& s, int n) {
+  std::string out;
+  out.reserve(s.size() * static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) out += s;
+  return out;
+}
+
+/// `n` nested parentheses, list constructors or record constructors around
+/// the literal 1.
+std::string Parens(int n) { return Repeat("(", n) + "1" + Repeat(")", n); }
+std::string Lists(int n) { return Repeat("[", n) + "1" + Repeat("]", n); }
+std::string Records(int n) {
+  return Repeat("{'a': ", n) + "1" + Repeat("}", n);
+}
+
+// Recursive descent without a bound overflows the stack on input like this;
+// each shape must come back as a parse error instead.
+TEST(ParserDepthTest, TenThousandDeepInputsAreParseErrors) {
+  const int n = 10000;
+  const std::string inputs[] = {
+      Parens(n),
+      "let $x := " + Records(n) + " return $x",
+      Lists(n),
+      Repeat("- ", n) + "1",
+      Repeat("not ", n) + "true",
+      Repeat("count(for $x in [1] return ", n) + "1" + Repeat(")", n),
+  };
+  for (const std::string& text : inputs) {
+    Result<Program> program = ParseProgram(text);
+    ASSERT_FALSE(program.ok()) << text.substr(0, 40);
+    EXPECT_EQ(program.status().code(), StatusCode::kParseError)
+        << program.status().ToString();
+    EXPECT_NE(program.status().message().find("nests deeper than"),
+              std::string::npos)
+        << program.status().ToString();
+    EXPECT_EQ(ParseExpression(text).status().code(), StatusCode::kParseError);
+  }
+}
+
+// The limit counts one level per expression: a statement's expression is
+// level 1, so kMaxParseDepth - 1 parentheses are the deepest that parse.
+TEST(ParserDepthTest, LimitIsExact) {
+  EXPECT_TRUE(ParseProgram(Parens(kMaxParseDepth - 1)).ok());
+  EXPECT_EQ(ParseProgram(Parens(kMaxParseDepth)).status().code(),
+            StatusCode::kParseError);
+  EXPECT_TRUE(ParseProgram(Lists(kMaxParseDepth - 1)).ok());
+  EXPECT_EQ(ParseProgram(Lists(kMaxParseDepth)).status().code(),
+            StatusCode::kParseError);
+}
+
+// Input just under the limit goes through every later pass (translation,
+// rewrites, job generation, evaluation, JSON output) and answers.
+TEST(ParserDepthTest, QueryJustUnderTheLimitAnswers) {
+  const std::string dir =
+      (std::filesystem::temp_directory_path() /
+       ("simdb_aql_depth_" + std::to_string(::getpid())))
+          .string();
+  {
+    core::EngineOptions options;
+    options.data_dir = dir;
+    options.topology = {2, 2};
+    options.num_threads = 2;
+    core::QueryProcessor engine(options);
+    const int depth = kMaxParseDepth - 1;
+    const std::string expected[] = {"1", Lists(depth), Records(depth)};
+    const std::string queries[] = {Parens(depth), Lists(depth),
+                                   Records(depth)};
+    for (size_t i = 0; i < 3; ++i) {
+      core::QueryResult result;
+      Status s = engine.Execute(queries[i], &result);
+      ASSERT_TRUE(s.ok()) << s.ToString();
+      ASSERT_EQ(result.rows.size(), 1u);
+      std::string want = expected[i];
+      std::erase(want, ' ');
+      std::replace(want.begin(), want.end(), '\'', '"');
+      EXPECT_EQ(result.rows[0].ToJson(), want);
+    }
+    core::QueryResult result;
+    ASSERT_TRUE(engine
+                    .Execute("let $x := " + Records(depth - 1) +
+                                 " return $x",
+                             &result)
+                    .ok());
+    ASSERT_EQ(result.rows.size(), 1u);
+  }
+  storage::RemoveAllBestEffort(dir);
 }
 
 }  // namespace

@@ -1,23 +1,18 @@
-// Batch execution path: the columnar/SIMD pipeline must be answer-identical
-// to the tuple path, surface its exec.batch.* counters in query profiles,
-// and keep the inverted-index posting-cache copy counter at zero (the
-// T-occurrence kernel counts directly over the cached dense-slot arrays).
+// Batch execution: NL-JOIN's one-probe-against-many kernels must be
+// answer-identical to the row path and surface their exec.batch.* counters
+// in query profiles; no other operator has a batch path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "adm/value.h"
 #include "core/query_processor.h"
-#include "hyracks/batch.h"
 #include "observability/profile.h"
-#include "similarity/simd_kernels.h"
 #include "storage/file_util.h"
-#include "storage/inverted_index.h"
 
 namespace simdb {
 namespace {
@@ -126,43 +121,44 @@ const char* kJaccardJoin =
     "word-tokens($i.summary)) >= 0.5 and $o.id < $i.id "
     "return {'o': $o.id, 'i': $i.id})";
 
-// The batch path keeps the posting-cache copy counter at zero: ScanCount
-// counts occurrences directly over the cached dense-slot arrays. Forcing
-// batch execution off flips the same searches onto the gather path, which
-// must report the copies it makes.
-TEST_F(BatchExecTest, PostingCacheCopiesDropToZeroOnBatchPath) {
-  LoadReviews();
-  engine_->set_profile_queries(true);
-
-  std::vector<std::string> batched = Run(kJaccardSelect);
-  ASSERT_NE(last_.profile, nullptr);
-  EXPECT_EQ(ProfileCounter("invindex.posting_cache.bytes_copied"), 0);
-  // The index probe and the verify SELECT vectorize (plain ASSIGNs in the
-  // same plan legitimately report fallback rows).
-  EXPECT_GT(ProfileCounter("exec.batch.rows"), 0);
-
-  engine_->set_batch_execution(false);
-  std::vector<std::string> tuple = Run(kJaccardSelect);
-  EXPECT_GT(ProfileCounter("invindex.posting_cache.bytes_copied"), 0);
-  EXPECT_EQ(ProfileCounter("exec.batch.rows"), 0);
-  EXPECT_GT(ProfileCounter("exec.batch.fallback_rows"), 0);
-
-  EXPECT_EQ(batched, tuple);
-}
-
-// Every batch-capable operator always emits the full exec.batch.* trio when
-// profiling (zeros included) — the CI catalogue diff relies on profile
-// counter names being a deterministic function of the operators that ran.
+// NL-JOIN always emits the full exec.batch.* trio when profiling (zeros
+// included): the CI catalogue diff relies on profile counter names being a
+// deterministic function of the operators that ran. It is the only operator
+// that emits them.
 TEST_F(BatchExecTest, BatchCounterTrioPresentInProfile) {
   LoadReviews();
   engine_->set_profile_queries(true);
-  Run(kJaccardSelect);
+  engine_->opt_context().enable_index_join = false;
+  engine_->opt_context().enable_three_stage_join = false;
+  const std::string join =
+      "for $o in dataset Reviews for $i in dataset Reviews "
+      "where similarity-jaccard(word-tokens($o.summary), "
+      "word-tokens($i.summary)) >= 0.5 return {'o': $o.id, 'i': $i.id}";
+  std::vector<std::string> batched = Run(join);
+  EXPECT_GT(batched.size(), 8u);  // every review pairs with itself
   ASSERT_NE(last_.profile, nullptr);
+  bool nl_join = false;
+  for (const obs::OperatorProfile& op : last_.profile->operators) {
+    nl_join = nl_join || op.name.rfind("NL-JOIN", 0) == 0;
+    for (const auto& [name, v] : op.counters) {
+      if (name.rfind("exec.batch.", 0) == 0) {
+        EXPECT_EQ(op.name.rfind("NL-JOIN", 0), 0u)
+            << name << " emitted by " << op.name;
+      }
+    }
+  }
+  EXPECT_TRUE(nl_join);
   for (const char* name :
        {"exec.batch.rows", "exec.batch.batches", "exec.batch.fallback_rows"}) {
     EXPECT_GE(ProfileCounter(name), 0) << name << " missing from profile";
   }
   EXPECT_GT(ProfileCounter("exec.batch.batches"), 0);
+  EXPECT_GT(ProfileCounter("exec.batch.rows"), 0);
+
+  engine_->set_batch_execution(false);
+  EXPECT_EQ(Run(join), batched);
+  EXPECT_EQ(ProfileCounter("exec.batch.rows"), 0);
+  EXPECT_GT(ProfileCounter("exec.batch.fallback_rows"), 0);
 }
 
 // Batch on/off must be answer-identical across plan shapes: indexed
@@ -191,105 +187,6 @@ TEST_F(BatchExecTest, BatchAndTupleRowsIdentical) {
   }
   EXPECT_FALSE(batched[0].empty());
   EXPECT_FALSE(batched[1].empty());
-}
-
-// Chunk boundaries: one partition holding more than two batches of rows
-// goes through the scan + jaccard-check SELECT batch path in three chunks
-// and must match the tuple path exactly.
-TEST(BatchChunkTest, InputSpanningThreeBatchesIsAnswerIdentical) {
-  std::string dir = (std::filesystem::temp_directory_path() /
-                     ("simdb_batch_chunk_" + std::to_string(::getpid())))
-                        .string();
-  storage::RemoveAllBestEffort(dir);
-  core::EngineOptions options;
-  options.data_dir = dir;
-  options.topology = {1, 1};
-  options.num_threads = 1;
-  options.profile_queries = true;
-  core::QueryProcessor engine(options);
-  ASSERT_TRUE(engine.Execute("create dataset Bulk primary key id;").ok());
-  const char* words[] = {"great", "product", "fantastic", "gift",
-                         "car",   "charger", "movie",     "heart"};
-  const size_t num_rows = 2 * hyracks::kBatchSize + 52;
-  for (size_t i = 0; i < num_rows; ++i) {
-    std::string summary = std::string(words[i % 8]) + " " +
-                          words[(i / 8) % 8] + " " + words[(i / 64) % 8];
-    ASSERT_TRUE(engine
-                    .Insert("Bulk", Value::MakeObject(
-                                        {{"id", Value::Int64(
-                                                    static_cast<int64_t>(i))},
-                                         {"summary", Value::String(summary)}}))
-                    .ok());
-  }
-  const char* query =
-      "for $t in dataset Bulk where "
-      "similarity-jaccard(word-tokens($t.summary), "
-      "word-tokens('great product fantastic gift')) >= 0.5 "
-      "return $t.id";
-  auto run = [&](bool batch, core::QueryResult* result) {
-    engine.set_batch_execution(batch);
-    Status s = engine.Execute(query, result);
-    EXPECT_TRUE(s.ok()) << s.ToString();
-    std::vector<std::string> rows;
-    for (const Value& v : result->rows) rows.push_back(v.ToJson());
-    std::sort(rows.begin(), rows.end());
-    return rows;
-  };
-  core::QueryResult batched_result, tuple_result;
-  std::vector<std::string> batched = run(true, &batched_result);
-  std::vector<std::string> tuple = run(false, &tuple_result);
-  EXPECT_EQ(batched, tuple);
-  EXPECT_FALSE(batched.empty());
-  // Every row went through the kernels, in three chunks.
-  uint64_t kernel_rows = 0, batches = 0;
-  for (const obs::OperatorProfile& op : batched_result.profile->operators) {
-    for (const auto& [name, v] : op.counters) {
-      if (name == "exec.batch.rows") kernel_rows += v;
-      if (name == "exec.batch.batches") batches += v;
-    }
-  }
-  EXPECT_EQ(kernel_rows, num_rows);
-  EXPECT_EQ(batches, 3u);
-  storage::RemoveAllBestEffort(dir);
-}
-
-// Direct storage-layer check: SearchTOccurrence with a scratch (counter
-// array over dense slots) must return exactly the gather path's pks and
-// copy nothing, while the gather path reports its copies.
-TEST(InvertedIndexBatchTest, ScratchPathMatchesGatherAndCopiesNothing) {
-  std::string dir = (std::filesystem::temp_directory_path() /
-                     ("simdb_batch_idx_" + std::to_string(::getpid())))
-                        .string();
-  storage::RemoveAllBestEffort(dir);
-  auto index = storage::InvertedIndex::Open(dir);
-  ASSERT_TRUE(index.ok());
-  std::vector<std::pair<std::string, int64_t>> postings;
-  for (int64_t pk = 0; pk < 200; ++pk) {
-    postings.emplace_back("tok" + std::to_string(pk % 7), pk);
-    postings.emplace_back("tok" + std::to_string((pk + 1) % 7), pk);
-    postings.emplace_back("rare" + std::to_string(pk % 31), pk);
-  }
-  ASSERT_TRUE((*index)->BulkLoad(std::move(postings)).ok());
-
-  const std::vector<std::string> query = {"tok1", "tok2", "tok3", "rare5"};
-  for (int t = 1; t <= 3; ++t) {
-    storage::InvertedSearchStats gather_stats;
-    auto gather = (*index)->SearchTOccurrence(
-        query, t, storage::TOccurrenceAlgorithm::kScanCount, &gather_stats);
-    ASSERT_TRUE(gather.ok());
-    EXPECT_GT(gather_stats.bytes_copied, 0u);
-
-    simd::TOccurrenceScratch scratch;
-    storage::InvertedSearchStats batch_stats;
-    auto batched = (*index)->SearchTOccurrence(
-        query, t, storage::TOccurrenceAlgorithm::kScanCount, &batch_stats,
-        /*use_cache=*/true, &scratch);
-    ASSERT_TRUE(batched.ok());
-    EXPECT_EQ(batch_stats.bytes_copied, 0u);
-    EXPECT_EQ(*gather, *batched) << "t=" << t;
-    EXPECT_TRUE(std::is_sorted(batched->begin(), batched->end()));
-  }
-  storage::RemoveAllBestEffort(dir);
 }
 
 }  // namespace

@@ -409,6 +409,35 @@ TEST_F(PkConjunctPlacementTest, ThreeStageExchangesShipOnlyLiveColumns) {
   EXPECT_EQ(pt_joins, 1);
 }
 
+// count(...) reads only how many rows its subquery returns: the returned
+// record is never built, and the root GATHER ships zero-width rows. A
+// returned record with a call among its fields is still computed, so the
+// call's error surfaces.
+TEST_F(PkConjunctPlacementTest, CountBuildsAndShipsNoRecords) {
+  UsePlans(/*index_join=*/false, /*three_stage=*/false);
+  const std::string pairs =
+      "for $l in dataset People for $r in dataset People "
+      "where $l.id < $r.id return {'l': $l.id, 'r': $r.id}";
+  Result<hyracks::Job> job = engine_->CompileJob("count(" + pairs + ")");
+  ASSERT_TRUE(job.ok()) << job.status().ToString();
+  for (const hyracks::Job::Node& node : job->nodes()) {
+    EXPECT_EQ(node.op->name().find('{'), std::string::npos)
+        << node.op->name();
+  }
+  const hyracks::Job::Node& root =
+      job->nodes()[static_cast<size_t>(job->root())];
+  EXPECT_EQ(root.op->name(), "GATHER");
+  EXPECT_EQ(root.schema.size(), 0u) << root.schema.ToString();
+  EXPECT_EQ(RunCount("count(" + pairs + ")"), 45);
+  EXPECT_EQ(Rows(pairs).size(), 45u);
+
+  QueryResult result;
+  Status s = engine_->Execute(
+      "count(for $x in dataset People return {'a': $x.id, 'b': len($x.id)})",
+      &result);
+  EXPECT_EQ(s.code(), StatusCode::kTypeError) << s.ToString();
+}
+
 TEST_F(PkConjunctPlacementTest, IndexJoinAppliesPkConjunctAboveIndexSearch) {
   UsePlans(/*index_join=*/true, /*three_stage=*/true);
   std::string plan = Plan(EdJoin("$l.id < $r.id"));

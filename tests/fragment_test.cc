@@ -2,9 +2,9 @@
 // error payloads), the worker-side interpreter's bit-identity with a local
 // destination build (rows *and* traffic accounting), the socket transport's
 // fragment round trip into a genuinely forked worker process (proven by
-// pid), the per-worker cancel ledger, the scheduler's remote-task lease
-// callback, and the engine-level seam (tasks_remote / exec.remote.* profile
-// counters, answers identical to the modeled backend).
+// pid), the per-worker cancel ledger, and the engine-level seam
+// (tasks_remote / exec.remote.* profile counters, answers identical to the
+// modeled backend).
 #include <gtest/gtest.h>
 #include <sys/resource.h>
 #include <unistd.h>
@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <filesystem>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -349,57 +348,6 @@ TEST(TransportFragmentTest, ModeledBackendHasNoRemoteExecution) {
             StatusCode::kUnsupported);
   EXPECT_TRUE(t->CancelFragments(1, 1.0).ok());
   EXPECT_TRUE(t->worker_pids().empty());
-}
-
-// --- Scheduler remote-task leases -----------------------------------------
-
-TEST(RemoteTaskLeaseTest, EveryBuildReportsOneClosedLease) {
-  Job job;
-  int src = job.Add(std::make_unique<testing::IntSourceOp>(40), {},
-                    RowSchema({"v"}));
-  job.Add(std::make_unique<HashExchangeOp>(std::vector<int>{0}), {src},
-          RowSchema({"v"}));
-
-  std::unique_ptr<transport::Transport> t =
-      transport::MakeTransport(transport::TransportKind::kSocket, 2);
-  ASSERT_TRUE(t->remote_execution());
-  ThreadPool pool(4);
-  ExecStats stats;
-  std::mutex leases_mu;
-  std::vector<RemoteTaskLease> leases;
-  RemoteLeaseCallback on_complete = [&](const RemoteTaskLease& lease) {
-    std::lock_guard<std::mutex> lock(leases_mu);
-    leases.push_back(lease);
-  };
-  ExecContext ctx;
-  ctx.pool = &pool;
-  ctx.topology = {2, 2};
-  ctx.stats = &stats;
-  ctx.transport = t.get();
-  ctx.on_lease_complete = &on_complete;
-  Result<PartitionedRows> out = Executor::Run(job, ctx);
-  ASSERT_TRUE(out.ok()) << out.status().ToString();
-
-  // One lease per (exchange destination) kBuild task, each completed ok,
-  // each attributed to the cluster node owning its destination partition.
-  ASSERT_EQ(leases.size(), 4u);
-  std::vector<int> seen_partitions;
-  int remote = 0;
-  for (const RemoteTaskLease& lease : leases) {
-    EXPECT_TRUE(lease.ok);
-    EXPECT_EQ(lease.cluster_node,
-              ctx.topology.NodeOfPartition(lease.dst_partition));
-    seen_partitions.push_back(lease.dst_partition);
-    if (lease.remote) {
-      ++remote;
-      EXPECT_GE(lease.remote_compute_seconds, 0.0);
-    }
-  }
-  std::sort(seen_partitions.begin(), seen_partitions.end());
-  EXPECT_EQ(seen_partitions, (std::vector<int>{0, 1, 2, 3}));
-  EXPECT_GT(remote, 0);
-  EXPECT_EQ(stats.tasks_remote, static_cast<uint64_t>(remote));
-  EXPECT_GT(stats.TotalRemoteComputeSeconds(), 0.0);
 }
 
 // --- Engine-level seam -----------------------------------------------------

@@ -2,8 +2,11 @@
 // every builtin's happy path, type errors, and MISSING/NULL behaviour.
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "hyracks/expr.h"
 #include "hyracks/functions.h"
+#include "similarity/edit_distance.h"
 
 namespace simdb::hyracks {
 namespace {
@@ -35,6 +38,35 @@ TEST(FunctionsTest, AndOrShortSemantics) {
   EXPECT_FALSE((*Eval("or", {B(false), B(false)})).AsBoolean());
   EXPECT_TRUE((*Eval("and", {B(true), B(true), B(true)})).AsBoolean());
   EXPECT_FALSE(Eval("and", {B(true), I(1)}).ok());  // non-boolean
+}
+
+// CallExpr evaluates up to four arguments in a stack buffer and more in a
+// vector: n-ary `and` across that boundary, with arguments read from a row.
+TEST(FunctionsTest, NaryAndAcrossTheInlineArgumentBoundary) {
+  for (int n : {4, 5, 6}) {
+    std::vector<ExprPtr> args;
+    for (int i = 0; i < n; ++i) args.push_back(Col(i, "c" + std::to_string(i)));
+    Result<ExprPtr> call = Call("and", args);
+    ASSERT_TRUE(call.ok()) << call.status().ToString();
+    Tuple row(static_cast<size_t>(n), B(true));
+    EXPECT_TRUE((*(*call)->Eval(row)).AsBoolean()) << n;
+    for (int i = 0; i < n; ++i) {
+      Tuple one_false = row;
+      one_false[static_cast<size_t>(i)] = B(false);
+      EXPECT_FALSE((*(*call)->Eval(one_false)).AsBoolean()) << n << " " << i;
+    }
+    Tuple last_not_boolean = row;
+    last_not_boolean.back() = I(1);
+    EXPECT_EQ((*call)->Eval(last_not_boolean).status().code(),
+              StatusCode::kTypeError);
+    // Arguments evaluate left to right: the first failing one is reported.
+    Tuple short_row(2, B(true));
+    Result<Value> missing_columns = (*call)->Eval(short_row);
+    ASSERT_FALSE(missing_columns.ok());
+    EXPECT_NE(missing_columns.status().message().find("column index 2 "),
+              std::string::npos)
+        << missing_columns.status().ToString();
+  }
 }
 
 TEST(FunctionsTest, Not) {
@@ -163,6 +195,47 @@ TEST(FunctionsTest, EditDistanceBuiltins) {
                    .ok());
 }
 
+// The builtin verifies two strings with Myers' bit-parallel kernel (the
+// banded DP past 64 characters); it must agree with the reference banded DP
+// on every k, including bytes >= 0x80 and patterns longer than one word.
+TEST(FunctionsTest, EditDistanceCheckMatchesReference) {
+  std::mt19937 rng(2024);
+  const std::string alphabet = "abc\x80\xc3\xff";
+  auto random_string = [&](size_t len) {
+    std::string out;
+    for (size_t i = 0; i < len; ++i) out += alphabet[rng() % alphabet.size()];
+    return out;
+  };
+  for (int iter = 0; iter < 600; ++iter) {
+    const std::string a = random_string(rng() % 90);
+    // Mostly a few edits away from `a`, so every k sees matches.
+    std::string b = a;
+    const int edits = static_cast<int>(rng() % 5);
+    for (int e = 0; e < edits; ++e) {
+      const size_t pos = b.empty() ? 0 : rng() % (b.size() + 1);
+      switch (rng() % 3) {
+        case 0:
+          b.insert(pos, 1, alphabet[rng() % alphabet.size()]);
+          break;
+        case 1:
+          if (pos < b.size()) b.erase(pos, 1);
+          break;
+        default:
+          if (pos < b.size()) b[pos] = alphabet[rng() % alphabet.size()];
+          break;
+      }
+    }
+    if (iter % 10 == 0) b = random_string(rng() % 90);
+    for (int k : {-1, 0, 1, 2, 3}) {
+      Result<Value> got = Eval("edit-distance-check", {Str(a.c_str()),
+                                                       Str(b.c_str()), I(k)});
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ(got->AsBoolean(), similarity::EditDistanceCheck(a, b, k) >= 0)
+          << "a=" << a << " b=" << b << " k=" << k;
+    }
+  }
+}
+
 TEST(FunctionsTest, JaccardBuiltins) {
   Value a = Tokens({"good", "product"});
   Value b = Tokens({"product"});
@@ -231,12 +304,12 @@ TEST(FunctionsTest, UnknownFunctionAndArityValidation) {
 
 TEST(FunctionsTest, UserRegistrationAndOverride) {
   FunctionRegistry::Global().Register(
-      {"test-triple", 1, 1, [](const std::vector<Value>& a) -> Result<Value> {
+      {"test-triple", 1, 1, [](std::span<const Value> a) -> Result<Value> {
          return Value::Int64(a[0].AsInt64() * 3);
        }});
   EXPECT_EQ((*Eval("test-triple", {I(4)})).AsInt64(), 12);
   FunctionRegistry::Global().Register(
-      {"test-triple", 1, 1, [](const std::vector<Value>& a) -> Result<Value> {
+      {"test-triple", 1, 1, [](std::span<const Value> a) -> Result<Value> {
          return Value::Int64(a[0].AsInt64() * 30);
        }});
   EXPECT_EQ((*Eval("test-triple", {I(4)})).AsInt64(), 120);

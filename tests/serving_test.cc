@@ -468,6 +468,30 @@ TEST_F(ServingTest, ParseErrorsAndDdlAreRefused) {
             std::string::npos);
 }
 
+// One client request nested far past the parser's limit is refused at the
+// front door as a parse error; it must not take the serving process down,
+// and the next request still answers.
+TEST_F(ServingTest, DeeplyNestedQueryIsRefusedAndServingContinues) {
+  ServingOptions serving;
+  QueryEngine& engine = MakeEngine(serving, /*records=*/8);
+
+  std::string deep;
+  for (int i = 0; i < 10000; ++i) deep += "[";
+  deep += "1";
+  for (int i = 0; i < 10000; ++i) deep += "]";
+  Result<std::shared_ptr<QueryTicket>> refused = engine.Submit(deep + ";");
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kParseError)
+      << refused.status().ToString();
+  EXPECT_EQ(engine.Stats().rejected_parse, 1u);
+
+  Result<std::shared_ptr<QueryTicket>> next = engine.Submit(kCheapEd);
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  ASSERT_TRUE(next.value()->Wait().ok());
+  EXPECT_EQ(SortedRows(next.value()->result()), Baseline(kCheapEd));
+  EXPECT_FALSE(next.value()->result().rows.empty());
+}
+
 // ---------- fairness ----------
 
 TEST_F(ServingTest, ReservedSlotBoundsCheapLatencyUnderHeavyLoad) {

@@ -13,6 +13,7 @@
 #include "common/random.h"
 #include "similarity/edit_distance.h"
 #include "similarity/jaccard.h"
+#include "similarity/simd_kernels.h"
 #include "similarity/tokenizer.h"
 #include "storage/catalog.h"
 #include "storage/dataset.h"
@@ -571,6 +572,9 @@ TEST(InvertedIndexTest, ScanCountAndHeapMergeAgree) {
     docs.push_back(tokens);
     ASSERT_TRUE(index->Insert(tokens, pk).ok());
   }
+  // One caller scratch reused across every probe, as INVERTED-SEARCH runs
+  // ScanCount, besides the local scratch a null one means.
+  simd::TOccurrenceScratch scratch;
   for (int q = 0; q < 20; ++q) {
     const std::vector<std::string>& query = docs[rng.Uniform(docs.size())];
     for (int t = 1; t <= 3; ++t) {
@@ -578,8 +582,46 @@ TEST(InvertedIndexTest, ScanCountAndHeapMergeAgree) {
                                             TOccurrenceAlgorithm::kScanCount);
       auto heap = *index->SearchTOccurrence(query, t,
                                             TOccurrenceAlgorithm::kHeapMerge);
+      auto reused = *index->SearchTOccurrence(
+          query, t, TOccurrenceAlgorithm::kScanCount, /*stats=*/nullptr,
+          /*use_cache=*/true, &scratch);
       EXPECT_EQ(scan, heap) << "t=" << t;
+      EXPECT_EQ(reused, heap) << "t=" << t;
     }
+  }
+}
+
+// One probe over 66,000 distinct indexed tokens: pk 1 is on every list, more
+// than a 16-bit occurrence counter can count, pk 2 on every other one.
+TEST(InvertedIndexTest, ScanCountCountsPastSixteenBits) {
+  TempDir dir;
+  auto index = *InvertedIndex::Open(dir.path() + "/inv");
+  const int kTokens = 66000;
+  std::vector<std::pair<std::string, int64_t>> postings;
+  std::vector<std::string> query;
+  for (int i = 0; i < kTokens; ++i) {
+    query.push_back("tok" + std::to_string(i));
+    postings.emplace_back(query.back(), 1);
+    if (i % 2 == 0) postings.emplace_back(query.back(), 2);
+  }
+  postings.emplace_back("other", 3);
+  ASSERT_TRUE(index->BulkLoad(std::move(postings)).ok());
+  const std::pair<int, std::vector<int64_t>> cases[] = {
+      {kTokens, {1}}, {kTokens / 2, {1, 2}}, {1, {1, 2}}};
+  for (const auto& [t, want] : cases) {
+    simd::TOccurrenceScratch scratch;
+    // The caller scratch twice: its counters must be back at zero.
+    for (simd::TOccurrenceScratch* s :
+         std::vector<simd::TOccurrenceScratch*>{&scratch, &scratch, nullptr}) {
+      Result<std::vector<int64_t>> scan = index->SearchTOccurrence(
+          query, t, TOccurrenceAlgorithm::kScanCount, nullptr, true, s);
+      ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+      EXPECT_EQ(*scan, want) << "t=" << t;
+    }
+    Result<std::vector<int64_t>> heap =
+        index->SearchTOccurrence(query, t, TOccurrenceAlgorithm::kHeapMerge);
+    ASSERT_TRUE(heap.ok()) << heap.status().ToString();
+    EXPECT_EQ(*heap, want) << "t=" << t;
   }
 }
 

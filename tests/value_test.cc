@@ -134,6 +134,41 @@ TEST(JsonTest, StringEscapes) {
   EXPECT_EQ(v.AsString(), "a\"b\\c\ndA");
 }
 
+std::string NestedJson(const std::string& open, const std::string& close,
+                       int depth) {
+  std::string out;
+  for (int i = 0; i < depth; ++i) out += open;
+  out += "1";
+  for (int i = 0; i < depth; ++i) out += close;
+  return out;
+}
+
+// Arrays, objects and multisets nest up to kMaxJsonDepth; one level more is
+// a parse error, and so is a document deep enough to overflow an unbounded
+// recursive descent.
+TEST(JsonTest, NestingIsBounded) {
+  const std::pair<std::string, std::string> shapes[] = {
+      {"[", "]"}, {R"({"a": )", "}"}, {"{{", "}}"}};
+  for (const auto& [open, close] : shapes) {
+    Result<Value> at_limit =
+        Value::FromJson(NestedJson(open, close, kMaxJsonDepth));
+    ASSERT_TRUE(at_limit.ok()) << open << " " << at_limit.status().ToString();
+    Value v = *at_limit;
+    int depth = 0;
+    while (v.is_list() || v.is_object()) {
+      v = v.is_list() ? v.AsList()[0] : v.GetField("a");
+      ++depth;
+    }
+    EXPECT_EQ(depth, kMaxJsonDepth);
+    EXPECT_EQ(v.AsInt64(), 1);
+    for (int depth_over : {kMaxJsonDepth + 1, 100000}) {
+      Result<Value> over = Value::FromJson(NestedJson(open, close, depth_over));
+      ASSERT_FALSE(over.ok()) << open << " " << depth_over;
+      EXPECT_EQ(over.status().code(), StatusCode::kParseError);
+    }
+  }
+}
+
 TEST(JsonTest, Errors) {
   EXPECT_FALSE(Value::FromJson("").ok());
   EXPECT_FALSE(Value::FromJson("{").ok());
