@@ -39,10 +39,9 @@ class SpinSourceOp : public PartitionOperator {
   int num_inputs() const override { return 0; }
   Result<Rows> ExecutePartition(ExecContext&, int p,
                                 const std::vector<const Rows*>&) override {
-    Rows rows;
-    rows.reserve(static_cast<size_t>(rows_));
+    Rows rows(1);
     for (int i = 0; i < rows_; ++i) {
-      rows.push_back({adm::Value::Int64(p * 100003 + i)});
+      rows.Append()[0] = adm::Value::Int64(p * 100003 + i);
     }
     return rows;
   }
@@ -60,12 +59,11 @@ class SpinWorkOp : public PartitionOperator {
   Result<Rows> ExecutePartition(ExecContext&, int p,
                                 const std::vector<const Rows*>& inputs)
       override {
-    Rows out;
-    out.reserve(inputs[0]->size());
-    for (const Tuple& t : *inputs[0]) {
+    Rows out(1);
+    for (Row t : *inputs[0]) {
       uint64_t v = static_cast<uint64_t>(t[0].AsInt64());
       v = Spin(v, rounds_ * (p + 1));
-      out.push_back({adm::Value::Int64(static_cast<int64_t>(v >> 1))});
+      out.Append()[0] = adm::Value::Int64(static_cast<int64_t>(v >> 1));
     }
     return out;
   }

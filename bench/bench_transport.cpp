@@ -156,14 +156,13 @@ Result<hyracks::Rows> DecodeFramedRows(std::string_view frame) {
 }
 
 SerdePoint RunSerde(int nrows, int repeats) {
-  hyracks::Rows rows;
+  hyracks::Rows rows(3);
   for (int i = 0; i < nrows; ++i) {
-    hyracks::Tuple row;
-    row.push_back(adm::Value::Int64(i));
-    row.push_back(adm::Value::String(
-        "review summary text for record " + std::to_string(i)));
-    row.push_back(adm::Value::Double(0.125 * static_cast<double>(i)));
-    rows.push_back(std::move(row));
+    std::span<adm::Value> row = rows.Append();
+    row[0] = adm::Value::Int64(i);
+    row[1] = adm::Value::String("review summary text for record " +
+                                std::to_string(i));
+    row[2] = adm::Value::Double(0.125 * static_cast<double>(i));
   }
   SerdePoint point;
   point.rows = nrows;

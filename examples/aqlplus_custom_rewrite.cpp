@@ -129,7 +129,7 @@ Status RunDemo(core::QueryProcessor& engine) {
   std::printf("events of the most frequent kind ('click'):\n");
   size_t count = 0;
   for (const hyracks::Rows& part : rows) {
-    for (const hyracks::Tuple& t : part) {
+    for (hyracks::Row t : part) {
       std::printf("  id=%s\n", t[0].ToJson().c_str());
       ++count;
     }

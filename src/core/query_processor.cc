@@ -257,9 +257,8 @@ Status QueryProcessor::RunQuery(const aql::AExprPtr& query,
           adm::Value::Int64(static_cast<int64_t>(hyracks::RowsCount(rows))));
     } else {
       for (const hyracks::Rows& part : rows) {
-        for (const hyracks::Tuple& tuple : part) {
-          result->rows.push_back(tuple.empty() ? adm::Value::Missing()
-                                               : tuple[0]);
+        for (hyracks::Row row : part) {
+          result->rows.push_back(row.empty() ? adm::Value::Missing() : row[0]);
         }
       }
     }

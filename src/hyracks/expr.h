@@ -20,7 +20,7 @@ namespace simdb::hyracks {
 class Expr {
  public:
   virtual ~Expr() = default;
-  virtual Result<adm::Value> Eval(const Tuple& row) const = 0;
+  virtual Result<adm::Value> Eval(Row row) const = 0;
   virtual std::string ToString() const = 0;
 };
 
@@ -31,7 +31,7 @@ class ColumnExpr : public Expr {
   ColumnExpr(int index, std::string name)
       : index_(index), name_(std::move(name)) {}
 
-  Result<adm::Value> Eval(const Tuple& row) const override {
+  Result<adm::Value> Eval(Row row) const override {
     if (index_ < 0 || static_cast<size_t>(index_) >= row.size()) {
       return Status::Internal("column index " + std::to_string(index_) +
                               " out of range for tuple of " +
@@ -55,7 +55,7 @@ class LiteralExpr : public Expr {
  public:
   explicit LiteralExpr(adm::Value value) : value_(std::move(value)) {}
 
-  Result<adm::Value> Eval(const Tuple&) const override { return value_; }
+  Result<adm::Value> Eval(Row) const override { return value_; }
   std::string ToString() const override { return value_.ToJson(); }
   const adm::Value& value() const { return value_; }
 
@@ -68,7 +68,7 @@ class FieldAccessExpr : public Expr {
   FieldAccessExpr(ExprPtr base, std::string field)
       : base_(std::move(base)), field_(std::move(field)) {}
 
-  Result<adm::Value> Eval(const Tuple& row) const override {
+  Result<adm::Value> Eval(Row row) const override {
     SIMDB_ASSIGN_OR_RETURN(adm::Value base, base_->Eval(row));
     return base.GetField(field_);
   }
@@ -93,7 +93,7 @@ class CallExpr : public Expr {
   /// Arguments are evaluated left to right, so the first error raised is
   /// that of the leftmost failing argument. Up to kInlineArgs of them live
   /// on the stack; only n-ary calls (`and`/`or`) allocate.
-  Result<adm::Value> Eval(const Tuple& row) const override {
+  Result<adm::Value> Eval(Row row) const override {
     if (args_.size() <= kInlineArgs) {
       std::array<adm::Value, kInlineArgs> values;
       for (size_t i = 0; i < args_.size(); ++i) {
@@ -133,7 +133,7 @@ class RecordConstructorExpr : public Expr {
                         std::vector<ExprPtr> exprs)
       : names_(std::move(names)), exprs_(std::move(exprs)) {}
 
-  Result<adm::Value> Eval(const Tuple& row) const override {
+  Result<adm::Value> Eval(Row row) const override {
     adm::Value::Object fields;
     fields.reserve(names_.size());
     for (size_t i = 0; i < names_.size(); ++i) {
@@ -159,7 +159,7 @@ class ListConstructorExpr : public Expr {
   explicit ListConstructorExpr(std::vector<ExprPtr> exprs)
       : exprs_(std::move(exprs)) {}
 
-  Result<adm::Value> Eval(const Tuple& row) const override {
+  Result<adm::Value> Eval(Row row) const override {
     adm::Value::Array items;
     items.reserve(exprs_.size());
     for (const ExprPtr& e : exprs_) {

@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -12,27 +13,45 @@
 
 namespace simdb::hyracks::fragment {
 
+namespace {
+
+void EncodeRow(Row row, ByteWriter* w) {
+  w->PutU32(static_cast<uint32_t>(row.size()));
+  for (const adm::Value& v : row) v.Serialize(w);
+}
+
+}  // namespace
+
 void EncodeRows(const Rows& rows, ByteWriter* w) {
   w->PutU32(static_cast<uint32_t>(rows.size()));
-  for (const Tuple& row : rows) {
-    w->PutU32(static_cast<uint32_t>(row.size()));
-    for (const adm::Value& v : row) v.Serialize(w);
-  }
+  for (Row row : rows) EncodeRow(row, w);
 }
 
 Result<Rows> DecodeRows(ByteReader* r) {
   SIMDB_ASSIGN_OR_RETURN(uint32_t nrows, r->GetU32());
-  Rows rows;
-  // Sized by actual decode progress, not the count fields: a lying count
-  // fails on truncation before any large allocation.
-  for (uint32_t i = 0; i < nrows; ++i) {
+  if (nrows == 0) return Rows();
+  // The first row decodes into a scratch row, so the frames are sized by
+  // decoded values, not by a count field: a lying count fails on truncation
+  // before any large allocation. Every later row must have its width.
+  SIMDB_ASSIGN_OR_RETURN(uint32_t width, r->GetU32());
+  Tuple first;
+  for (uint32_t c = 0; c < width; ++c) {
+    SIMDB_ASSIGN_OR_RETURN(adm::Value v, adm::Value::Deserialize(r));
+    first.push_back(std::move(v));
+  }
+  Rows rows(width);
+  rows.AppendMoved(first);
+  for (uint32_t i = 1; i < nrows; ++i) {
     SIMDB_ASSIGN_OR_RETURN(uint32_t ncols, r->GetU32());
-    Tuple row;
-    for (uint32_t c = 0; c < ncols; ++c) {
-      SIMDB_ASSIGN_OR_RETURN(adm::Value v, adm::Value::Deserialize(r));
-      row.push_back(std::move(v));
+    if (ncols != width) {
+      return Status::Corruption("row group mixes rows of " +
+                                std::to_string(width) + " and " +
+                                std::to_string(ncols) + " columns");
     }
-    rows.push_back(std::move(row));
+    std::span<adm::Value> cells = rows.Append();
+    for (adm::Value& cell : cells) {
+      SIMDB_ASSIGN_OR_RETURN(cell, adm::Value::Deserialize(r));
+    }
   }
   return rows;
 }
@@ -240,12 +259,12 @@ void EncodeFragmentRequest(const ClusterTopology& topology, uint64_t query_id,
     if (hash) {
       // Send only this destination's slice, preserving source structure and
       // (src, i) order so the worker's build emits the parent's exact order.
-      Rows slice;
       const std::vector<int>& dsts = routing.destinations[src];
+      w.PutU32(static_cast<uint32_t>(
+          std::count(dsts.begin(), dsts.end(), dst)));
       for (size_t i = 0; i < dsts.size(); ++i) {
-        if (dsts[i] == dst) slice.push_back(in[src][i]);
+        if (dsts[i] == dst) EncodeRow(in[src][i], &w);
       }
-      EncodeRows(slice, &w);
     } else if (*slice_rows == 0) {
       EncodeRows(Rows(), &w);
     } else {
@@ -330,6 +349,15 @@ Status TryBuildRemote(ExecContext& ctx, ExchangeOperator& op, int dst,
   CountOp(ctx, "exec.remote.bytes", request.size() + reply.size());
   CountOp(ctx, "exec.remote.compute_nanos",
           static_cast<uint64_t>(result.header.compute_seconds * 1e9));
+  // An empty result states no width; the destination has its input's.
+  const size_t width = RowsWidth(in);
+  if (result.rows.empty()) {
+    result.rows = Rows(width);
+  } else if (result.rows.width() != width) {
+    return Status::Corruption(
+        "fragment result rows have " + std::to_string(result.rows.width()) +
+        " columns, the exchange input " + std::to_string(width));
+  }
   *out = std::move(result.rows);
   *handled = true;
   return Status::OK();

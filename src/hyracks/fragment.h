@@ -33,11 +33,13 @@ namespace simdb::hyracks::fragment {
 /// Row-group codec: `[u32 row count][per row: u32 column count, each value
 /// via adm::Value::Serialize]`, raw — the enclosing wire frame's CRC covers
 /// it. Request slices and result rows both use it; it is the only row
-/// serialization on the exchange path.
+/// serialization on the exchange path. Every row of a group has the same
+/// column count; an empty group states no width.
 void EncodeRows(const Rows& rows, ByteWriter* w);
 
-/// Inverse of EncodeRows. Corrupt or lying counts yield a Status, never an
-/// allocation sized by a count field.
+/// Inverse of EncodeRows. Corrupt or lying counts, and rows whose column
+/// counts differ, yield a Status, never an allocation sized by a count
+/// field. An empty group decodes to zero-width Rows.
 Result<Rows> DecodeRows(ByteReader* r);
 
 /// Extracts the operator's wire closure. Returns false when the operator

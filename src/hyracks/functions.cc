@@ -70,6 +70,21 @@ Result<Value> EvalArith(Args args, char op) {
   return Status::Internal("bad arithmetic op");
 }
 
+/// Whether `a` and `b` satisfy `threshold` under measure `m`: its `check`
+/// when it has one, else its `eval` compared to the threshold in the
+/// measure's ThresholdSense, exactly as `le`/`ge` would compare them (a
+/// MISSING or NULL score satisfies nothing). A UDF registered under a
+/// builtin's name may come without a `check`.
+Result<bool> CheckMeasure(const similarity::SimilarityFunction& m,
+                          const Value& a, const Value& b, double threshold) {
+  if (m.check) return m.check(a, b, threshold);
+  SIMDB_ASSIGN_OR_RETURN(Value score, m.eval(a, b));
+  if (score.is_missing() || score.is_null()) return false;
+  int c = Value::Compare(score, Value::Double(threshold));
+  return m.sense == similarity::ThresholdSense::kDistanceAtMost ? c <= 0
+                                                                : c >= 0;
+}
+
 }  // namespace
 
 FunctionRegistry& FunctionRegistry::Global() {
@@ -221,7 +236,8 @@ FunctionRegistry::FunctionRegistry() {
       [ed](Args a) -> Result<Value> { return ed->eval(a[0], a[1]); });
   add("edit-distance-check", 3, 3, [ed](Args a) -> Result<Value> {
     if (!a[2].is_numeric()) return Status::TypeError("threshold must be numeric");
-    SIMDB_ASSIGN_OR_RETURN(bool ok, ed->check(a[0], a[1], a[2].AsNumber()));
+    SIMDB_ASSIGN_OR_RETURN(bool ok,
+                           CheckMeasure(*ed, a[0], a[1], a[2].AsNumber()));
     return Value::Boolean(ok);
   });
   add("similarity-jaccard", 2, 2, [jaccard](Args a) -> Result<Value> {
@@ -230,7 +246,7 @@ FunctionRegistry::FunctionRegistry() {
   add("similarity-jaccard-check", 3, 3, [jaccard](Args a) -> Result<Value> {
     if (!a[2].is_numeric()) return Status::TypeError("threshold must be numeric");
     SIMDB_ASSIGN_OR_RETURN(bool ok,
-                           jaccard->check(a[0], a[1], a[2].AsNumber()));
+                           CheckMeasure(*jaccard, a[0], a[1], a[2].AsNumber()));
     return Value::Boolean(ok);
   });
   add("similarity-dice", 2, 2,

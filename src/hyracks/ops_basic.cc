@@ -8,11 +8,12 @@ using adm::Value;
 
 Result<Rows> SelectOp::ExecutePartition(ExecContext&, int,
                                         const std::vector<const Rows*>& inputs) {
-  Rows out;
-  for (const Tuple& row : *inputs[0]) {
+  const Rows& in = *inputs[0];
+  Rows out(in.width());
+  for (Row row : in) {
     SIMDB_ASSIGN_OR_RETURN(Value v, predicate_->Eval(row));
     if (v.is_boolean()) {
-      if (v.AsBoolean()) out.push_back(row);
+      if (v.AsBoolean()) out.Append(row);
     } else if (!v.is_missing() && !v.is_null()) {
       return Status::TypeError("SELECT predicate must return boolean");
     }
@@ -33,58 +34,66 @@ std::string AssignOp::name() const {
 Result<Rows> AssignOp::ExecutePartition(ExecContext&, int,
                                         const std::vector<const Rows*>& inputs) {
   const Rows& in = *inputs[0];
-  Rows out;
-  out.reserve(in.size());
-  for (const Tuple& row : in) {
-    Tuple extended = row;
-    // Evaluate against the growing tuple so later expressions may
-    // reference the columns produced by earlier ones.
-    for (const ExprPtr& e : exprs_) {
-      SIMDB_ASSIGN_OR_RETURN(Value v, e->Eval(extended));
-      extended.push_back(std::move(v));
+  const size_t width = in.width();
+  Rows out(width + exprs_.size());
+  for (Row row : in) {
+    // The whole row is reserved up front; each expression is evaluated
+    // against the part appended so far, so later expressions may reference
+    // the columns produced by earlier ones.
+    std::span<Value> cells = out.Append(row);
+    for (size_t e = 0; e < exprs_.size(); ++e) {
+      SIMDB_ASSIGN_OR_RETURN(cells[width + e],
+                             exprs_[e]->Eval(Row(cells.data(), width + e)));
     }
-    out.push_back(std::move(extended));
   }
   return out;
 }
 
 Result<Rows> ProjectOp::ExecutePartition(
     ExecContext&, int, const std::vector<const Rows*>& inputs) {
-  Rows out;
-  out.reserve(inputs[0]->size());
-  for (const Tuple& row : *inputs[0]) {
-    Tuple projected;
-    projected.reserve(keep_.size());
-    for (int k : keep_) {
-      if (k < 0 || static_cast<size_t>(k) >= row.size()) {
-        return Status::Internal("PROJECT column out of range");
-      }
-      projected.push_back(row[static_cast<size_t>(k)]);
+  const Rows& in = *inputs[0];
+  Rows out(keep_.size());
+  if (in.empty()) return out;
+  for (int k : keep_) {
+    if (k < 0 || static_cast<size_t>(k) >= in.width()) {
+      return Status::Internal("PROJECT column out of range");
     }
-    out.push_back(std::move(projected));
+  }
+  for (Row row : in) {
+    std::span<Value> cells = out.Append();
+    for (size_t j = 0; j < keep_.size(); ++j) {
+      cells[j] = row[static_cast<size_t>(keep_[j])];
+    }
   }
   return out;
 }
 
 Result<Rows> SortOp::ExecutePartition(ExecContext&, int,
                                       const std::vector<const Rows*>& inputs) {
-  Rows out = *inputs[0];  // copy, then sort in place
-  std::stable_sort(out.begin(), out.end(),
-                   [this](const Tuple& a, const Tuple& b) {
+  // Sorts a permutation of row pointers, then appends the rows in its order.
+  const Rows& in = *inputs[0];
+  std::vector<const Value*> order;
+  order.reserve(in.size());
+  for (Row row : in) order.push_back(row.data());
+  std::stable_sort(order.begin(), order.end(),
+                   [this](const Value* a, const Value* b) {
                      for (const SortKey& k : keys_) {
-                       int c = Value::Compare(a[static_cast<size_t>(k.column)],
-                                              b[static_cast<size_t>(k.column)]);
+                       int c = Value::Compare(a[k.column], b[k.column]);
                        if (c != 0) return k.ascending ? c < 0 : c > 0;
                      }
                      return false;
                    });
+  Rows out(in.width());
+  for (const Value* row : order) out.Append(Row(row, in.width()));
   return out;
 }
 
 Result<Rows> UnnestOp::ExecutePartition(ExecContext&, int,
                                         const std::vector<const Rows*>& inputs) {
-  Rows out;
-  for (const Tuple& row : *inputs[0]) {
+  const Rows& in = *inputs[0];
+  const size_t width = in.width();
+  Rows out(width + (with_position_ ? 2 : 1));
+  for (Row row : in) {
     SIMDB_ASSIGN_OR_RETURN(Value list, list_expr_->Eval(row));
     if (list.is_missing() || list.is_null()) continue;
     if (!list.is_list()) {
@@ -94,10 +103,8 @@ Result<Rows> UnnestOp::ExecutePartition(ExecContext&, int,
     }
     int64_t pos = 1;
     for (const Value& item : list.AsList()) {
-      Tuple extended = row;
-      extended.push_back(item);
-      if (with_position_) extended.push_back(Value::Int64(pos));
-      out.push_back(std::move(extended));
+      std::span<Value> cells = out.Append(row, Row(&item, 1));
+      if (with_position_) cells[width + 1] = Value::Int64(pos);
       ++pos;
     }
   }
@@ -106,12 +113,12 @@ Result<Rows> UnnestOp::ExecutePartition(ExecContext&, int,
 
 Result<Rows> UnionAllOp::ExecutePartition(
     ExecContext&, int, const std::vector<const Rows*>& inputs) {
-  size_t total = 0;
-  for (const Rows* in : inputs) total += in->size();
-  Rows out;
-  out.reserve(total);
+  Rows out(inputs[0]->width());
   for (const Rows* in : inputs) {
-    out.insert(out.end(), in->begin(), in->end());
+    if (!in->empty() && in->width() != out.width()) {
+      return Status::Internal("UNION-ALL inputs differ in width");
+    }
+    for (Row row : *in) out.Append(row);
   }
   return out;
 }
@@ -127,14 +134,12 @@ Result<PartitionedRows> RankAssignOp::Execute(
           "RANK-ASSIGN requires a gathered (single-partition) input");
     }
   }
-  PartitionedRows out(in.size());
+  PartitionedRows out(in.size(), Rows(RowsWidth(in) + 1));
   int64_t rank = start_;
   if (!in.empty()) {
-    out[0].reserve(in[0].size());
-    for (const Tuple& row : in[0]) {
-      Tuple extended = row;
-      extended.push_back(Value::Int64(rank++));
-      out[0].push_back(std::move(extended));
+    for (Row row : in[0]) {
+      const Value r = Value::Int64(rank++);
+      out[0].Append(row, Row(&r, 1));
     }
   }
   return out;
@@ -145,12 +150,12 @@ Result<PartitionedRows> LimitOp::Execute(
     OpStats*) {
   if (inputs.size() != 1) return Status::Internal("LIMIT input");
   const PartitionedRows& in = *inputs[0];
-  PartitionedRows out(in.size());
+  PartitionedRows out(in.size(), Rows(RowsWidth(in)));
   int64_t remaining = limit_;
   for (size_t p = 0; p < in.size() && remaining > 0; ++p) {
-    for (const Tuple& row : in[p]) {
+    for (Row row : in[p]) {
       if (remaining-- <= 0) break;
-      out[p].push_back(row);
+      out[p].Append(row);
     }
   }
   return out;

@@ -8,18 +8,9 @@ using adm::Value;
 
 namespace {
 
-uint64_t HashKeys(const Tuple& row, const std::vector<int>& key_columns) {
-  uint64_t h = 0x5150;
-  for (int c : key_columns) {
-    uint64_t v = row[static_cast<size_t>(c)].Hash();
-    h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  }
-  return h;
-}
-
-/// Accounts one tuple moving src->dst for the network model.
+/// Accounts one row moving src->dst for the network model.
 void AccountMove(const ExecContext& ctx, OpStats* stats, int src, int dst,
-                 const Tuple& row) {
+                 Row row) {
   if (stats == nullptr) return;
   uint64_t bytes = TupleBytes(row);
   if (ctx.topology.NodeOfPartition(src) == ctx.topology.NodeOfPartition(dst)) {
@@ -30,13 +21,17 @@ void AccountMove(const ExecContext& ctx, OpStats* stats, int src, int dst,
   }
 }
 
-/// Copies, or moves when the executor owns the input exclusively. A tuple is
+/// Appends row i of source partition `src` to `out`: its cells are moved
+/// when the executor owns the input exclusively, copied otherwise. A row is
 /// taken only by the one destination it routes to, so concurrent builds
-/// moving out of the same source partition touch disjoint rows.
-Tuple TakeRow(const PartitionedRows& in, PartitionedRows* steal, size_t src,
-              size_t i) {
-  if (steal != nullptr) return std::move((*steal)[src][i]);
-  return in[src][i];
+/// moving cells out of the same source frames touch disjoint cells.
+void TakeRow(const PartitionedRows& in, PartitionedRows* steal, size_t src,
+             size_t i, Rows* out) {
+  if (steal != nullptr) {
+    out->AppendMoved((*steal)[src].MutableRow(i));
+  } else {
+    out->Append(in[src][i]);
+  }
 }
 
 }  // namespace
@@ -52,16 +47,17 @@ Result<ExchangeOperator::Routing> HashExchangeOp::Route(
   Routing routing;
   routing.destinations.resize(parts);
   for (size_t src = 0; src < parts; ++src) {
+    if (in[src].empty()) continue;
+    for (int c : key_columns_) {
+      if (c < 0 || static_cast<size_t>(c) >= in[src].width()) {
+        return Status::Internal("HASH-EXCHANGE key column out of range");
+      }
+    }
     std::vector<int>& dsts = routing.destinations[src];
     dsts.reserve(in[src].size());
-    for (const Tuple& row : in[src]) {
-      for (int c : key_columns_) {
-        if (c < 0 || static_cast<size_t>(c) >= row.size()) {
-          return Status::Internal("HASH-EXCHANGE key column out of range");
-        }
-      }
+    for (Row row : in[src]) {
       dsts.push_back(
-          static_cast<int>(HashKeys(row, key_columns_) % parts));
+          static_cast<int>(HashColumns(row, key_columns_) % parts));
     }
   }
   return routing;
@@ -72,18 +68,13 @@ Result<Rows> HashExchangeOp::BuildDestination(ExecContext& ctx, int dst,
                                               const Routing& routing,
                                               PartitionedRows* steal,
                                               OpStats* stats) {
-  size_t mine = 0;
-  for (size_t src = 0; src < in.size(); ++src) {
-    for (int d : routing.destinations[src]) mine += (d == dst);
-  }
-  Rows out;
-  out.reserve(mine);
+  Rows out(RowsWidth(in));
   for (size_t src = 0; src < in.size(); ++src) {
     const std::vector<int>& dsts = routing.destinations[src];
     for (size_t i = 0; i < dsts.size(); ++i) {
       if (dsts[i] != dst) continue;
       AccountMove(ctx, stats, static_cast<int>(src), dst, in[src][i]);
-      out.push_back(TakeRow(in, steal, src, i));
+      TakeRow(in, steal, src, i, &out);
     }
   }
   return out;
@@ -94,16 +85,12 @@ Result<Rows> BroadcastExchangeOp::BuildDestination(ExecContext& ctx, int dst,
                                                    const Routing&,
                                                    PartitionedRows*,
                                                    OpStats* stats) {
-  // Every destination needs its own copy — replication cannot move. The
-  // de-copy win here is the exact reserve and one destination per task.
-  size_t total = 0;
-  for (const Rows& rows : in) total += rows.size();
-  Rows out;
-  out.reserve(total);
+  // Every destination needs its own copy: replication cannot move.
+  Rows out(RowsWidth(in));
   for (size_t src = 0; src < in.size(); ++src) {
-    for (const Tuple& row : in[src]) {
+    for (Row row : in[src]) {
       AccountMove(ctx, stats, static_cast<int>(src), dst, row);
-      out.push_back(row);
+      out.Append(row);
     }
   }
   return out;
@@ -113,15 +100,12 @@ Result<Rows> GatherOp::BuildDestination(ExecContext& ctx, int dst,
                                         const PartitionedRows& in,
                                         const Routing&, PartitionedRows* steal,
                                         OpStats* stats) {
-  if (dst != 0) return Rows();
-  size_t total = 0;
-  for (const Rows& rows : in) total += rows.size();
-  Rows out;
-  out.reserve(total);
+  Rows out(RowsWidth(in));
+  if (dst != 0) return out;
   for (size_t src = 0; src < in.size(); ++src) {
     for (size_t i = 0; i < in[src].size(); ++i) {
       AccountMove(ctx, stats, static_cast<int>(src), 0, in[src][i]);
-      out.push_back(TakeRow(in, steal, src, i));
+      TakeRow(in, steal, src, i, &out);
     }
   }
   return out;
@@ -132,9 +116,10 @@ Result<Rows> MergeGatherOp::BuildDestination(ExecContext& ctx, int dst,
                                              const Routing&,
                                              PartitionedRows* steal,
                                              OpStats* stats) {
-  if (dst != 0) return Rows();
+  Rows out(RowsWidth(in));
+  if (dst != 0) return out;
   // -1 / 0 / 1 over the sort keys (ascending flags applied).
-  auto compare = [this](const Tuple& a, const Tuple& b) {
+  auto compare = [this](Row a, Row b) {
     for (const SortKey& k : keys_) {
       int c = Value::Compare(a[static_cast<size_t>(k.column)],
                              b[static_cast<size_t>(k.column)]);
@@ -154,19 +139,15 @@ Result<Rows> MergeGatherOp::BuildDestination(ExecContext& ctx, int dst,
     return a.part > b.part;
   };
   std::priority_queue<Head, std::vector<Head>, decltype(after)> heap(after);
-  size_t total = 0;
   for (size_t p = 0; p < in.size(); ++p) {
-    total += in[p].size();
     if (!in[p].empty()) heap.push({p, 0});
   }
-  Rows out;
-  out.reserve(total);
   while (!heap.empty()) {
     Head head = heap.top();
     heap.pop();
     AccountMove(ctx, stats, static_cast<int>(head.part), 0,
                 in[head.part][head.pos]);
-    out.push_back(TakeRow(in, steal, head.part, head.pos));
+    TakeRow(in, steal, head.part, head.pos, &out);
     if (head.pos + 1 < in[head.part].size()) {
       heap.push({head.part, head.pos + 1});
     }

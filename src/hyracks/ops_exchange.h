@@ -21,9 +21,11 @@ namespace simdb::hyracks {
 ///      destination order, so OpStats are identical under any pool size.
 ///
 /// When the executor exclusively owns the input (this exchange is its sole
-/// consumer) it passes a mutable `steal` view: builds may then move tuples
-/// out of it instead of copying. Destinations own disjoint rows (a tuple is
-/// moved only by the destination it routes to), so concurrent moves are safe.
+/// consumer) it passes a mutable `steal` view: builds may then move cells
+/// out of its frames instead of copying. Destinations own disjoint rows (a
+/// row's cells are moved only by the destination it routes to), so
+/// concurrent moves write disjoint cells. Every destination has the input's
+/// width (RowsWidth), also when it receives no row.
 class ExchangeOperator : public Operator {
  public:
   struct Routing {
@@ -36,7 +38,7 @@ class ExchangeOperator : public Operator {
   virtual Result<Routing> Route(ExecContext& ctx, const PartitionedRows& in);
 
   /// Builds destination partition `dst`. Routing decisions must come from
-  /// `in`/`routing` (shared read-only across concurrent builds); tuples may
+  /// `in`/`routing` (shared read-only across concurrent builds); cells may
   /// be moved out of `steal` when non-null. Traffic goes into `stats`
   /// (a destination-private sink, merged by the caller).
   virtual Result<Rows> BuildDestination(ExecContext& ctx, int dst,
@@ -46,9 +48,10 @@ class ExchangeOperator : public Operator {
                                         OpStats* stats) = 0;
 };
 
-/// Repartitions rows by the hash of the listed key columns. Tuples with
-/// equal keys land on the same partition ("Hash repartition" in the paper's
-/// plan diagrams). Traffic crossing node boundaries is accounted.
+/// Repartitions rows by the hash of the listed key columns (HashColumns, the
+/// hash tables' own key hash). Rows with equal keys land on the same
+/// partition ("Hash repartition" in the paper's plan diagrams). Traffic
+/// crossing node boundaries is accounted.
 class HashExchangeOp : public ExchangeOperator {
  public:
   explicit HashExchangeOp(std::vector<int> key_columns)

@@ -1,47 +1,52 @@
 #include "hyracks/ops_group.h"
 
-#include <unordered_map>
+#include <numeric>
+
+#include "hyracks/key_table.h"
 
 namespace simdb::hyracks {
 
 using adm::Value;
 
-namespace {
-
-struct GroupState {
-  std::vector<Value> accumulators;  // one per agg
-  std::vector<int64_t> counts;      // row counts per agg (for kCount)
-  std::vector<Value::Array> lists;  // for kListify
-};
-
-}  // namespace
-
 Result<Rows> HashGroupOp::ExecutePartition(
     ExecContext&, int, const std::vector<const Rows*>& inputs) {
-  // Group states keyed by the key tuple; output in first-seen order so
-  // results are deterministic under any executor.
-  using Groups = std::unordered_map<Tuple, GroupState, KeyHash, KeyEq>;
-  Groups groups;
-  std::vector<Groups::value_type*> order;
-  for (const Tuple& row : *inputs[0]) {
-    Tuple keys;
-    keys.reserve(key_exprs_.size());
-    for (const ExprPtr& ke : key_exprs_) {
-      SIMDB_ASSIGN_OR_RETURN(Value k, ke->Eval(row));
-      keys.push_back(std::move(k));
+  const size_t nkeys = key_exprs_.size();
+  const size_t naggs = aggs_.size();
+  std::vector<int> key_columns(nkeys);
+  std::iota(key_columns.begin(), key_columns.end(), 0);
+  // Each row's keys are evaluated into a new row of the key frame. A new key
+  // keeps that row, so group g's key is keys[g] and the groups come out in
+  // first-seen order under any executor; a key seen before drops it again.
+  Rows keys(nkeys);
+  KeyTable table;
+  // Aggregate state, flat per group: slot g * naggs + a.
+  std::vector<Value> accumulators;
+  std::vector<int64_t> counts;
+  std::vector<Value::Array> lists;
+  for (Row row : *inputs[0]) {
+    std::span<Value> key = keys.Append();
+    for (size_t k = 0; k < nkeys; ++k) {
+      SIMDB_ASSIGN_OR_RETURN(key[k], key_exprs_[k]->Eval(row));
     }
-    auto [it, inserted] = groups.try_emplace(std::move(keys));
-    GroupState& g = it->second;
-    if (inserted) {
-      order.push_back(&*it);
-      g.accumulators.resize(aggs_.size());
-      g.counts.assign(aggs_.size(), 0);
-      g.lists.resize(aggs_.size());
+    uint64_t hash = HashColumns(key, key_columns);
+    uint32_t g = table.Find(hash, [&](uint32_t id) {
+      return ColumnsEqual(keys[id], key_columns, key, key_columns);
+    });
+    if (g == KeyTable::kNone) {
+      g = table.Insert(hash);
+      accumulators.resize(accumulators.size() + naggs);
+      counts.resize(counts.size() + naggs, 0);
+      lists.resize(lists.size() + naggs);
+    } else {
+      keys.PopBack();
     }
-    for (size_t a = 0; a < aggs_.size(); ++a) {
+    for (size_t a = 0; a < naggs; ++a) {
       const AggSpec& spec = aggs_[a];
+      const size_t slot = g * naggs + a;
+      Value& acc = accumulators[slot];
+      int64_t& count = counts[slot];
       if (spec.kind == AggSpec::Kind::kCount) {
-        ++g.counts[a];
+        ++count;
         continue;
       }
       SIMDB_ASSIGN_OR_RETURN(Value v, spec.input->Eval(row));
@@ -50,62 +55,56 @@ Result<Rows> HashGroupOp::ExecutePartition(
           if (!v.is_numeric()) {
             return Status::TypeError("sum over non-numeric value");
           }
-          if (g.counts[a] == 0) {
-            g.accumulators[a] = v;
-          } else if (g.accumulators[a].is_int64() && v.is_int64()) {
-            g.accumulators[a] =
-                Value::Int64(g.accumulators[a].AsInt64() + v.AsInt64());
+          if (count == 0) {
+            acc = v;
+          } else if (acc.is_int64() && v.is_int64()) {
+            acc = Value::Int64(acc.AsInt64() + v.AsInt64());
           } else {
-            g.accumulators[a] =
-                Value::Double(g.accumulators[a].AsNumber() + v.AsNumber());
+            acc = Value::Double(acc.AsNumber() + v.AsNumber());
           }
-          ++g.counts[a];
+          ++count;
           break;
         }
         case AggSpec::Kind::kMin:
-          if (g.counts[a] == 0 || Value::Compare(v, g.accumulators[a]) < 0) {
-            g.accumulators[a] = v;
-          }
-          ++g.counts[a];
+          if (count == 0 || Value::Compare(v, acc) < 0) acc = v;
+          ++count;
           break;
         case AggSpec::Kind::kMax:
-          if (g.counts[a] == 0 || Value::Compare(v, g.accumulators[a]) > 0) {
-            g.accumulators[a] = v;
-          }
-          ++g.counts[a];
+          if (count == 0 || Value::Compare(v, acc) > 0) acc = v;
+          ++count;
           break;
         case AggSpec::Kind::kFirst:
-          if (g.counts[a] == 0) g.accumulators[a] = v;
-          ++g.counts[a];
+          if (count == 0) acc = v;
+          ++count;
           break;
         case AggSpec::Kind::kListify:
-          g.lists[a].push_back(std::move(v));
-          ++g.counts[a];
+          lists[slot].push_back(std::move(v));
+          ++count;
           break;
         case AggSpec::Kind::kCount:
           break;  // handled above
       }
     }
   }
-  Rows rows;
-  rows.reserve(groups.size());
-  for (Groups::value_type* entry : order) {
-    GroupState& g = entry->second;
-    Tuple row = entry->first;
-    for (size_t a = 0; a < aggs_.size(); ++a) {
+  Rows rows(nkeys + naggs);
+  for (size_t g = 0; g < keys.size(); ++g) {
+    std::span<Value> out = rows.Append();
+    std::span<Value> key = keys.MutableRow(g);
+    std::move(key.begin(), key.end(), out.begin());
+    for (size_t a = 0; a < naggs; ++a) {
+      const size_t slot = g * naggs + a;
       switch (aggs_[a].kind) {
         case AggSpec::Kind::kCount:
-          row.push_back(Value::Int64(g.counts[a]));
+          out[nkeys + a] = Value::Int64(counts[slot]);
           break;
         case AggSpec::Kind::kListify:
-          row.push_back(Value::MakeArray(std::move(g.lists[a])));
+          out[nkeys + a] = Value::MakeArray(std::move(lists[slot]));
           break;
         default:
-          row.push_back(g.counts[a] == 0 ? Value::Null()
-                                         : std::move(g.accumulators[a]));
+          out[nkeys + a] = counts[slot] == 0 ? Value::Null()
+                                             : std::move(accumulators[slot]);
       }
     }
-    rows.push_back(std::move(row));
   }
   return rows;
 }

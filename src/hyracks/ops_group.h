@@ -21,7 +21,8 @@ struct AggSpec {
 /// Local (per-partition) hash aggregation. For a global group-by the plan
 /// inserts a HashExchange on the grouping keys first, so equal keys meet in
 /// one partition (the paper's `/*+ hash */` group hint maps here; sort-based
-/// grouping is not modeled).
+/// grouping is not modeled). Groups come out in the order their keys were
+/// first seen, each keyed by its first-seen value.
 class HashGroupOp : public PartitionOperator {
  public:
   HashGroupOp(std::vector<ExprPtr> key_exprs, std::vector<AggSpec> aggs)

@@ -1,6 +1,5 @@
 #include "hyracks/ops_index.h"
 
-#include <algorithm>
 #include <unordered_map>
 
 #include "similarity/edit_distance.h"
@@ -12,18 +11,6 @@
 namespace simdb::hyracks {
 
 using adm::Value;
-
-namespace {
-
-/// Reserve that never shrinks the doubling schedule (safe inside per-row
-/// loops where an exact reserve would reallocate quadratically).
-void ReserveAdditional(Rows& rows, size_t additional) {
-  if (rows.size() + additional > rows.capacity()) {
-    rows.reserve(std::max(rows.size() + additional, rows.capacity() * 2));
-  }
-}
-
-}  // namespace
 
 Status InvertedIndexSearchOp::Prepare(ExecContext& ctx) {
   if (ctx.catalog == nullptr) return Status::Internal("no catalog");
@@ -49,24 +36,24 @@ Result<Rows> InvertedIndexSearchOp::ExecutePartition(
   // ScanCount's per-slot counters, reused across every probe of the
   // partition.
   simd::TOccurrenceScratch scratch;
-  Rows rows;
+  const Rows& in = *inputs[0];
+  const size_t width = in.width();
+  Rows rows(width + 1);
+  // Appends the input row once per candidate pk.
+  auto emit = [&](Row row, const std::vector<int64_t>& pks) {
+    for (int64_t pk : pks) rows.Append(row)[width] = Value::Int64(pk);
+  };
   // Duplicate search keys are common (e.g. popular outer values after
   // a broadcast); memoize per-key candidate lists for this partition.
   std::unordered_map<std::string, std::vector<int64_t>> memo;
-  for (const Tuple& row : *inputs[0]) {
+  for (Row row : in) {
     SIMDB_ASSIGN_OR_RETURN(Value key, key_expr_->Eval(row));
     if (key.is_missing() || key.is_null()) continue;
     std::string memo_key = key.ToJson();
     auto cached = memo.find(memo_key);
     if (cached != memo.end()) {
       ++memo_hits;
-      ReserveAdditional(rows, cached->second.size());
-      for (int64_t pk : cached->second) {
-        Tuple extended = row;
-        extended.reserve(row.size() + 1);
-        extended.push_back(Value::Int64(pk));
-        rows.push_back(std::move(extended));
-      }
+      emit(row, cached->second);
       continue;
     }
     SIMDB_ASSIGN_OR_RETURN(std::vector<std::string> tokens,
@@ -105,13 +92,7 @@ Result<Rows> InvertedIndexSearchOp::ExecutePartition(
         index->SearchTOccurrence(tokens, t, ctx.t_occurrence_algorithm,
                                  profiling ? &search_stats : nullptr,
                                  ctx.posting_cache_enabled, &scratch));
-    ReserveAdditional(rows, pks.size());
-    for (int64_t pk : pks) {
-      Tuple extended = row;
-      extended.reserve(row.size() + 1);
-      extended.push_back(Value::Int64(pk));
-      rows.push_back(std::move(extended));
-    }
+    emit(row, pks);
     memo.emplace(std::move(memo_key), std::move(pks));
   }
   if (profiling) {
@@ -139,17 +120,15 @@ Status BtreeSearchOp::Prepare(ExecContext& ctx) {
 
 Result<Rows> BtreeSearchOp::ExecutePartition(
     ExecContext&, int p, const std::vector<const Rows*>& inputs) {
-  Rows rows;
-  for (const Tuple& row : *inputs[0]) {
+  const Rows& in = *inputs[0];
+  const size_t width = in.width();
+  Rows rows(width + 1);
+  for (Row row : in) {
     SIMDB_ASSIGN_OR_RETURN(Value key, key_expr_->Eval(row));
     if (key.is_missing() || key.is_null()) continue;
     SIMDB_ASSIGN_OR_RETURN(std::vector<int64_t> pks,
                            ds_->BtreeSearch(p, index_, key));
-    for (int64_t pk : pks) {
-      Tuple extended = row;
-      extended.push_back(Value::Int64(pk));
-      rows.push_back(std::move(extended));
-    }
+    for (int64_t pk : pks) rows.Append(row)[width] = Value::Int64(pk);
   }
   return rows;
 }

@@ -1,67 +1,102 @@
 #include "hyracks/ops_join.h"
 
-#include <unordered_map>
+#include <algorithm>
+#include <utility>
+
+#include "hyracks/key_table.h"
 
 namespace simdb::hyracks {
 
 using adm::Value;
 
+namespace {
+
+bool HasMissingKey(Row row, const std::vector<int>& keys) {
+  for (int c : keys) {
+    const Value& v = row[static_cast<size_t>(c)];
+    if (v.is_missing() || v.is_null()) return true;
+  }
+  return false;
+}
+
+Status CheckKeyColumns(const Rows& rows, const std::vector<int>& keys) {
+  if (rows.empty()) return Status::OK();
+  for (int c : keys) {
+    if (c < 0 || static_cast<size_t>(c) >= rows.width()) {
+      return Status::Internal("HASH-JOIN key column out of range");
+    }
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 Result<Rows> HashJoinOp::ExecutePartition(
     ExecContext& ctx, int, const std::vector<const Rows*>& inputs) {
   const Rows& left = *inputs[0];
   const Rows& right = *inputs[1];
+  if (left_keys_.size() != right_keys_.size()) {
+    return Status::Internal("HASH-JOIN sides have different key counts");
+  }
+  SIMDB_RETURN_IF_ERROR(CheckKeyColumns(left, left_keys_));
+  SIMDB_RETURN_IF_ERROR(CheckKeyColumns(right, right_keys_));
   uint64_t probe_matches = 0;
   uint64_t residual_dropped = 0;
-  // Build on the right side.
-  std::unordered_map<Tuple, std::vector<const Tuple*>, KeyHash, KeyEq> table;
-  for (const Tuple& row : right) {
-    Tuple keys;
-    keys.reserve(right_keys_.size());
-    bool missing = false;
-    for (int c : right_keys_) {
-      const Value& v = row[static_cast<size_t>(c)];
-      if (v.is_missing() || v.is_null()) {
-        missing = true;
-        break;
-      }
-      keys.push_back(v);
+  // Build on the right side: one table entry per distinct key, found by its
+  // hash and compared in place against a right row that holds it.
+  KeyTable table;
+  table.Reserve(right.size());
+  std::vector<uint32_t> key_row;        // [key] a right row holding the key
+  std::vector<uint32_t> key_begin;      // [key] row count, then run start
+  std::vector<uint32_t> row_key(right.size(), KeyTable::kNone);
+  for (size_t r = 0; r < right.size(); ++r) {
+    Row row = right[r];
+    if (HasMissingKey(row, right_keys_)) continue;
+    uint64_t hash = HashColumns(row, right_keys_);
+    uint32_t key = table.Find(hash, [&](uint32_t k) {
+      return ColumnsEqual(right[key_row[k]], right_keys_, row, right_keys_);
+    });
+    if (key == KeyTable::kNone) {
+      key = table.Insert(hash);
+      key_row.push_back(static_cast<uint32_t>(r));
+      key_begin.push_back(0);
     }
-    if (missing) continue;
-    table[std::move(keys)].push_back(&row);
+    row_key[r] = key;
+    ++key_begin[key];
   }
-  // Probe with the left side. One buffer builds each match: a match the
-  // residual drops leaves its capacity to the next one.
-  Rows rows;
-  Tuple combined;
-  for (const Tuple& lrow : left) {
-    Tuple keys;
-    keys.reserve(left_keys_.size());
-    bool missing = false;
-    for (int c : left_keys_) {
-      const Value& v = lrow[static_cast<size_t>(c)];
-      if (v.is_missing() || v.is_null()) {
-        missing = true;
-        break;
+  // Lay each key's rows out as one run of `build_rows`, in build order.
+  uint32_t offset = 0;
+  for (uint32_t& begin : key_begin) offset += std::exchange(begin, offset);
+  key_begin.push_back(offset);
+  std::vector<uint32_t> build_rows(offset);
+  {
+    std::vector<uint32_t> cursor(key_begin.begin(), key_begin.end() - 1);
+    for (size_t r = 0; r < right.size(); ++r) {
+      if (row_key[r] != KeyTable::kNone) {
+        build_rows[cursor[row_key[r]]++] = static_cast<uint32_t>(r);
       }
-      keys.push_back(v);
     }
-    if (missing) continue;
-    auto it = table.find(keys);
-    if (it == table.end()) continue;
-    for (const Tuple* rrow : it->second) {
+  }
+  // Probe with the left side: matches come out in probe order, and within
+  // one probe row in build order. A match the residual rejects is dropped
+  // right after it was appended.
+  Rows rows(left.width() + right.width());
+  for (Row lrow : left) {
+    if (HasMissingKey(lrow, left_keys_)) continue;
+    uint32_t key = table.Find(HashColumns(lrow, left_keys_), [&](uint32_t k) {
+      return ColumnsEqual(right[key_row[k]], right_keys_, lrow, left_keys_);
+    });
+    if (key == KeyTable::kNone) continue;
+    for (uint32_t j = key_begin[key]; j < key_begin[key + 1]; ++j) {
       ++probe_matches;
-      combined.clear();
-      combined.reserve(lrow.size() + rrow->size());
-      combined.insert(combined.end(), lrow.begin(), lrow.end());
-      combined.insert(combined.end(), rrow->begin(), rrow->end());
+      std::span<Value> combined = rows.Append(lrow, right[build_rows[j]]);
       if (residual_ != nullptr) {
         SIMDB_ASSIGN_OR_RETURN(Value keep, residual_->Eval(combined));
         if (!keep.is_boolean() || !keep.AsBoolean()) {
           ++residual_dropped;
-          continue;
+          rows.PopBack();
         }
       }
-      rows.push_back(std::move(combined));
     }
   }
   if (ctx.counters != nullptr) {
@@ -77,10 +112,10 @@ Result<Rows> NestedLoopJoinOp::ExecutePartition(
     ExecContext& ctx, int, const std::vector<const Rows*>& inputs) {
   const Rows& left = *inputs[0];
   const Rows& right = *inputs[1];
-  const size_t left_width = left.empty() ? 0 : left[0].size();
+  const size_t left_width = left.width();
   uint64_t matches = 0;
   BatchStats bs;
-  Rows rows;
+  Rows rows(left_width + right.width());
 
   // The batch path needs arg_a to read only left columns and arg_b only
   // right columns (checked against this partition's actual left width), so
@@ -90,18 +125,22 @@ Result<Rows> NestedLoopJoinOp::ExecutePartition(
       !left.empty() && !right.empty() &&
       a_max_ < static_cast<int>(left_width) &&
       b_min_ >= static_cast<int>(left_width) &&
-      b_max_ < static_cast<int>(left_width + right[0].size());
+      b_max_ < static_cast<int>(rows.width());
+  // Appends the pair, evaluates the predicate on it in place and drops it
+  // again unless it holds.
+  auto append_if = [&](Row lrow, Row rrow) -> Status {
+    std::span<Value> combined = rows.Append(lrow, rrow);
+    SIMDB_ASSIGN_OR_RETURN(Value keep, predicate_->Eval(combined));
+    if (keep.is_boolean() && keep.AsBoolean()) {
+      ++matches;
+    } else {
+      rows.PopBack();
+    }
+    return Status::OK();
+  };
   if (!use_batch) {
-    for (const Tuple& lrow : left) {
-      for (const Tuple& rrow : right) {
-        Tuple combined = lrow;
-        combined.insert(combined.end(), rrow.begin(), rrow.end());
-        SIMDB_ASSIGN_OR_RETURN(Value keep, predicate_->Eval(combined));
-        if (keep.is_boolean() && keep.AsBoolean()) {
-          ++matches;
-          rows.push_back(std::move(combined));
-        }
-      }
+    for (Row lrow : left) {
+      for (Row rrow : right) SIMDB_RETURN_IF_ERROR(append_if(lrow, rrow));
     }
     bs.fallback_rows = left.size() * right.size();
     if (ctx.counters != nullptr) {
@@ -122,8 +161,8 @@ Result<Rows> NestedLoopJoinOp::ExecutePartition(
   // identical to the tuple path's.
   SIMDB_ASSIGN_OR_RETURN(Value va0, call.arg_a->Eval(left[0]));
 
-  // Precompute arg_b per right row over a left-width padded tuple (arg_b
-  // reads no left column, so the padding values are never touched). The CSR
+  // Precompute arg_b per right row over a left-width padded scratch row
+  // (arg_b reads no left column, so the padding is never touched). The CSR
   // keeps one entry per right row — empty for unencodable rows, which are
   // tracked separately in right_ok since an empty list is a valid encoding.
   std::vector<char> right_ok(right.size(), 0);
@@ -132,10 +171,9 @@ Result<Rows> NestedLoopJoinOp::ExecutePartition(
   std::vector<size_t> r_offsets{0};
   std::vector<uint32_t> enc;
   {
-    Tuple padded(left_width);
-    for (const Tuple& rrow : right) {
-      padded.resize(left_width);
-      padded.insert(padded.end(), rrow.begin(), rrow.end());
+    Tuple padded(rows.width());
+    for (Row rrow : right) {
+      std::copy(rrow.begin(), rrow.end(), padded.begin() + left_width);
       SIMDB_ASSIGN_OR_RETURN(Value vb, call.arg_b->Eval(padded));
       if (jaccard) {
         if (encoder.EncodeValue(vb, &enc)) {
@@ -191,19 +229,11 @@ Result<Rows> NestedLoopJoinOp::ExecutePartition(
         const bool keep = jaccard ? jacc_out[j] >= 0 : ed_out[j] >= 0;
         if (keep) {
           ++matches;
-          Tuple combined = left[l];
-          combined.insert(combined.end(), right[j].begin(), right[j].end());
-          rows.push_back(std::move(combined));
+          rows.Append(left[l], right[j]);
         }
       } else {
         ++bs.fallback_rows;
-        Tuple combined = left[l];
-        combined.insert(combined.end(), right[j].begin(), right[j].end());
-        SIMDB_ASSIGN_OR_RETURN(Value keep, predicate_->Eval(combined));
-        if (keep.is_boolean() && keep.AsBoolean()) {
-          ++matches;
-          rows.push_back(std::move(combined));
-        }
+        SIMDB_RETURN_IF_ERROR(append_if(left[l], right[j]));
       }
     }
   }

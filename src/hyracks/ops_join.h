@@ -12,9 +12,10 @@
 namespace simdb::hyracks {
 
 /// Local per-partition equi hash join. Inputs must already be co-partitioned
-/// on the join keys (via HashExchange) or one side broadcast. Output tuples
-/// are left columns followed by right columns. `residual` (over the combined
-/// tuple) filters matches when set; MISSING/NULL keys never match.
+/// on the join keys (via HashExchange) or one side broadcast. Output rows
+/// are left columns followed by right columns, in probe (left) order and,
+/// within one probe row, in build (right) order. `residual` (over the
+/// combined row) filters matches when set; MISSING/NULL keys never match.
 class HashJoinOp : public PartitionOperator {
  public:
   HashJoinOp(std::vector<int> left_keys, std::vector<int> right_keys,

@@ -31,17 +31,14 @@ Status DataScanOp::Prepare(ExecContext& ctx) {
 Result<Rows> DataScanOp::ExecutePartition(ExecContext&, int p,
                                           const std::vector<const Rows*>&) {
   SIMDB_ASSIGN_OR_RETURN(std::vector<Value> records, ds_->ScanPartition(p));
-  Rows rows;
-  rows.reserve(records.size());
-  for (Value& rec : records) {
-    rows.push_back({std::move(rec)});
-  }
+  Rows rows(1);
+  for (Value& rec : records) rows.AppendMoved(std::span<Value>(&rec, 1));
   return rows;
 }
 
 Result<Rows> ConstantSourceOp::ExecutePartition(
     ExecContext&, int p, const std::vector<const Rows*>&) {
-  if (p != 0) return Rows();
+  if (p != 0) return Rows(rows_.width());
   return rows_;
 }
 
@@ -52,9 +49,10 @@ Status PrimaryLookupOp::Prepare(ExecContext& ctx) {
 
 Result<Rows> PrimaryLookupOp::ExecutePartition(
     ExecContext& ctx, int p, const std::vector<const Rows*>& inputs) {
+  const Rows& in = *inputs[0];
   uint64_t probes = 0;
   uint64_t hits = 0;
-  Rows rows;
+  Rows rows(in.width() + 1);
   // One reader for the whole partition: the plans sort the pks first, so
   // its run cursors only move forward, and a run of equal pks decodes its
   // record once.
@@ -62,7 +60,7 @@ Result<Rows> PrimaryLookupOp::ExecutePartition(
                          ds_->PrimaryReader(p));
   std::optional<Value> record;
   std::optional<int64_t> record_pk;
-  for (const Tuple& row : *inputs[0]) {
+  for (Row row : in) {
     const Value& pk = row[static_cast<size_t>(pk_column_)];
     if (!pk.is_int64()) {
       return Status::TypeError("PRIMARY-LOOKUP pk must be int64");
@@ -75,9 +73,7 @@ Result<Rows> PrimaryLookupOp::ExecutePartition(
     }
     if (!record.has_value()) continue;
     ++hits;
-    Tuple extended = row;
-    extended.push_back(*record);
-    rows.push_back(std::move(extended));
+    rows.Append(row, Row(&*record, 1));
   }
   if (ctx.counters != nullptr) {
     CountOp(ctx, "lookup.probes", probes);

@@ -93,10 +93,10 @@ class SchedulerRun {
 
   /// Bytes a task's output will occupy while held by the scheduler; only
   /// computed when a budget is attached (the unbudgeted path never walks
-  /// tuples).
+  /// rows).
   static int64_t RowsApproxBytes(const Rows& rows) {
     int64_t bytes = 0;
-    for (const Tuple& t : rows) bytes += static_cast<int64_t>(TupleBytes(t));
+    for (Row row : rows) bytes += static_cast<int64_t>(TupleBytes(row));
     return bytes;
   }
 

@@ -173,6 +173,32 @@ std::string FormatMismatch(const FuzzCase& c, const Mismatch& m,
   return out;
 }
 
+/// Runs `query`'s twin on the baseline engine and returns a failure report
+/// when its rows differ from the query's (`rows`), else "".
+std::string CheckTwin(QueryProcessor& engine, const FuzzCase& c,
+                      const FuzzQuery& query,
+                      const std::vector<std::string>& rows,
+                      const std::string& where) {
+  std::string out = "SIMDB_FUZZ_FAILURE " + DescribeFuzzCase(c) + "\n  query[" +
+                    query.label + "]: " + query.aql + "\n  twin: " +
+                    query.twin + "\n";
+  const std::string repro =
+      "  repro: fuzz_equivalence_test --replay " + std::to_string(c.seed);
+  Result<std::vector<std::string>> twin_rows = RunNormalized(engine, query.twin);
+  if (!twin_rows.ok()) {
+    return out + "  twin failed on " + where + ": " +
+           twin_rows.status().ToString() + "\n" + repro;
+  }
+  if (*twin_rows == rows) return "";
+  out += "  " + where + ": query " + std::to_string(rows.size()) +
+         " rows, twin " + std::to_string(twin_rows->size()) + " rows\n";
+  std::string missing = FirstOnlyIn(*twin_rows, rows);
+  std::string extra = FirstOnlyIn(rows, *twin_rows);
+  if (!missing.empty()) out += "  first missing row: " + missing + "\n";
+  if (!extra.empty()) out += "  first extra row:   " + extra + "\n";
+  return out + repro;
+}
+
 }  // namespace
 
 std::vector<ExecVariant> PlanVariantMatrix() {
@@ -349,6 +375,12 @@ DifferentialReport RunDifferential(const FuzzCase& c,
         }
         ++report.comparisons;
         if (first_combination && variant.label == options.variants[0].label) {
+          if (!query.twin.empty()) {
+            std::string twin_failure =
+                CheckTwin(run_engine, c, query, *rows,
+                          VariantAt(variant, topo));
+            if (!twin_failure.empty()) return fail(std::move(twin_failure));
+          }
           baselines[qi].rows = std::move(*rows);
           continue;
         }

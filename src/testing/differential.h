@@ -100,8 +100,9 @@ struct DifferentialReport {
 };
 
 /// Runs every query of `c` under every (variant x topology) combination and
-/// compares order-normalized result sets against the first combination.
-/// Reports the first mismatch (with minimization) or ok.
+/// compares order-normalized result sets against the first combination. A
+/// query with a twin is also compared against its twin there. Reports the
+/// first mismatch (with minimization, for variant mismatches) or ok.
 DifferentialReport RunDifferential(const FuzzCase& c,
                                    const DifferentialOptions& options = {});
 

@@ -16,6 +16,7 @@ constexpr uint64_t kStreamQuery = 3;
 constexpr uint64_t kStreamSampler = 4;
 constexpr uint64_t kStreamPkPredicate = 5;
 constexpr uint64_t kStreamAggregate = 6;
+constexpr uint64_t kStreamMixedKeys = 7;
 
 std::string FmtDouble(double v) {
   // Stable short rendering for thresholds (0, 0.1, ..., 1).
@@ -200,6 +201,46 @@ FuzzCase MakeFuzzCase(uint64_t seed) {
     // A copy, not a reference: the push_back below may reallocate.
     FuzzQuery inner = c.queries[agg_rng.Uniform(2)];
     c.queries.push_back({"count-" + inner.label, "count(" + inner.aql + ")"});
+  }
+
+  // 5. Keys mixing int64 and double: int64 1 and double 1.0 are one key for
+  //    `=`, so a hash table must hash and compare them alike. Every plan
+  //    variant runs these through the same HASH-JOIN or HASH-GROUP, so each
+  //    carries a twin that reaches the answer another way.
+  Random mixed_rng = master.Fork(kStreamMixedKeys);
+  const std::string key_fields[] = {"id", name_field, text_field};
+  auto key_expr = [](const std::string& field, const std::string& var) {
+    return field == "id" ? var + ".id" : "len(" + var + "." + field + ")";
+  };
+  //    An equi-join with `+ 0.0` on either side; its twin is the `<=`/`>=`
+  //    pair, which plans as an NL-JOIN comparing with Value::Compare.
+  {
+    const std::string& field = key_fields[mixed_rng.Uniform(3)];
+    std::string outer = key_expr(field, "$o");
+    std::string inner = key_expr(field, "$i");
+    if (mixed_rng.OneIn(2)) {
+      outer += " + 0.0";
+    } else {
+      inner += " + 0.0";
+    }
+    const std::string head = "for $o in dataset D for $i in dataset D where ";
+    const std::string ret = " return {'o': $o.id, 'i': $i.id}";
+    c.queries.push_back(
+        {"mixed-key-join", head + outer + " = " + inner + ret,
+         head + outer + " <= " + inner + " and " + outer + " >= " + inner +
+             ret});
+  }
+  //    A group-by over both the int64 and the double form of one key per
+  //    record; its twin groups the double form twice. Only the counts are
+  //    returned, since a group's key prints as whichever form came first.
+  {
+    std::string key = key_expr(key_fields[mixed_rng.Uniform(3)], "$t");
+    auto group = [&](const std::string& first, const std::string& second) {
+      return "for $t in dataset D for $k in [" + first + ", " + second +
+             "] group by $g := $k with $k return count($k)";
+    };
+    c.queries.push_back({"mixed-key-group", group(key, key + " + 0.0"),
+                         group(key + " + 0.0", key + " + 0.0")});
   }
   return c;
 }

@@ -17,6 +17,11 @@ namespace simdb::testing {
 struct FuzzQuery {
   std::string label;  // "jaccard-select", "ed-join", "count-ed-join", ...
   std::string aql;    // the query text (no trailing ';')
+  /// When set, a query that must answer exactly as `aql` under the baseline
+  /// variant without running the operator `aql` exercises: a shape that
+  /// every plan variant runs through the same HASH-JOIN or HASH-GROUP is
+  /// checked against it, since no variant could disagree with the others.
+  std::string twin;
 };
 
 /// A complete differential test case derived from one uint64_t seed: a text
@@ -25,7 +30,8 @@ struct FuzzQuery {
 /// self joins, multi-way (two-similarity-predicate) joins, and counts of a
 /// selection or self join. Thresholds include the corner cases delta in
 /// {0, 1} and k in {0, large} so the T-occurrence corner paths (T <= 0) are
-/// exercised.
+/// exercised. Each case also carries an equi-join and a group-by whose keys
+/// mix int64 and double values, each with a twin query (see FuzzQuery).
 struct FuzzCase {
   uint64_t seed = 0;
   datagen::TextProfile profile;

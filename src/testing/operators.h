@@ -20,10 +20,9 @@ class IntSourceOp : public hyracks::PartitionOperator {
   Result<hyracks::Rows> ExecutePartition(
       hyracks::ExecContext&, int p,
       const std::vector<const hyracks::Rows*>&) override {
-    hyracks::Rows rows;
-    rows.reserve(static_cast<size_t>(per_partition_));
+    hyracks::Rows rows(1);
     for (int i = 0; i < per_partition_; ++i) {
-      rows.push_back({adm::Value::Int64(p * 1000 + i)});
+      rows.Append()[0] = adm::Value::Int64(p * 1000 + i);
     }
     return rows;
   }

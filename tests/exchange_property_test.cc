@@ -39,12 +39,12 @@ class ExchangeProperty : public ::testing::TestWithParam<uint64_t> {
 
   PartitionedRows RandomRows(Random& rng, int max_rows) {
     PartitionedRows rows(
-        static_cast<size_t>(ctx_.topology.total_partitions()));
+        static_cast<size_t>(ctx_.topology.total_partitions()), Rows(2));
     int n = 1 + static_cast<int>(rng.Uniform(static_cast<uint64_t>(max_rows)));
     for (int i = 0; i < n; ++i) {
-      Tuple t = {Value::Int64(rng.UniformRange(0, 20)),
-                 Value::String(std::string(rng.Uniform(8), 'x'))};
-      rows[rng.Uniform(rows.size())].push_back(std::move(t));
+      std::span<Value> cells = rows[rng.Uniform(rows.size())].Append();
+      cells[0] = Value::Int64(rng.UniformRange(0, 20));
+      cells[1] = Value::String(std::string(rng.Uniform(8), 'x'));
     }
     return rows;
   }
@@ -62,7 +62,7 @@ class ExchangeProperty : public ::testing::TestWithParam<uint64_t> {
   std::multiset<std::string> Flatten(const PartitionedRows& rows) {
     std::multiset<std::string> out;
     for (const Rows& part : rows) {
-      for (const Tuple& t : part) {
+      for (Row t : part) {
         std::string key;
         for (const Value& v : t) key += v.ToJson() + "|";
         out.insert(key);
@@ -86,7 +86,7 @@ TEST_P(ExchangeProperty, HashExchangePreservesMultiset) {
     // Co-location: equal keys in one partition.
     std::map<int64_t, std::set<size_t>> where;
     for (size_t p = 0; p < out.size(); ++p) {
-      for (const Tuple& t : out[p]) where[t[0].AsInt64()].insert(p);
+      for (Row t : out[p]) where[t[0].AsInt64()].insert(p);
     }
     for (const auto& [k, parts] : where) {
       EXPECT_EQ(parts.size(), 1u) << "key " << k;
@@ -109,7 +109,7 @@ TEST_P(ExchangeProperty, BroadcastReplicatesExactly) {
   // Accounting: every tuple crosses to every partition exactly once.
   uint64_t expected_total = 0;
   for (const Rows& part : in) {
-    for (const Tuple& t : part) expected_total += TupleBytes(t) * out.size();
+    for (Row t : part) expected_total += TupleBytes(t) * out.size();
   }
   EXPECT_EQ(stats.local_bytes + stats.remote_bytes, expected_total);
   EXPECT_GT(stats.remote_bytes, stats.local_bytes);  // 4 nodes: mostly remote
@@ -143,7 +143,7 @@ TEST_P(ExchangeProperty, GroupByCountsMatchNaive) {
   // Naive counts.
   std::map<int64_t, int64_t> expected;
   for (const Rows& part : in) {
-    for (const Tuple& t : part) ++expected[t[0].AsInt64()];
+    for (Row t : part) ++expected[t[0].AsInt64()];
   }
   // Exchange + group pipeline (what the job generator emits).
   PartitionedRows shuffled =
@@ -155,7 +155,7 @@ TEST_P(ExchangeProperty, GroupByCountsMatchNaive) {
       {&shuffled});
   std::map<int64_t, int64_t> actual;
   for (const Rows& part : grouped) {
-    for (const Tuple& t : part) actual[t[0].AsInt64()] = t[1].AsInt64();
+    for (Row t : part) actual[t[0].AsInt64()] = t[1].AsInt64();
   }
   EXPECT_EQ(actual, expected);
 }
@@ -167,9 +167,9 @@ TEST_P(ExchangeProperty, HashJoinMatchesNaiveJoin) {
   // Naive count of matching pairs.
   int64_t expected = 0;
   for (const Rows& lp : left) {
-    for (const Tuple& lt : lp) {
+    for (Row lt : lp) {
       for (const Rows& rp : right) {
-        for (const Tuple& rt : rp) {
+        for (Row rt : rp) {
           if (lt[0] == rt[0]) ++expected;
         }
       }
@@ -223,6 +223,99 @@ TEST_P(ExchangeProperty, ModeledAndSocketAccountingAgree) {
       EXPECT_EQ(m_stats.remote_builds, 0u) << name;
       EXPECT_GT(s_stats.transport_seconds, 0.0) << name;
       EXPECT_GT(s_stats.remote_builds, 0u) << name;
+    }
+  }
+}
+
+// Every exchange kind moves partitions that span many frames, rows wider
+// than a frame and zero-width rows (what the count root's GATHER ships),
+// stealing from its input or copying it, built locally or in socket workers:
+// all four runs give the same rows in the same order, and every destination
+// keeps the input's width.
+TEST_P(ExchangeProperty, FramesCrossEveryExchangeWithAndWithoutStealing) {
+  Random rng(GetParam() + 700);
+  const size_t parts = static_cast<size_t>(ctx_.topology.total_partitions());
+  // Column 0 ascends within each partition, so merge-gather sees sorted runs.
+  auto fill = [&](size_t width, int min_rows, int max_rows) {
+    PartitionedRows in(parts, Rows(width));
+    for (size_t p = 0; p < parts; ++p) {
+      int64_t key = 0;
+      int n = min_rows + static_cast<int>(rng.Uniform(
+                             static_cast<uint64_t>(max_rows - min_rows + 1)));
+      for (int i = 0; i < n; ++i) {
+        std::span<Value> cells = in[p].Append();
+        if (width == 0) continue;
+        key += static_cast<int64_t>(rng.Uniform(3));
+        cells[0] = Value::Int64(key);
+        for (size_t c = 1; c < width; ++c) {
+          cells[c] = c % 2 == 0
+                         ? Value::Int64(static_cast<int64_t>(p * 100000) + i)
+                         : Value::String(std::string(rng.Uniform(12), 'x'));
+        }
+      }
+    }
+    return in;
+  };
+  const PartitionedRows inputs[] = {fill(4, 300, 1200), fill(1000, 0, 3),
+                                    fill(0, 0, 6)};
+  for (const PartitionedRows& in : inputs) {
+    const size_t width = in[0].width();
+    const std::vector<int> keys =
+        width == 0 ? std::vector<int>{} : std::vector<int>{0};
+    std::vector<SortKey> sort_keys;
+    for (int k : keys) sort_keys.push_back({k, true});
+    auto make = [&](int kind) -> std::unique_ptr<Operator> {
+      if (kind == 0) return std::make_unique<HashExchangeOp>(keys);
+      if (kind == 1) return std::make_unique<BroadcastExchangeOp>();
+      if (kind == 2) return std::make_unique<GatherOp>();
+      return std::make_unique<MergeGatherOp>(sort_keys);
+    };
+    // With `steal` the source feeds only the exchange, whose builds then move
+    // cells out of it; otherwise an unread PROJECT shares the source.
+    auto run = [&](int kind, bool steal, transport::Transport* t) {
+      Job job;
+      int src = job.Add(std::make_unique<testing::RowsSourceOp>(in), {},
+                        RowSchema());
+      if (!steal) {
+        job.Add(std::make_unique<ProjectOp>(std::vector<int>{}), {src},
+                RowSchema());
+      }
+      job.Add(make(kind), {src}, RowSchema());
+      EXPECT_EQ(Executor::PlannedSteals(job).back(), steal);
+      ExecContext ctx = ctx_;
+      ctx.transport = t;
+      Result<PartitionedRows> out = Executor::Run(job, ctx);
+      EXPECT_TRUE(out.ok()) << out.status().ToString();
+      return out.ok() ? std::move(out).value() : PartitionedRows();
+    };
+    for (int kind = 0; kind < 4; ++kind) {
+      SCOPED_TRACE("width " + std::to_string(width) + ", kind " +
+                   std::to_string(kind));
+      PartitionedRows expected = run(kind, /*steal=*/false, nullptr);
+      ASSERT_EQ(expected.size(), parts);
+      EXPECT_EQ(RowsCount(expected),
+                RowsCount(in) * (kind == 1 ? parts : 1));
+      if (kind != 1) {
+        EXPECT_EQ(Flatten(expected), Flatten(in));
+      }
+      for (bool steal : {true, false}) {
+        for (transport::Transport* t : {static_cast<transport::Transport*>(
+                                            nullptr),
+                                        socket_.get()}) {
+          PartitionedRows out = run(kind, steal, t);
+          ASSERT_EQ(out.size(), parts);
+          for (size_t p = 0; p < parts; ++p) {
+            EXPECT_TRUE(out[p] == expected[p]) << "partition " << p;
+            EXPECT_EQ(out[p].width(), width) << "partition " << p;
+          }
+        }
+      }
+      if (kind == 3 && width > 0) {
+        for (size_t i = 1; i < expected[0].size(); ++i) {
+          EXPECT_LE(expected[0][i - 1][0].AsInt64(),
+                    expected[0][i][0].AsInt64());
+        }
+      }
     }
   }
 }

@@ -50,14 +50,13 @@ bool RowsEqual(const Rows& a, const Rows& b) {
 /// rows of each partition are pre-sorted on it so merge-gather is exercised
 /// meaningfully.
 PartitionedRows MakeInput() {
-  PartitionedRows in(4);
+  PartitionedRows in(4, Rows(2));
   for (int p = 0; p < 4; ++p) {
     for (int i = 0; i < 12; ++i) {
-      Tuple row;
-      row.push_back(Value::Int64(p + 4 * i));
-      row.push_back(Value::String("s" + std::to_string(p) + "_" +
-                                  std::to_string(i)));
-      in[static_cast<size_t>(p)].push_back(std::move(row));
+      std::span<Value> row = in[static_cast<size_t>(p)].Append();
+      row[0] = Value::Int64(p + 4 * i);
+      row[1] = Value::String("s" + std::to_string(p) + "_" +
+                             std::to_string(i));
     }
   }
   return in;
@@ -231,6 +230,94 @@ TEST(FragmentInterpreterTest, RejectsTrailingGarbage) {
   Status s = adm::DecodeFragmentError(reply.payload);
   EXPECT_EQ(s.code(), StatusCode::kCorruption);
   EXPECT_NE(s.message().find("trailing"), std::string::npos);
+}
+
+// A row group states each row's column count, and every row of a group has
+// the group's width: a payload whose rows differ in width is corrupt, not a
+// ragged partition. Equal widths decode, zero included (the count root ships
+// zero-width rows).
+TEST(FragmentSerdeTest, DecodeRowsRejectsRowsOfDifferentWidths) {
+  std::string payload;
+  ByteWriter w(&payload);
+  w.PutU32(3);
+  w.PutU32(1);
+  Value::Int64(1).Serialize(&w);
+  w.PutU32(2);
+  Value::Int64(2).Serialize(&w);
+  Value::Int64(3).Serialize(&w);
+  w.PutU32(1);
+  Value::Int64(4).Serialize(&w);
+  ByteReader r(payload);
+  Result<Rows> ragged = fragment::DecodeRows(&r);
+  ASSERT_FALSE(ragged.ok());
+  EXPECT_EQ(ragged.status().code(), StatusCode::kCorruption);
+
+  std::string zero;
+  ByteWriter zw(&zero);
+  zw.PutU32(4);
+  for (int i = 0; i < 4; ++i) zw.PutU32(0);
+  ByteReader zr(zero);
+  Result<Rows> rows = fragment::DecodeRows(&zr);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(rows->size(), 4u);
+  EXPECT_EQ(rows->width(), 0u);
+  EXPECT_EQ(zr.remaining(), 0u);
+}
+
+// Zero-width rows and rows wider than a frame build remotely exactly as
+// locally, for every exchange kind: same rows, same widths (empty
+// destinations included), same accounting.
+TEST(FragmentInterpreterTest, ZeroWidthAndWideRowsMatchLocalBuilds) {
+  PartitionedRows zero(4, Rows(0));
+  for (size_t p = 0; p < 4; ++p) {
+    for (size_t i = 0; i < (p * 3) % 5; ++i) zero[p].Append();
+  }
+  PartitionedRows wide(4, Rows(1000));
+  for (size_t p = 0; p < 4; ++p) {
+    for (int64_t i = 0; i < 2; ++i) {
+      std::span<Value> cells = wide[p].Append();
+      for (size_t c = 0; c < cells.size(); ++c) {
+        cells[c] = Value::Int64(static_cast<int64_t>(p) + 4 * i +
+                                static_cast<int64_t>(c));
+      }
+    }
+  }
+  LoopbackTransport loopback;
+  for (const PartitionedRows* in : {&zero, &wide}) {
+    const std::vector<int> keys =
+        in->front().width() == 0 ? std::vector<int>{} : std::vector<int>{0};
+    std::vector<SortKey> sort_keys;
+    for (int k : keys) sort_keys.push_back({k, true});
+    auto make = [&](int kind) -> std::unique_ptr<Operator> {
+      if (kind == 0) return std::make_unique<HashExchangeOp>(keys);
+      if (kind == 1) return std::make_unique<BroadcastExchangeOp>();
+      if (kind == 2) return std::make_unique<GatherOp>();
+      return std::make_unique<MergeGatherOp>(sort_keys);
+    };
+    for (int kind = 0; kind < 4; ++kind) {
+      SCOPED_TRACE("width " + std::to_string(in->front().width()) + ", kind " +
+                   std::to_string(kind));
+      ExecContext ctx;
+      ctx.topology = {2, 2};
+      OpStats local_stats, remote_stats;
+      Result<PartitionedRows> local =
+          testing::RunOperator(ctx, make(kind), {in}, &local_stats);
+      ctx.transport = &loopback;
+      Result<PartitionedRows> remote =
+          testing::RunOperator(ctx, make(kind), {in}, &remote_stats);
+      ASSERT_TRUE(local.ok()) << local.status().ToString();
+      ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+      EXPECT_GT(remote_stats.remote_builds, 0u);
+      EXPECT_EQ(RowsCount(*remote), RowsCount(*local));
+      for (size_t dst = 0; dst < 4; ++dst) {
+        EXPECT_TRUE((*local)[dst] == (*remote)[dst]) << "dst " << dst;
+        EXPECT_EQ((*local)[dst].width(), in->front().width());
+        EXPECT_EQ((*remote)[dst].width(), in->front().width());
+      }
+      EXPECT_EQ(remote_stats.local_bytes, local_stats.local_bytes);
+      EXPECT_EQ(remote_stats.remote_bytes, local_stats.remote_bytes);
+    }
+  }
 }
 
 /// Peak resident set size of this process so far, in MiB.

@@ -2,11 +2,18 @@
 // every builtin's happy path, type errors, and MISSING/NULL behaviour.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
+#include <filesystem>
 #include <random>
 
+#include "core/query_processor.h"
 #include "hyracks/expr.h"
 #include "hyracks/functions.h"
 #include "similarity/edit_distance.h"
+#include "similarity/similarity_function.h"
+#include "storage/file_util.h"
 
 namespace simdb::hyracks {
 namespace {
@@ -318,6 +325,61 @@ TEST(FunctionsTest, UserRegistrationAndOverride) {
 TEST(FunctionsTest, NamesListsBuiltins) {
   std::vector<std::string> names = FunctionRegistry::Global().Names();
   EXPECT_GT(names.size(), 25u);
+}
+
+// A measure registered under a builtin's name without a `check`: the
+// `-check` builtin the rewrite plans for `edit-distance(...) <= 1` falls back
+// to the measure's `eval` and ThresholdSense instead of calling an empty
+// std::function.
+TEST(FunctionsTest, CheckFallsBackToEvalForAMeasureWithoutCheck) {
+  auto& measures = similarity::SimilarityFunctionRegistry::Global();
+  const similarity::SimilarityFunction saved_measure =
+      *measures.Find("edit-distance");
+  const FunctionDef saved_def = *FunctionRegistry::Global().Find("edit-distance");
+
+  const std::string dir =
+      (std::filesystem::temp_directory_path() /
+       ("simdb_functions_" + std::to_string(::getpid())))
+          .string();
+  std::vector<int64_t> got;
+  std::vector<int64_t> expected;
+  {
+    core::EngineOptions options;
+    options.data_dir = dir;
+    options.topology = {2, 2};
+    options.num_threads = 2;
+    core::QueryProcessor engine(options);
+    ASSERT_TRUE(engine.Execute("create dataset D primary key id;").ok());
+    const char* names[] = {"maria", "marla", "mario", "mary",
+                           "james", "maria ", "ma", "amria"};
+    for (int64_t id = 0; id < 8; ++id) {
+      ASSERT_TRUE(engine
+                      .Insert("D", Value::MakeObject(
+                                       {{"id", I(id)}, {"n", Str(names[id])}}))
+                      .ok());
+      Value d = *saved_measure.eval(Str(names[id]), Str("maria"));
+      if (d.AsNumber() <= 1) expected.push_back(id);
+    }
+    engine.RegisterSimilarityUdf({.name = "edit-distance",
+                                  .sense = saved_measure.sense,
+                                  .eval = saved_measure.eval,
+                                  .check = nullptr});
+    core::QueryResult result;
+    Status s = engine.Execute(
+        "for $t in dataset D where edit-distance($t.n, 'maria') <= 1 "
+        "return $t.id",
+        &result);
+    // The registry is process-global: restore the builtin before asserting.
+    measures.Register(saved_measure);
+    FunctionRegistry::Global().Register(saved_def);
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    for (const Value& v : result.rows) got.push_back(v.AsInt64());
+  }
+  storage::RemoveAllBestEffort(dir);
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got, expected);
+  EXPECT_EQ(expected.size(), 4u);  // maria, marla, mario, "maria "
+  EXPECT_TRUE(static_cast<bool>(measures.Find("edit-distance")->check));
 }
 
 }  // namespace

@@ -41,9 +41,9 @@ class HyracksTest : public ::testing::Test {
 
   /// Builds a partitioned input by round-robin over int values.
   PartitionedRows MakeInts(const std::vector<int64_t>& values) {
-    PartitionedRows rows(4);
+    PartitionedRows rows(4, Rows(1));
     for (size_t i = 0; i < values.size(); ++i) {
-      rows[i % 4].push_back({Value::Int64(values[i])});
+      rows[i % 4].Append()[0] = Value::Int64(values[i]);
     }
     return rows;
   }
@@ -51,7 +51,7 @@ class HyracksTest : public ::testing::Test {
   std::vector<int64_t> CollectInts(const PartitionedRows& rows, int col = 0) {
     std::vector<int64_t> out;
     for (const Rows& part : rows) {
-      for (const Tuple& t : part) {
+      for (Row t : part) {
         out.push_back(t[static_cast<size_t>(col)].AsInt64());
       }
     }
@@ -125,7 +125,7 @@ TEST_F(HyracksTest, AssignAppendsColumns) {
 
 TEST_F(HyracksTest, ProjectReorders) {
   PartitionedRows in(4);
-  in[0].push_back({Value::Int64(1), Value::String("a")});
+  in[0] = {{Value::Int64(1), Value::String("a")}};
   auto out = *RunOp(std::make_unique<ProjectOp>(std::vector<int>{1, 0}), {&in});
   EXPECT_EQ(out[0][0][0].AsString(), "a");
   EXPECT_EQ(out[0][0][1].AsInt64(), 1);
@@ -142,8 +142,8 @@ TEST_F(HyracksTest, SortPerPartition) {
 
 TEST_F(HyracksTest, UnnestWithPosition) {
   PartitionedRows in(4);
-  in[0].push_back({Value::MakeArray(
-      {Value::String("x"), Value::String("y"), Value::String("z")})});
+  in[0] = {{Value::MakeArray(
+      {Value::String("x"), Value::String("y"), Value::String("z")})}};
   auto out = *RunOp(
       std::make_unique<UnnestOp>(Col(0, "list"), /*with_position=*/true),
       {&in});
@@ -155,7 +155,7 @@ TEST_F(HyracksTest, UnnestWithPosition) {
 
 TEST_F(HyracksTest, UnnestSkipsMissing) {
   PartitionedRows in(4);
-  in[0].push_back({Value::Missing()});
+  in[0] = {{Value::Missing()}};
   auto out =
       *RunOp(std::make_unique<UnnestOp>(Col(0, "list"), false), {&in});
   EXPECT_EQ(RowsCount(out), 0u);
@@ -170,7 +170,7 @@ TEST_F(HyracksTest, HashExchangeGroupsEqualKeys) {
   for (int64_t key : {1, 2, 3}) {
     std::set<size_t> parts;
     for (size_t p = 0; p < out.size(); ++p) {
-      for (const Tuple& t : out[p]) {
+      for (Row t : out[p]) {
         if (t[0].AsInt64() == key) parts.insert(p);
       }
     }
@@ -237,7 +237,7 @@ TEST_F(HyracksTest, HashGroupCountsAndListifies) {
                             {AggSpec::Kind::kMin, Col(1, "v"), "min"}}),
                     {&in});
   ASSERT_EQ(out[0].size(), 2u);
-  for (const Tuple& row : out[0]) {
+  for (Row row : out[0]) {
     if (row[0].AsString() == "a") {
       EXPECT_EQ(row[1].AsInt64(), 2);
       EXPECT_EQ(row[2].AsList().size(), 2u);
@@ -284,6 +284,132 @@ TEST_F(HyracksTest, HashJoinResidualFilters) {
                                    *Call("eq", {Col(1, "lv"), Col(3, "rv")})),
       {&left, &right});
   EXPECT_EQ(RowsCount(out), 1u);
+}
+
+// Matches come out in probe order, and within one probe row in build order;
+// int64 1 and double 1.0 are one key.
+TEST_F(HyracksTest, HashJoinEmitsProbeOrderThenBuildOrder) {
+  PartitionedRows left(4, Rows(2)), right(4, Rows(2));
+  left[1] = {{Value::Int64(1), Value::String("a")},
+             {Value::Int64(2), Value::String("b")},
+             {Value::Double(1.0), Value::String("c")},
+             {Value::Int64(3), Value::String("d")}};
+  right[1] = {{Value::Int64(1), Value::String("x")},
+              {Value::Int64(2), Value::String("y")},
+              {Value::Double(1.0), Value::String("z")},
+              {Value::Int64(1), Value::String("w")}};
+  auto out = *RunOp(std::make_unique<HashJoinOp>(std::vector<int>{0},
+                                                 std::vector<int>{0}),
+                    {&left, &right});
+  std::vector<std::string> pairs;
+  for (Row row : out[1]) {
+    ASSERT_EQ(row.size(), 4u);
+    pairs.push_back(row[1].AsString() + row[3].AsString());
+  }
+  EXPECT_EQ(pairs, (std::vector<std::string>{"ax", "az", "aw", "by", "cx",
+                                             "cz", "cw"}));
+  for (const Rows& part : out) EXPECT_EQ(part.width(), 4u);
+}
+
+// Groups come out in the order their keys were first seen, keyed by the
+// first-seen value; MISSING and NULL are keys of their own.
+TEST_F(HyracksTest, HashGroupEmitsGroupsInFirstSeenOrder) {
+  PartitionedRows in(4);
+  in[2] = {{Value::Int64(3)},     {Value::Int64(1)}, {Value::Double(3.0)},
+           {Value::String("k")},  {Value::Int64(1)}, {Value::Null()},
+           {Value::Missing()},    {Value::Null()},   {Value::Double(1.0)}};
+  std::vector<AggSpec> aggs(1);
+  aggs[0].kind = AggSpec::Kind::kCount;
+  aggs[0].out_name = "n";
+  auto out = *RunOp(
+      std::make_unique<HashGroupOp>(std::vector<ExprPtr>{Col(0, "k")}, aggs),
+      {&in});
+  std::vector<std::string> groups;
+  for (Row row : out[2]) {
+    groups.push_back(row[0].ToJson() + ":" + row[1].ToJson());
+  }
+  EXPECT_EQ(groups[0], "3:2");
+  EXPECT_TRUE(out[2][0][0].is_int64());
+  EXPECT_EQ(groups[1], "1:3");
+  EXPECT_EQ(groups[2], "\"k\":1");
+  EXPECT_TRUE(out[2][3][0].is_null());
+  EXPECT_EQ(out[2][3][1].AsInt64(), 2);
+  EXPECT_TRUE(out[2][4][0].is_missing());
+  EXPECT_EQ(out[2][4][1].AsInt64(), 1);
+  EXPECT_EQ(groups.size(), 5u);
+}
+
+// Zero-width rows (all the count root needs) through HASH-JOIN with no keys
+// (a cross product) and HASH-GROUP with no keys; empty partitions keep
+// their widths.
+TEST_F(HyracksTest, ZeroWidthRowsThroughHashJoinAndGroup) {
+  PartitionedRows left(4, Rows(0)), right(4, Rows(0));
+  for (int i = 0; i < 3; ++i) left[0].Append();
+  for (int i = 0; i < 2; ++i) right[0].Append();
+  right[3].Append();
+  auto joined = *RunOp(
+      std::make_unique<HashJoinOp>(std::vector<int>{}, std::vector<int>{}),
+      {&left, &right});
+  EXPECT_EQ(joined[0].size(), 6u);
+  EXPECT_EQ(RowsCount(joined), 6u);
+  for (const Rows& part : joined) EXPECT_EQ(part.width(), 0u);
+
+  std::vector<AggSpec> aggs(1);
+  aggs[0].kind = AggSpec::Kind::kCount;
+  aggs[0].out_name = "n";
+  auto counted = *RunOp(
+      std::make_unique<HashGroupOp>(std::vector<ExprPtr>{}, aggs), {&joined});
+  ASSERT_EQ(counted[0].size(), 1u);
+  EXPECT_EQ(counted[0][0][0].AsInt64(), 6);
+  for (const Rows& part : counted) EXPECT_EQ(part.width(), 1u);
+}
+
+// Rows live in fixed-size frames: a partition spans many of them, a row wider
+// than a frame gets one of its own, and appending never moves a row.
+TEST_F(HyracksTest, FramesHoldManyRowsAndRowsWiderThanAFrame) {
+  Rows narrow(3);
+  const Value* first = nullptr;
+  for (int64_t i = 0; i < 10000; ++i) {
+    std::span<Value> cells = narrow.Append();
+    if (i == 0) first = cells.data();
+    cells[0] = Value::Int64(i);
+    cells[1] = Value::String(std::to_string(i));
+    cells[2] = Value::Int64(-i);
+  }
+  ASSERT_EQ(narrow.size(), 10000u);
+  EXPECT_EQ(first, narrow[0].data());
+  for (size_t i = 0; i < narrow.size(); i += 97) {
+    EXPECT_EQ(narrow[i][1].AsString(), std::to_string(i));
+  }
+  int64_t next = 0;
+  for (Row row : narrow) {
+    EXPECT_EQ(row[0].AsInt64(), next);
+    EXPECT_EQ(row[2].AsInt64(), -next);
+    ++next;
+  }
+
+  Rows copy = narrow;
+  EXPECT_TRUE(copy == narrow);
+  copy.PopBack();
+  EXPECT_EQ(copy.size(), 9999u);
+  EXPECT_FALSE(copy == narrow);
+
+  // 1,000 cells are more than kFrameBytes.
+  ASSERT_GT(1000 * sizeof(Value), kFrameBytes);
+  Tuple wide(1000);
+  for (size_t c = 0; c < wide.size(); ++c) {
+    wide[c] = Value::Int64(static_cast<int64_t>(c));
+  }
+  Rows big(wide.size());
+  for (int64_t r = 0; r < 3; ++r) big.Append(wide)[999] = Value::Int64(-r);
+  ASSERT_EQ(big.size(), 3u);
+  EXPECT_EQ(big[1][500].AsInt64(), 500);
+  EXPECT_EQ(big[2][999].AsInt64(), -2);
+
+  Rows none(0);
+  for (int i = 0; i < 5; ++i) none.Append();
+  EXPECT_EQ(none.size(), 5u);
+  EXPECT_TRUE(none[4].empty());
 }
 
 TEST_F(HyracksTest, NestedLoopJoinThetaPredicate) {
@@ -353,7 +479,7 @@ TEST_F(HyracksTest, InvertedSearchPlusLookupSelectsSimilarNames) {
   // Plan fragment of Figure 7: constant -> broadcast -> secondary search ->
   // sort pk -> primary lookup -> verify.
   auto rows = *RunOp(std::make_unique<ConstantSourceOp>(
-                         std::vector<Tuple>{{Value::String("marla")}}),
+                         Rows{{Value::String("marla")}}),
                      {});
   auto bcast = *RunOp(std::make_unique<BroadcastExchangeOp>(), {&rows});
   auto candidates = *RunOp(
@@ -375,7 +501,7 @@ TEST_F(HyracksTest, InvertedSearchPlusLookupSelectsSimilarNames) {
       {&records});
   ASSERT_EQ(RowsCount(verified), 1u);
   for (const Rows& part : verified) {
-    for (const Tuple& t : part) {
+    for (Row t : part) {
       EXPECT_EQ(t[2].GetField("reviewerName").AsString(), "maria");
     }
   }
@@ -385,7 +511,7 @@ TEST_F(HyracksTest, InvertedSearchSkipsCornerCaseRows) {
   MakeReviews(*catalog_, 4);
   // "ab" with k=2: T = 1 - 2*2 <= 0, so the index path must emit nothing.
   auto rows = *RunOp(std::make_unique<ConstantSourceOp>(
-                         std::vector<Tuple>{{Value::String("ab")}}),
+                         Rows{{Value::String("ab")}}),
                      {});
   auto bcast = *RunOp(std::make_unique<BroadcastExchangeOp>(), {&rows});
   auto out = *RunOp(std::make_unique<InvertedIndexSearchOp>(
@@ -407,7 +533,7 @@ TEST_F(HyracksTest, BtreeSearchOp) {
       ds->CreateIndex({"bt", "grp", similarity::IndexKind::kBtree, 0, false})
           .ok());
   auto rows = *RunOp(std::make_unique<ConstantSourceOp>(
-                         std::vector<Tuple>{{Value::Int64(1)}}),
+                         Rows{{Value::Int64(1)}}),
                      {});
   auto bcast = *RunOp(std::make_unique<BroadcastExchangeOp>(), {&rows});
   auto out = *RunOp(

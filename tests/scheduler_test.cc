@@ -64,7 +64,7 @@ std::string Serialize(const PartitionedRows& rows) {
   std::string out;
   for (size_t p = 0; p < rows.size(); ++p) {
     out += "p" + std::to_string(p) + ":";
-    for (const Tuple& t : rows[p]) {
+    for (Row t : rows[p]) {
       out += "[";
       for (const Value& v : t) out += v.ToJson() + ",";
       out += "]";

@@ -34,19 +34,17 @@ namespace {
 using adm::Value;
 using hyracks::PartitionedRows;
 using hyracks::Rows;
-using hyracks::Tuple;
 namespace fragment = hyracks::fragment;
 
 Rows MakeRows(uint64_t seed, int n) {
   Random rng(seed);
-  Rows rows;
+  Rows rows(3);
   for (int i = 0; i < n; ++i) {
-    Tuple row;
-    row.push_back(Value::Int64(static_cast<int64_t>(rng.Uniform(1000))));
-    row.push_back(Value::String("r" + std::to_string(i)));
-    row.push_back(Value::MakeArray(
-        {Value::Double(0.25 * static_cast<double>(i)), Value::Null()}));
-    rows.push_back(std::move(row));
+    std::span<Value> row = rows.Append();
+    row[0] = Value::Int64(static_cast<int64_t>(rng.Uniform(1000)));
+    row[1] = Value::String("r" + std::to_string(i));
+    row[2] = Value::MakeArray(
+        {Value::Double(0.25 * static_cast<double>(i)), Value::Null()});
   }
   return rows;
 }
