@@ -1,8 +1,12 @@
 // Ablation (paper Section 5.4.2): materializing/reusing the shared subplans
-// of the three-stage self-join (Figure 20). With reuse on, the two join
-// inputs are shared LOp nodes compiled once and replicated to stages 1-3;
-// with it off, each stage re-derives its input subtree. The gap grows when
-// the join inputs are expensive subqueries; here they are filtered scans.
+// of the three-stage self-join (Figure 20). With reuse on, each join input
+// is one LOp subtree shared by stages 1-3, and the job generator merges job
+// nodes of the same kind with the same parameters over the same inputs, so
+// the two sides' equal filtered scans, tokenizations and stage-2 rank
+// chains run once; with it off, each stage re-derives its input subtree and
+// nothing merges. The gap grows when the join inputs are expensive
+// subqueries; here they are filtered scans. Exits 1 when the two answers
+// differ (CI runs it at SIMDB_BENCH_SCALE=0.1 as that answer check).
 #include <cstdio>
 
 #include "bench/bench_util.h"

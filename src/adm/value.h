@@ -154,7 +154,9 @@ class Value {
   /// deep is a kParseError.
   static Result<Value> FromJson(std::string_view text);
 
-  /// Binary serialization (storage format).
+  /// Binary serialization (storage format). Deserialize returns
+  /// kCorruption for a value nesting arrays, objects and multisets more than
+  /// kMaxValueDepth deep.
   void Serialize(ByteWriter* w) const;
   static Result<Value> Deserialize(ByteReader* r);
 
@@ -179,6 +181,13 @@ class Value {
 /// recursion, and it is above the AQL parser's kMaxParseDepth, so a value an
 /// AQL literal can build always parses back.
 inline constexpr int kMaxJsonDepth = 256;
+
+/// Deepest container nesting Value::Deserialize accepts. It bounds the
+/// decoder's recursion over run blocks, keys and fragment frames. It is
+/// above kMaxJsonDepth with room for the levels a query adds around a
+/// stored value (a record of lists of records, ...), so every value the
+/// engine builds decodes again.
+inline constexpr int kMaxValueDepth = 4 * kMaxJsonDepth;
 
 /// The canonical MISSING singleton returned by failed field lookups.
 const Value& MissingValue();

@@ -53,12 +53,21 @@ void Value::Serialize(ByteWriter* w) const {
   }
 }
 
-Result<Value> Value::Deserialize(ByteReader* r) {
+namespace {
+
+/// Decodes one value nested inside `depth` containers.
+Result<Value> Decode(ByteReader* r, int depth) {
   SIMDB_ASSIGN_OR_RETURN(uint8_t tag, r->GetU8());
   if (tag > static_cast<uint8_t>(ValueType::kObject)) {
     return Status::Corruption("bad value type tag " + std::to_string(tag));
   }
   ValueType type = static_cast<ValueType>(tag);
+  if (depth == kMaxValueDepth &&
+      (type == ValueType::kArray || type == ValueType::kMultiset ||
+       type == ValueType::kObject)) {
+    return Status::Corruption("value nesting deeper than " +
+                              std::to_string(kMaxValueDepth));
+  }
   switch (type) {
     case ValueType::kMissing:
       return Value::Missing();
@@ -83,10 +92,10 @@ Result<Value> Value::Deserialize(ByteReader* r) {
     case ValueType::kArray:
     case ValueType::kMultiset: {
       SIMDB_ASSIGN_OR_RETURN(uint32_t n, r->GetU32());
-      Array items;
+      Value::Array items;
       items.reserve(BoundedReserve(n, *r, /*min_bytes=*/1));  // type tag
       for (uint32_t i = 0; i < n; ++i) {
-        SIMDB_ASSIGN_OR_RETURN(Value v, Deserialize(r));
+        SIMDB_ASSIGN_OR_RETURN(Value v, Decode(r, depth + 1));
         items.push_back(std::move(v));
       }
       return type == ValueType::kArray ? Value::MakeArray(std::move(items))
@@ -94,13 +103,13 @@ Result<Value> Value::Deserialize(ByteReader* r) {
     }
     case ValueType::kObject: {
       SIMDB_ASSIGN_OR_RETURN(uint32_t n, r->GetU32());
-      Object fields;
+      Value::Object fields;
       // Name length prefix plus the value's type tag.
       fields.reserve(BoundedReserve(n, *r, /*min_bytes=*/5));
       for (uint32_t i = 0; i < n; ++i) {
         SIMDB_ASSIGN_OR_RETURN(std::string_view name, r->GetString());
         std::string name_copy(name);
-        SIMDB_ASSIGN_OR_RETURN(Value v, Deserialize(r));
+        SIMDB_ASSIGN_OR_RETURN(Value v, Decode(r, depth + 1));
         fields.emplace_back(std::move(name_copy), std::move(v));
       }
       // Fields were stored sorted; MakeObject re-canonicalizes defensively.
@@ -109,5 +118,9 @@ Result<Value> Value::Deserialize(ByteReader* r) {
   }
   return Status::Corruption("unreachable value tag");
 }
+
+}  // namespace
+
+Result<Value> Value::Deserialize(ByteReader* r) { return Decode(r, 0); }
 
 }  // namespace simdb::adm

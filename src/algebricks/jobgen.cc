@@ -166,6 +166,22 @@ RowSchema JobGenerator::SchemaOf(const Compiled& c) const {
   return RowSchema(std::move(cols));
 }
 
+int JobGenerator::AddNode(std::unique_ptr<hyracks::Operator> op,
+                          std::vector<int> inputs, RowSchema schema) {
+  if (!merge_equal_nodes_) {
+    return job_.Add(std::move(op), std::move(inputs), std::move(schema));
+  }
+  const size_t slot = inputs.empty() ? 0 : static_cast<size_t>(inputs[0]) + 1;
+  for (int id : by_first_input_[slot]) {
+    const hyracks::Job::Node& node = job_.nodes()[static_cast<size_t>(id)];
+    if (node.inputs == inputs && node.op->SameAs(*op)) return id;
+  }
+  int id = job_.Add(std::move(op), std::move(inputs), std::move(schema));
+  by_first_input_[slot].push_back(id);
+  by_first_input_.emplace_back();
+  return id;
+}
+
 Result<std::vector<int>> JobGenerator::MaterializeColumns(
     Compiled* plan, const std::vector<LExprPtr>& exprs,
     const std::string& label) {
@@ -193,7 +209,7 @@ Result<std::vector<int>> JobGenerator::MaterializeColumns(
     // Widen before attaching the schema: the assign node's declared schema
     // must include the columns it appends.
     plan->width = base + static_cast<int>(assign_positions.size());
-    plan->node = job_.Add(
+    plan->node = AddNode(
         std::make_unique<hyracks::AssignOp>(std::move(to_assign), names),
         {plan->node}, SchemaOf(*plan));
     for (size_t i = 0; i < assign_positions.size(); ++i) {
@@ -264,7 +280,7 @@ void JobGenerator::Narrow(Compiled* plan, const std::set<std::string>& keep,
     if (to >= 0) projected.vars[name] = to;
   }
   projected.width = static_cast<int>(columns.size());
-  projected.node = job_.Add(
+  projected.node = AddNode(
       std::make_unique<hyracks::ProjectOp>(std::move(columns)), {plan->node},
       SchemaOf(projected));
   if (key_cols != nullptr) {
@@ -333,8 +349,8 @@ Result<JobGenerator::Compiled> JobGenerator::CompileJoin(const LOpPtr& op) {
     std::set<std::string> keep = Live(op.get());
     AddVars(op->expr, &keep);
     Narrow(&right, keep, nullptr);
-    right.node = job_.Add(std::make_unique<hyracks::BroadcastExchangeOp>(),
-                          {right.node}, SchemaOf(right));
+    right.node = AddNode(std::make_unique<hyracks::BroadcastExchangeOp>(),
+                         {right.node}, SchemaOf(right));
     Compiled out;
     out.width = left.width + right.width;
     out.vars = left.vars;
@@ -345,8 +361,8 @@ Result<JobGenerator::Compiled> JobGenerator::CompileJoin(const LOpPtr& op) {
     LExprPtr cond = CombineConjuncts(std::move(all));
     SIMDB_ASSIGN_OR_RETURN(ExprPtr pred, CompileExpr(cond, out.vars));
     out.node =
-        job_.Add(std::make_unique<hyracks::NestedLoopJoinOp>(std::move(pred)),
-                 {left.node, right.node}, SchemaOf(out));
+        AddNode(std::make_unique<hyracks::NestedLoopJoinOp>(std::move(pred)),
+                {left.node, right.node}, SchemaOf(out));
     return out;
   }
 
@@ -361,15 +377,15 @@ Result<JobGenerator::Compiled> JobGenerator::CompileJoin(const LOpPtr& op) {
   for (const LExprPtr& c : residual) AddVars(c, &keep);
   if (bcast) {
     Narrow(&right, keep, &rcols);
-    right.node = job_.Add(std::make_unique<hyracks::BroadcastExchangeOp>(),
-                          {right.node}, SchemaOf(right));
+    right.node = AddNode(std::make_unique<hyracks::BroadcastExchangeOp>(),
+                         {right.node}, SchemaOf(right));
   } else {
     Narrow(&left, keep, &lcols);
     Narrow(&right, keep, &rcols);
-    left.node = job_.Add(std::make_unique<hyracks::HashExchangeOp>(lcols),
-                         {left.node}, SchemaOf(left));
-    right.node = job_.Add(std::make_unique<hyracks::HashExchangeOp>(rcols),
-                          {right.node}, SchemaOf(right));
+    left.node = AddNode(std::make_unique<hyracks::HashExchangeOp>(lcols),
+                        {left.node}, SchemaOf(left));
+    right.node = AddNode(std::make_unique<hyracks::HashExchangeOp>(rcols),
+                         {right.node}, SchemaOf(right));
   }
 
   Compiled out;
@@ -381,7 +397,7 @@ Result<JobGenerator::Compiled> JobGenerator::CompileJoin(const LOpPtr& op) {
     SIMDB_ASSIGN_OR_RETURN(
         residual_pred, CompileExpr(CombineConjuncts(residual), out.vars));
   }
-  out.node = job_.Add(
+  out.node = AddNode(
       std::make_unique<hyracks::HashJoinOp>(lcols, rcols, residual_pred),
       {left.node, right.node}, SchemaOf(out));
   return out;
@@ -394,24 +410,24 @@ Result<JobGenerator::Compiled> JobGenerator::Compile(const LOpPtr& op) {
   Compiled out;
   switch (op->kind) {
     case LOpKind::kDataScan: {
-      out.node = job_.Add(std::make_unique<hyracks::DataScanOp>(op->dataset),
-                          {}, RowSchema({op->out_var}));
+      out.node = AddNode(std::make_unique<hyracks::DataScanOp>(op->dataset),
+                         {}, RowSchema({op->out_var}));
       out.vars[op->out_var] = 0;
       out.width = 1;
       break;
     }
     case LOpKind::kConstantTuple: {
-      out.node = job_.Add(std::make_unique<hyracks::ConstantSourceOp>(
+      out.node = AddNode(std::make_unique<hyracks::ConstantSourceOp>(
                               hyracks::Rows{hyracks::Tuple{}}),
-                          {}, RowSchema());
+                         {}, RowSchema());
       out.width = 0;
       break;
     }
     case LOpKind::kSelect: {
       SIMDB_ASSIGN_OR_RETURN(out, Compile(op->inputs[0]));
       SIMDB_ASSIGN_OR_RETURN(ExprPtr pred, CompileExpr(op->expr, out.vars));
-      out.node = job_.Add(std::make_unique<hyracks::SelectOp>(std::move(pred)),
-                          {out.node}, SchemaOf(out));
+      out.node = AddNode(std::make_unique<hyracks::SelectOp>(std::move(pred)),
+                         {out.node}, SchemaOf(out));
       break;
     }
     case LOpKind::kAssign: {
@@ -426,8 +442,8 @@ Result<JobGenerator::Compiled> JobGenerator::Compile(const LOpPtr& op) {
       }
       int new_width = out.width + static_cast<int>(names.size());
       out.node =
-          job_.Add(std::make_unique<hyracks::AssignOp>(std::move(exprs), names),
-                   {out.node}, SchemaOf(Compiled{out.node, out.vars, new_width}));
+          AddNode(std::make_unique<hyracks::AssignOp>(std::move(exprs), names),
+                  {out.node}, SchemaOf(Compiled{out.node, out.vars, new_width}));
       out.width = new_width;
       break;
     }
@@ -453,8 +469,8 @@ Result<JobGenerator::Compiled> JobGenerator::Compile(const LOpPtr& op) {
         AddVars(agg.input, &keep);
       }
       Narrow(&out, keep, &key_cols);
-      out.node = job_.Add(std::make_unique<hyracks::HashExchangeOp>(key_cols),
-                          {out.node}, SchemaOf(out));
+      out.node = AddNode(std::make_unique<hyracks::HashExchangeOp>(key_cols),
+                         {out.node}, SchemaOf(out));
       std::vector<ExprPtr> keys;
       for (size_t i = 0; i < key_cols.size(); ++i) {
         keys.push_back(hyracks::Col(key_cols[i], op->group_keys[i].first));
@@ -497,7 +513,7 @@ Result<JobGenerator::Compiled> JobGenerator::Compile(const LOpPtr& op) {
       }
       for (const LAgg* agg : live_aggs) grouped.vars[agg->out_var] = col++;
       grouped.width = col;
-      grouped.node = job_.Add(
+      grouped.node = AddNode(
           std::make_unique<hyracks::HashGroupOp>(std::move(keys), std::move(aggs)),
           {out.node}, SchemaOf(grouped));
       out = grouped;
@@ -516,11 +532,11 @@ Result<JobGenerator::Compiled> JobGenerator::Compile(const LOpPtr& op) {
       for (size_t i = 0; i < cols.size(); ++i) {
         keys.push_back({cols[i], op->sort_keys[i].ascending});
       }
-      out.node = job_.Add(std::make_unique<hyracks::SortOp>(keys), {out.node},
-                          SchemaOf(out));
+      out.node = AddNode(std::make_unique<hyracks::SortOp>(keys), {out.node},
+                         SchemaOf(out));
       if (op->kind == LOpKind::kOrderBy) {
-        out.node = job_.Add(std::make_unique<hyracks::MergeGatherOp>(keys),
-                            {out.node}, SchemaOf(out));
+        out.node = AddNode(std::make_unique<hyracks::MergeGatherOp>(keys),
+                           {out.node}, SchemaOf(out));
       }
       break;
     }
@@ -531,17 +547,17 @@ Result<JobGenerator::Compiled> JobGenerator::Compile(const LOpPtr& op) {
       out.vars[op->out_var] = out.width;
       if (with_pos) out.vars[op->pos_var] = out.width + 1;
       out.width += with_pos ? 2 : 1;
-      out.node =
-          job_.Add(std::make_unique<hyracks::UnnestOp>(std::move(list), with_pos),
-                   {out.node}, SchemaOf(out));
+      out.node = AddNode(
+          std::make_unique<hyracks::UnnestOp>(std::move(list), with_pos),
+          {out.node}, SchemaOf(out));
       break;
     }
     case LOpKind::kRank: {
       SIMDB_ASSIGN_OR_RETURN(out, Compile(op->inputs[0]));
       out.vars[op->pos_var] = out.width;
       out.width += 1;
-      out.node = job_.Add(std::make_unique<hyracks::RankAssignOp>(/*start=*/1),
-                          {out.node}, SchemaOf(out));
+      out.node = AddNode(std::make_unique<hyracks::RankAssignOp>(/*start=*/1),
+                         {out.node}, SchemaOf(out));
       break;
     }
     case LOpKind::kProject: {
@@ -557,15 +573,15 @@ Result<JobGenerator::Compiled> JobGenerator::Compile(const LOpPtr& op) {
         keep.push_back(it->second);
       }
       projected.width = static_cast<int>(keep.size());
-      projected.node = job_.Add(std::make_unique<hyracks::ProjectOp>(keep),
-                                {out.node}, SchemaOf(projected));
+      projected.node = AddNode(std::make_unique<hyracks::ProjectOp>(keep),
+                               {out.node}, SchemaOf(projected));
       out = projected;
       break;
     }
     case LOpKind::kLimit: {
       SIMDB_ASSIGN_OR_RETURN(out, Compile(op->inputs[0]));
-      out.node = job_.Add(std::make_unique<hyracks::LimitOp>(op->limit),
-                          {out.node}, SchemaOf(out));
+      out.node = AddNode(std::make_unique<hyracks::LimitOp>(op->limit),
+                         {out.node}, SchemaOf(out));
       break;
     }
     case LOpKind::kUnionAll: {
@@ -586,16 +602,16 @@ Result<JobGenerator::Compiled> JobGenerator::Compile(const LOpPtr& op) {
           projected.vars[union_vars[i]] = static_cast<int>(i);
         }
         projected.width = static_cast<int>(keep.size());
-        projected.node = job_.Add(std::make_unique<hyracks::ProjectOp>(keep),
-                                  {side.node}, SchemaOf(projected));
+        projected.node = AddNode(std::make_unique<hyracks::ProjectOp>(keep),
+                                 {side.node}, SchemaOf(projected));
         side = projected;
         return Status::OK();
       };
       SIMDB_RETURN_IF_ERROR(project_side(left));
       SIMDB_RETURN_IF_ERROR(project_side(right));
       out = left;
-      out.node = job_.Add(std::make_unique<hyracks::UnionAllOp>(),
-                          {left.node, right.node}, SchemaOf(out));
+      out.node = AddNode(std::make_unique<hyracks::UnionAllOp>(),
+                         {left.node, right.node}, SchemaOf(out));
       break;
     }
     case LOpKind::kIndexSearch: {
@@ -604,15 +620,15 @@ Result<JobGenerator::Compiled> JobGenerator::Compile(const LOpPtr& op) {
       keep.erase(op->pk_var);
       AddVars(op->expr, &keep);
       Narrow(&out, keep, nullptr);
-      out.node = job_.Add(std::make_unique<hyracks::BroadcastExchangeOp>(),
-                          {out.node}, SchemaOf(out));
+      out.node = AddNode(std::make_unique<hyracks::BroadcastExchangeOp>(),
+                         {out.node}, SchemaOf(out));
       SIMDB_ASSIGN_OR_RETURN(ExprPtr key, CompileExpr(op->expr, out.vars));
       out.vars[op->pk_var] = out.width;
       out.width += 1;
-      out.node = job_.Add(std::make_unique<hyracks::InvertedIndexSearchOp>(
+      out.node = AddNode(std::make_unique<hyracks::InvertedIndexSearchOp>(
                               op->dataset, op->index_name, std::move(key),
                               op->sim_spec),
-                          {out.node}, SchemaOf(out));
+                         {out.node}, SchemaOf(out));
       break;
     }
     case LOpKind::kBtreeSearch: {
@@ -621,14 +637,14 @@ Result<JobGenerator::Compiled> JobGenerator::Compile(const LOpPtr& op) {
       keep.erase(op->pk_var);
       AddVars(op->expr, &keep);
       Narrow(&out, keep, nullptr);
-      out.node = job_.Add(std::make_unique<hyracks::BroadcastExchangeOp>(),
-                          {out.node}, SchemaOf(out));
+      out.node = AddNode(std::make_unique<hyracks::BroadcastExchangeOp>(),
+                         {out.node}, SchemaOf(out));
       SIMDB_ASSIGN_OR_RETURN(ExprPtr key, CompileExpr(op->expr, out.vars));
       out.vars[op->pk_var] = out.width;
       out.width += 1;
-      out.node = job_.Add(std::make_unique<hyracks::BtreeSearchOp>(
+      out.node = AddNode(std::make_unique<hyracks::BtreeSearchOp>(
                               op->dataset, op->index_name, std::move(key)),
-                          {out.node}, SchemaOf(out));
+                         {out.node}, SchemaOf(out));
       break;
     }
     case LOpKind::kPrimaryLookup: {
@@ -640,7 +656,7 @@ Result<JobGenerator::Compiled> JobGenerator::Compile(const LOpPtr& op) {
       int pk_col = it->second;
       out.vars[op->out_var] = out.width;
       out.width += 1;
-      out.node = job_.Add(
+      out.node = AddNode(
           std::make_unique<hyracks::PrimaryLookupOp>(op->dataset, pk_col),
           {out.node}, SchemaOf(out));
       break;
@@ -653,10 +669,11 @@ Result<JobGenerator::Compiled> JobGenerator::Compile(const LOpPtr& op) {
 Status JobGenerator::Generate(const LOpPtr& root, hyracks::Job* out_job) {
   job_ = hyracks::Job();
   cache_.clear();
+  by_first_input_.assign(1, {});
   SIMDB_RETURN_IF_ERROR(ComputeLiveness(root));
   SIMDB_ASSIGN_OR_RETURN(Compiled root_compiled, Compile(root));
-  job_.Add(std::make_unique<hyracks::GatherOp>(), {root_compiled.node},
-           SchemaOf(root_compiled));
+  AddNode(std::make_unique<hyracks::GatherOp>(), {root_compiled.node},
+          SchemaOf(root_compiled));
   *out_job = std::move(job_);
   return Status::OK();
 }

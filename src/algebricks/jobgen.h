@@ -5,6 +5,7 @@
 #include <set>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "algebricks/lop.h"
 #include "common/result.h"
@@ -28,6 +29,15 @@ Result<adm::Value> EvaluateConstant(const LExprPtr& expr);
 /// the compiled form of LOp nodes referenced by several parents (REPLICATE /
 /// materialize-reuse, paper Figure 20).
 ///
+/// With `merge_equal_nodes` (OptContext::enable_subplan_reuse) a new node is
+/// also merged into an existing one of the same operator kind with the same
+/// input node ids and the same parameters (Operator::SameAs: column indexes,
+/// expressions with typed literals, keys and their direction, dataset
+/// names), so equal subplans reached through different logical operators,
+/// such as the two sides of a self-join, run once. Variable names are not
+/// compared: each logical operator keeps its own variable -> column map on
+/// the shared node, whose schema names the first one's variables.
+///
 /// Every exchange ships only live columns: before adding one, the generator
 /// projects its input to the variables some operator above reads plus the
 /// key columns the exchange and its consumer use. PROJECT and UNION-ALL keep
@@ -35,6 +45,9 @@ Result<adm::Value> EvaluateConstant(const LExprPtr& expr);
 /// reads is not computed (neither kind can raise an error).
 class JobGenerator {
  public:
+  explicit JobGenerator(bool merge_equal_nodes = true)
+      : merge_equal_nodes_(merge_equal_nodes) {}
+
   /// Compiles `root`; the job's final node gathers results at partition 0
   /// (the coordinator). On success the job is moved into `*out`.
   Status Generate(const LOpPtr& root, hyracks::Job* out);
@@ -76,9 +89,18 @@ class JobGenerator {
 
   hyracks::RowSchema SchemaOf(const Compiled& c) const;
 
+  /// Adds `op` over `inputs`, or returns the id of an existing node it
+  /// merges into (see the class comment).
+  int AddNode(std::unique_ptr<hyracks::Operator> op, std::vector<int> inputs,
+              hyracks::RowSchema schema);
+
+  bool merge_equal_nodes_;
   hyracks::Job job_;
   std::unordered_map<const LOp*, Compiled> cache_;
   std::unordered_map<const LOp*, std::set<std::string>> live_;
+  /// The merge candidates: [0] lists the source nodes, [n + 1] the nodes
+  /// whose first input is node n.
+  std::vector<std::vector<int>> by_first_input_;
 };
 
 }  // namespace simdb::algebricks

@@ -71,6 +71,10 @@ struct OptContext {
   bool enable_index_join = true;
   bool enable_three_stage_join = true;
   bool enable_surrogate_join = true;
+  /// Figure 20's materialize/reuse: the three-stage join shares each input
+  /// subtree across its stages, and the job generator merges equal job
+  /// nodes (algebricks/jobgen.h). Off, each stage compiles a clone and no
+  /// node merges.
   bool enable_subplan_reuse = true;
 
   /// Names of rules that fired, in order (for explain output and tests).

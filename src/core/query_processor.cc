@@ -203,7 +203,7 @@ Status QueryProcessor::RunQuery(const aql::AExprPtr& query,
 
   phase.Restart();
   hyracks::Job job;
-  algebricks::JobGenerator jobgen;
+  algebricks::JobGenerator jobgen(opt.enable_subplan_reuse);
   SIMDB_RETURN_IF_ERROR(jobgen.Generate(tr.plan, &job));
   compile.jobgen_seconds = phase.ElapsedSeconds();
   if (options_.verify_plans) {
@@ -541,7 +541,7 @@ Result<std::string> QueryProcessor::Explain(std::string_view aql) {
 Result<hyracks::Job> QueryProcessor::CompileJob(std::string_view aql) {
   SIMDB_ASSIGN_OR_RETURN(LOpPtr plan, PlanLastQuery(aql));
   hyracks::Job job;
-  algebricks::JobGenerator jobgen;
+  algebricks::JobGenerator jobgen(opt_.enable_subplan_reuse);
   SIMDB_RETURN_IF_ERROR(jobgen.Generate(plan, &job));
   if (options_.verify_plans) {
     SIMDB_RETURN_IF_ERROR(

@@ -74,6 +74,14 @@ bool ColumnRange(const Expr* expr, int* min_col, int* max_col) {
   return false;
 }
 
+bool CannotFail(const Expr* expr) {
+  if (const auto* fa = dynamic_cast<const FieldAccessExpr*>(expr)) {
+    return CannotFail(fa->base().get());
+  }
+  return dynamic_cast<const ColumnExpr*>(expr) != nullptr ||
+         dynamic_cast<const LiteralExpr*>(expr) != nullptr;
+}
+
 uint32_t TokenIdEncoder::IdFor(Occ& o) {
   if (o.epoch != epoch_) {
     o.epoch = epoch_;

@@ -62,6 +62,11 @@ std::optional<SimBatchCall> MatchSimCheckCall(const ExprPtr& expr);
 /// know (conservative: the caller must not assume side-purity then).
 bool ColumnRange(const Expr* expr, int* min_col, int* max_col);
 
+/// True when evaluating `expr` on a row holding its columns can raise no
+/// error: a column, a literal, or a field access on one (a field of a
+/// non-object is MISSING).
+bool CannotFail(const Expr* expr);
+
 /// Encodes token-list values into sorted dense uint32 id lists such that
 /// multiset intersection/union sizes are preserved exactly: the k-th
 /// occurrence of a token within one list maps to its own id, consistently

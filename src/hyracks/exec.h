@@ -196,6 +196,16 @@ class Operator {
   /// input (scan, select, project, join, ...). False for pipeline barriers
   /// (exchanges, rank-assign, limit).
   virtual bool partition_local() const { return false; }
+  /// True when `other` is an operator of the same kind with the same
+  /// parameters, so that over the same inputs both yield the same rows and
+  /// the same errors and one node can stand for both (the job generator
+  /// merges such nodes, see algebricks/jobgen.h). Names of columns and
+  /// variables are labels and are not compared. The default matches
+  /// nothing: a kind without a comparison is never merged.
+  virtual bool SameAs(const Operator& other) const {
+    (void)other;
+    return false;
+  }
 
  private:
   Operator() = default;

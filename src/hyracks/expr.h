@@ -22,9 +22,20 @@ class Expr {
   virtual ~Expr() = default;
   virtual Result<adm::Value> Eval(Row row) const = 0;
   virtual std::string ToString() const = 0;
+  /// True when `other` has the same structure: the same column positions,
+  /// literals of the same type and value, field names and function names.
+  /// Column names are labels and are not compared. Two such expressions
+  /// yield the same value, or the same error, on every row (functions are
+  /// pure).
+  virtual bool SameAs(const Expr& other) const = 0;
 };
 
 using ExprPtr = std::shared_ptr<const Expr>;
+
+/// SameAs over possibly null expressions (a missing residual, a count's
+/// input): both null, or both set and the same.
+bool SameExpr(const ExprPtr& a, const ExprPtr& b);
+bool SameExprs(const std::vector<ExprPtr>& a, const std::vector<ExprPtr>& b);
 
 class ColumnExpr : public Expr {
  public:
@@ -43,6 +54,7 @@ class ColumnExpr : public Expr {
   std::string ToString() const override {
     return "$" + name_ + "@" + std::to_string(index_);
   }
+  bool SameAs(const Expr& other) const override;
 
   int index() const { return index_; }
 
@@ -57,6 +69,7 @@ class LiteralExpr : public Expr {
 
   Result<adm::Value> Eval(Row) const override { return value_; }
   std::string ToString() const override { return value_.ToJson(); }
+  bool SameAs(const Expr& other) const override;
   const adm::Value& value() const { return value_; }
 
  private:
@@ -76,6 +89,7 @@ class FieldAccessExpr : public Expr {
   std::string ToString() const override {
     return base_->ToString() + "." + field_;
   }
+  bool SameAs(const Expr& other) const override;
 
   const ExprPtr& base() const { return base_; }
   const std::string& field() const { return field_; }
@@ -111,6 +125,7 @@ class CallExpr : public Expr {
   }
 
   std::string ToString() const override;
+  bool SameAs(const Expr& other) const override;
 
   const std::string& name() const { return name_; }
   const std::vector<ExprPtr>& args() const { return args_; }
@@ -144,6 +159,7 @@ class RecordConstructorExpr : public Expr {
   }
 
   std::string ToString() const override;
+  bool SameAs(const Expr& other) const override;
 
   const std::vector<std::string>& names() const { return names_; }
   const std::vector<ExprPtr>& exprs() const { return exprs_; }
@@ -170,6 +186,7 @@ class ListConstructorExpr : public Expr {
   }
 
   std::string ToString() const override;
+  bool SameAs(const Expr& other) const override;
 
   const std::vector<ExprPtr>& exprs() const { return exprs_; }
 

@@ -6,6 +6,11 @@ namespace simdb::hyracks {
 
 using adm::Value;
 
+bool SelectOp::SameAs(const Operator& other) const {
+  const auto* o = dynamic_cast<const SelectOp*>(&other);
+  return o != nullptr && SameExpr(o->predicate_, predicate_);
+}
+
 Result<Rows> SelectOp::ExecutePartition(ExecContext&, int,
                                         const std::vector<const Rows*>& inputs) {
   const Rows& in = *inputs[0];
@@ -19,6 +24,11 @@ Result<Rows> SelectOp::ExecutePartition(ExecContext&, int,
     }
   }
   return out;
+}
+
+bool AssignOp::SameAs(const Operator& other) const {
+  const auto* o = dynamic_cast<const AssignOp*>(&other);
+  return o != nullptr && SameExprs(o->exprs_, exprs_);
 }
 
 std::string AssignOp::name() const {
@@ -49,6 +59,11 @@ Result<Rows> AssignOp::ExecutePartition(ExecContext&, int,
   return out;
 }
 
+bool ProjectOp::SameAs(const Operator& other) const {
+  const auto* o = dynamic_cast<const ProjectOp*>(&other);
+  return o != nullptr && o->keep_ == keep_;
+}
+
 Result<Rows> ProjectOp::ExecutePartition(
     ExecContext&, int, const std::vector<const Rows*>& inputs) {
   const Rows& in = *inputs[0];
@@ -66,6 +81,11 @@ Result<Rows> ProjectOp::ExecutePartition(
     }
   }
   return out;
+}
+
+bool SortOp::SameAs(const Operator& other) const {
+  const auto* o = dynamic_cast<const SortOp*>(&other);
+  return o != nullptr && o->keys_ == keys_;
 }
 
 Result<Rows> SortOp::ExecutePartition(ExecContext&, int,
@@ -86,6 +106,12 @@ Result<Rows> SortOp::ExecutePartition(ExecContext&, int,
   Rows out(in.width());
   for (const Value* row : order) out.Append(Row(row, in.width()));
   return out;
+}
+
+bool UnnestOp::SameAs(const Operator& other) const {
+  const auto* o = dynamic_cast<const UnnestOp*>(&other);
+  return o != nullptr && o->with_position_ == with_position_ &&
+         SameExpr(o->list_expr_, list_expr_);
 }
 
 Result<Rows> UnnestOp::ExecutePartition(ExecContext&, int,
@@ -111,6 +137,10 @@ Result<Rows> UnnestOp::ExecutePartition(ExecContext&, int,
   return out;
 }
 
+bool UnionAllOp::SameAs(const Operator& other) const {
+  return dynamic_cast<const UnionAllOp*>(&other) != nullptr;
+}
+
 Result<Rows> UnionAllOp::ExecutePartition(
     ExecContext&, int, const std::vector<const Rows*>& inputs) {
   Rows out(inputs[0]->width());
@@ -121,6 +151,11 @@ Result<Rows> UnionAllOp::ExecutePartition(
     for (Row row : *in) out.Append(row);
   }
   return out;
+}
+
+bool RankAssignOp::SameAs(const Operator& other) const {
+  const auto* o = dynamic_cast<const RankAssignOp*>(&other);
+  return o != nullptr && o->start_ == start_;
 }
 
 Result<PartitionedRows> RankAssignOp::Execute(
@@ -143,6 +178,11 @@ Result<PartitionedRows> RankAssignOp::Execute(
     }
   }
   return out;
+}
+
+bool LimitOp::SameAs(const Operator& other) const {
+  const auto* o = dynamic_cast<const LimitOp*>(&other);
+  return o != nullptr && o->limit_ == limit_;
 }
 
 Result<PartitionedRows> LimitOp::Execute(

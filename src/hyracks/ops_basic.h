@@ -17,6 +17,7 @@ class SelectOp : public PartitionOperator {
   std::string name() const override {
     return "SELECT(" + predicate_->ToString() + ")";
   }
+  bool SameAs(const Operator& other) const override;
   Result<Rows> ExecutePartition(ExecContext& ctx, int p,
                                 const std::vector<const Rows*>& inputs)
       override;
@@ -32,6 +33,7 @@ class AssignOp : public PartitionOperator {
   AssignOp(std::vector<ExprPtr> exprs, std::vector<std::string> names)
       : exprs_(std::move(exprs)), names_(std::move(names)) {}
   std::string name() const override;
+  bool SameAs(const Operator& other) const override;
   Result<Rows> ExecutePartition(ExecContext& ctx, int p,
                                 const std::vector<const Rows*>& inputs)
       override;
@@ -47,6 +49,7 @@ class ProjectOp : public PartitionOperator {
  public:
   explicit ProjectOp(std::vector<int> keep) : keep_(std::move(keep)) {}
   std::string name() const override { return "PROJECT"; }
+  bool SameAs(const Operator& other) const override;
   Result<Rows> ExecutePartition(ExecContext& ctx, int p,
                                 const std::vector<const Rows*>& inputs)
       override;
@@ -59,6 +62,8 @@ class ProjectOp : public PartitionOperator {
 struct SortKey {
   int column;
   bool ascending = true;
+
+  friend bool operator==(const SortKey&, const SortKey&) = default;
 };
 
 /// Per-partition sort. Combine with MergeGatherOp for a global order.
@@ -66,6 +71,7 @@ class SortOp : public PartitionOperator {
  public:
   explicit SortOp(std::vector<SortKey> keys) : keys_(std::move(keys)) {}
   std::string name() const override { return "SORT"; }
+  bool SameAs(const Operator& other) const override;
   Result<Rows> ExecutePartition(ExecContext& ctx, int p,
                                 const std::vector<const Rows*>& inputs)
       override;
@@ -85,6 +91,7 @@ class UnnestOp : public PartitionOperator {
   std::string name() const override {
     return "UNNEST(" + list_expr_->ToString() + ")";
   }
+  bool SameAs(const Operator& other) const override;
   Result<Rows> ExecutePartition(ExecContext& ctx, int p,
                                 const std::vector<const Rows*>& inputs)
       override;
@@ -100,6 +107,7 @@ class UnnestOp : public PartitionOperator {
 class UnionAllOp : public PartitionOperator {
  public:
   std::string name() const override { return "UNION-ALL"; }
+  bool SameAs(const Operator& other) const override;
   int num_inputs() const override { return -1; }
   Result<Rows> ExecutePartition(ExecContext& ctx, int p,
                                 const std::vector<const Rows*>& inputs)
@@ -114,6 +122,7 @@ class RankAssignOp : public BarrierOperator {
  public:
   explicit RankAssignOp(int64_t start = 0) : start_(start) {}
   std::string name() const override { return "RANK-ASSIGN"; }
+  bool SameAs(const Operator& other) const override;
   Result<PartitionedRows> Execute(
       ExecContext& ctx, const std::vector<const PartitionedRows*>& inputs,
       OpStats* stats) override;
@@ -131,6 +140,7 @@ class LimitOp : public BarrierOperator {
   std::string name() const override {
     return "LIMIT(" + std::to_string(limit_) + ")";
   }
+  bool SameAs(const Operator& other) const override;
   Result<PartitionedRows> Execute(
       ExecContext& ctx, const std::vector<const PartitionedRows*>& inputs,
       OpStats* stats) override;

@@ -41,6 +41,11 @@ Result<ExchangeOperator::Routing> ExchangeOperator::Route(
   return Routing{};
 }
 
+bool HashExchangeOp::SameAs(const Operator& other) const {
+  const auto* o = dynamic_cast<const HashExchangeOp*>(&other);
+  return o != nullptr && o->key_columns_ == key_columns_;
+}
+
 Result<ExchangeOperator::Routing> HashExchangeOp::Route(
     ExecContext&, const PartitionedRows& in) {
   size_t parts = in.size();
@@ -80,6 +85,10 @@ Result<Rows> HashExchangeOp::BuildDestination(ExecContext& ctx, int dst,
   return out;
 }
 
+bool BroadcastExchangeOp::SameAs(const Operator& other) const {
+  return dynamic_cast<const BroadcastExchangeOp*>(&other) != nullptr;
+}
+
 Result<Rows> BroadcastExchangeOp::BuildDestination(ExecContext& ctx, int dst,
                                                    const PartitionedRows& in,
                                                    const Routing&,
@@ -96,6 +105,10 @@ Result<Rows> BroadcastExchangeOp::BuildDestination(ExecContext& ctx, int dst,
   return out;
 }
 
+bool GatherOp::SameAs(const Operator& other) const {
+  return dynamic_cast<const GatherOp*>(&other) != nullptr;
+}
+
 Result<Rows> GatherOp::BuildDestination(ExecContext& ctx, int dst,
                                         const PartitionedRows& in,
                                         const Routing&, PartitionedRows* steal,
@@ -109,6 +122,11 @@ Result<Rows> GatherOp::BuildDestination(ExecContext& ctx, int dst,
     }
   }
   return out;
+}
+
+bool MergeGatherOp::SameAs(const Operator& other) const {
+  const auto* o = dynamic_cast<const MergeGatherOp*>(&other);
+  return o != nullptr && o->keys_ == keys_;
 }
 
 Result<Rows> MergeGatherOp::BuildDestination(ExecContext& ctx, int dst,

@@ -57,6 +57,7 @@ class HashExchangeOp : public ExchangeOperator {
   explicit HashExchangeOp(std::vector<int> key_columns)
       : key_columns_(std::move(key_columns)) {}
   std::string name() const override { return "HASH-EXCHANGE"; }
+  bool SameAs(const Operator& other) const override;
   Result<Routing> Route(ExecContext& ctx,
                         const PartitionedRows& in) override;
   Result<Rows> BuildDestination(ExecContext& ctx, int dst,
@@ -74,6 +75,7 @@ class HashExchangeOp : public ExchangeOperator {
 class BroadcastExchangeOp : public ExchangeOperator {
  public:
   std::string name() const override { return "BROADCAST-EXCHANGE"; }
+  bool SameAs(const Operator& other) const override;
   Result<Rows> BuildDestination(ExecContext& ctx, int dst,
                                 const PartitionedRows& in,
                                 const Routing& routing, PartitionedRows* steal,
@@ -84,6 +86,7 @@ class BroadcastExchangeOp : public ExchangeOperator {
 class GatherOp : public ExchangeOperator {
  public:
   std::string name() const override { return "GATHER"; }
+  bool SameAs(const Operator& other) const override;
   Result<Rows> BuildDestination(ExecContext& ctx, int dst,
                                 const PartitionedRows& in,
                                 const Routing& routing, PartitionedRows* steal,
@@ -97,6 +100,7 @@ class MergeGatherOp : public ExchangeOperator {
  public:
   explicit MergeGatherOp(std::vector<SortKey> keys) : keys_(std::move(keys)) {}
   std::string name() const override { return "MERGE-GATHER"; }
+  bool SameAs(const Operator& other) const override;
   Result<Rows> BuildDestination(ExecContext& ctx, int dst,
                                 const PartitionedRows& in,
                                 const Routing& routing, PartitionedRows* steal,

@@ -8,6 +8,21 @@ namespace simdb::hyracks {
 
 using adm::Value;
 
+bool HashGroupOp::SameAs(const Operator& other) const {
+  const auto* o = dynamic_cast<const HashGroupOp*>(&other);
+  if (o == nullptr || o->aggs_.size() != aggs_.size() ||
+      !SameExprs(o->key_exprs_, key_exprs_)) {
+    return false;
+  }
+  for (size_t i = 0; i < aggs_.size(); ++i) {
+    if (o->aggs_[i].kind != aggs_[i].kind ||
+        !SameExpr(o->aggs_[i].input, aggs_[i].input)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 Result<Rows> HashGroupOp::ExecutePartition(
     ExecContext&, int, const std::vector<const Rows*>& inputs) {
   const size_t nkeys = key_exprs_.size();

@@ -28,6 +28,7 @@ class HashGroupOp : public PartitionOperator {
   HashGroupOp(std::vector<ExprPtr> key_exprs, std::vector<AggSpec> aggs)
       : key_exprs_(std::move(key_exprs)), aggs_(std::move(aggs)) {}
   std::string name() const override { return "HASH-GROUP"; }
+  bool SameAs(const Operator& other) const override;
   Result<Rows> ExecutePartition(ExecContext& ctx, int p,
                                 const std::vector<const Rows*>& inputs)
       override;

@@ -12,6 +12,12 @@ namespace simdb::hyracks {
 
 using adm::Value;
 
+bool InvertedIndexSearchOp::SameAs(const Operator& other) const {
+  const auto* o = dynamic_cast<const InvertedIndexSearchOp*>(&other);
+  return o != nullptr && o->dataset_ == dataset_ && o->index_ == index_ &&
+         o->spec_ == spec_ && SameExpr(o->key_expr_, key_expr_);
+}
+
 Status InvertedIndexSearchOp::Prepare(ExecContext& ctx) {
   if (ctx.catalog == nullptr) return Status::Internal("no catalog");
   ds_ = ctx.catalog->Find(dataset_);
@@ -109,6 +115,12 @@ Result<Rows> InvertedIndexSearchOp::ExecutePartition(
     CountOp(ctx, "invsearch.corner_rows", corner_rows);
   }
   return rows;
+}
+
+bool BtreeSearchOp::SameAs(const Operator& other) const {
+  const auto* o = dynamic_cast<const BtreeSearchOp*>(&other);
+  return o != nullptr && o->dataset_ == dataset_ && o->index_ == index_ &&
+         SameExpr(o->key_expr_, key_expr_);
 }
 
 Status BtreeSearchOp::Prepare(ExecContext& ctx) {

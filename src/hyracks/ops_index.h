@@ -16,6 +16,8 @@ struct SimSearchSpec {
   Fn fn = Fn::kJaccard;
   /// Jaccard threshold delta, edit-distance bound k, unused for contains.
   double threshold = 0.5;
+
+  friend bool operator==(const SimSearchSpec&, const SimSearchSpec&) = default;
 };
 
 /// Secondary-to-primary index search: for each input row (already broadcast
@@ -37,6 +39,7 @@ class InvertedIndexSearchOp : public PartitionOperator {
   std::string name() const override {
     return "INVERTED-SEARCH(" + dataset_ + "." + index_ + ")";
   }
+  bool SameAs(const Operator& other) const override;
   Status Prepare(ExecContext& ctx) override;
   Result<Rows> ExecutePartition(ExecContext& ctx, int p,
                                 const std::vector<const Rows*>& inputs)
@@ -65,6 +68,7 @@ class BtreeSearchOp : public PartitionOperator {
   std::string name() const override {
     return "BTREE-SEARCH(" + dataset_ + "." + index_ + ")";
   }
+  bool SameAs(const Operator& other) const override;
   Status Prepare(ExecContext& ctx) override;
   Result<Rows> ExecutePartition(ExecContext& ctx, int p,
                                 const std::vector<const Rows*>& inputs)

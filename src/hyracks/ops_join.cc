@@ -31,6 +31,12 @@ Status CheckKeyColumns(const Rows& rows, const std::vector<int>& keys) {
 
 }  // namespace
 
+bool HashJoinOp::SameAs(const Operator& other) const {
+  const auto* o = dynamic_cast<const HashJoinOp*>(&other);
+  return o != nullptr && o->left_keys_ == left_keys_ &&
+         o->right_keys_ == right_keys_ && SameExpr(o->residual_, residual_);
+}
+
 Result<Rows> HashJoinOp::ExecutePartition(
     ExecContext& ctx, int, const std::vector<const Rows*>& inputs) {
   const Rows& left = *inputs[0];
@@ -108,6 +114,11 @@ Result<Rows> HashJoinOp::ExecutePartition(
   return rows;
 }
 
+bool NestedLoopJoinOp::SameAs(const Operator& other) const {
+  const auto* o = dynamic_cast<const NestedLoopJoinOp*>(&other);
+  return o != nullptr && SameExpr(o->predicate_, predicate_);
+}
+
 Result<Rows> NestedLoopJoinOp::ExecutePartition(
     ExecContext& ctx, int, const std::vector<const Rows*>& inputs) {
   const Rows& left = *inputs[0];
@@ -117,15 +128,19 @@ Result<Rows> NestedLoopJoinOp::ExecutePartition(
   BatchStats bs;
   Rows rows(left_width + right.width());
 
-  // The batch path needs arg_a to read only left columns and arg_b only
-  // right columns (checked against this partition's actual left width), so
-  // each side can be tokenized once instead of once per pair.
-  const bool use_batch =
-      ctx.batch_execution && batch_.has_value() && sides_pure_ &&
-      !left.empty() && !right.empty() &&
-      a_max_ < static_cast<int>(left_width) &&
-      b_min_ >= static_cast<int>(left_width) &&
-      b_max_ < static_cast<int>(rows.width());
+  // The batch path needs one argument to read only left columns and the
+  // other only right columns (checked against this partition's actual left
+  // width), so each side can be tokenized once instead of once per pair.
+  // arg_a on the left is the tuple path's own order; arg_b on the left
+  // swaps the arguments, which only arguments that cannot fail allow.
+  const int lw = static_cast<int>(left_width);
+  const int width = static_cast<int>(rows.width());
+  const bool a_left = a_max_ < lw && b_min_ >= lw && b_max_ < width;
+  const bool b_left =
+      swappable_ && b_max_ < lw && a_min_ >= lw && a_max_ < width;
+  const bool use_batch = ctx.batch_execution && batch_.has_value() &&
+                         sides_pure_ && !left.empty() && !right.empty() &&
+                         (a_left || b_left);
   // Appends the pair, evaluates the predicate on it in place and drops it
   // again unless it holds.
   auto append_if = [&](Row lrow, Row rrow) -> Status {
@@ -153,18 +168,21 @@ Result<Rows> NestedLoopJoinOp::ExecutePartition(
 
   const SimBatchCall& call = *batch_;
   const bool jaccard = call.kind == SimBatchCall::Kind::kJaccardCheck;
+  const Expr& left_arg = a_left ? *call.arg_a : *call.arg_b;
+  const Expr& right_arg = a_left ? *call.arg_b : *call.arg_a;
   TokenIdEncoder encoder;
 
-  // Evaluate arg_a for the first left row before precomputing the right
-  // side: the tuple path touches arg_a(l0) first, then arg_b(r0..rn), then
-  // arg_a(l1)... — evaluating in that order keeps the first error (if any)
-  // identical to the tuple path's.
-  SIMDB_ASSIGN_OR_RETURN(Value va0, call.arg_a->Eval(left[0]));
+  // Evaluate the left argument for the first left row before precomputing
+  // the right side: the tuple path touches arg_a(l0) first, then
+  // arg_b(r0..rn), then arg_a(l1)... — evaluating in that order keeps the
+  // first error (if any) identical to the tuple path's.
+  SIMDB_ASSIGN_OR_RETURN(Value va0, left_arg.Eval(left[0]));
 
-  // Precompute arg_b per right row over a left-width padded scratch row
-  // (arg_b reads no left column, so the padding is never touched). The CSR
-  // keeps one entry per right row — empty for unencodable rows, which are
-  // tracked separately in right_ok since an empty list is a valid encoding.
+  // Precompute the right argument per right row over a left-width padded
+  // scratch row (it reads no left column, so the padding is never touched).
+  // The CSR keeps one entry per right row — empty for unencodable rows,
+  // which are tracked separately in right_ok since an empty list is a valid
+  // encoding.
   std::vector<char> right_ok(right.size(), 0);
   std::vector<uint32_t> r_ids;
   std::vector<char> r_chars;
@@ -174,7 +192,7 @@ Result<Rows> NestedLoopJoinOp::ExecutePartition(
     Tuple padded(rows.width());
     for (Row rrow : right) {
       std::copy(rrow.begin(), rrow.end(), padded.begin() + left_width);
-      SIMDB_ASSIGN_OR_RETURN(Value vb, call.arg_b->Eval(padded));
+      SIMDB_ASSIGN_OR_RETURN(Value vb, right_arg.Eval(padded));
       if (jaccard) {
         if (encoder.EncodeValue(vb, &enc)) {
           right_ok[r_offsets.size() - 1] = 1;
@@ -200,7 +218,7 @@ Result<Rows> NestedLoopJoinOp::ExecutePartition(
     if (l == 0) {
       va = std::move(va0);
     } else {
-      SIMDB_ASSIGN_OR_RETURN(va, call.arg_a->Eval(left[l]));
+      SIMDB_ASSIGN_OR_RETURN(va, left_arg.Eval(left[l]));
     }
     bool left_ok;
     if (jaccard) {

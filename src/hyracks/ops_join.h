@@ -24,6 +24,7 @@ class HashJoinOp : public PartitionOperator {
         right_keys_(std::move(right_keys)),
         residual_(std::move(residual)) {}
   std::string name() const override { return "HASH-JOIN"; }
+  bool SameAs(const Operator& other) const override;
   int num_inputs() const override { return 2; }
   Result<Rows> ExecutePartition(ExecContext& ctx, int p,
                                 const std::vector<const Rows*>& inputs)
@@ -46,7 +47,11 @@ class HashJoinOp : public PartitionOperator {
 /// reads only left columns and second argument only right columns, the batch
 /// path encodes/tokenizes each side once (instead of per pair) and verifies
 /// a whole right batch per left row through the SIMD kernels; pairs the
-/// encoder cannot handle fall back to the combined-tuple evaluator.
+/// encoder cannot handle fall back to the combined-tuple evaluator. Both
+/// checks are symmetric, so a check whose first argument reads the right
+/// side takes the batch path with its arguments swapped, when neither
+/// argument can raise an error (CannotFail): the order the arguments are
+/// evaluated in then shows nowhere.
 class NestedLoopJoinOp : public PartitionOperator {
  public:
   explicit NestedLoopJoinOp(ExprPtr predicate)
@@ -54,11 +59,14 @@ class NestedLoopJoinOp : public PartitionOperator {
     if (batch_.has_value()) {
       sides_pure_ = ColumnRange(batch_->arg_a.get(), &a_min_, &a_max_) &&
                     ColumnRange(batch_->arg_b.get(), &b_min_, &b_max_);
+      swappable_ = CannotFail(batch_->arg_a.get()) &&
+                   CannotFail(batch_->arg_b.get());
     }
   }
   std::string name() const override {
     return "NL-JOIN(" + predicate_->ToString() + ")";
   }
+  bool SameAs(const Operator& other) const override;
   int num_inputs() const override { return 2; }
   Result<Rows> ExecutePartition(ExecContext& ctx, int p,
                                 const std::vector<const Rows*>& inputs)
@@ -69,6 +77,7 @@ class NestedLoopJoinOp : public PartitionOperator {
   ExprPtr predicate_;
   std::optional<SimBatchCall> batch_;
   bool sides_pure_ = false;
+  bool swappable_ = false;
   int a_min_ = INT_MAX, a_max_ = -1;
   int b_min_ = INT_MAX, b_max_ = -1;
 };

@@ -16,6 +16,11 @@ Result<storage::Dataset*> FindDataset(ExecContext& ctx,
 
 }  // namespace
 
+bool DataScanOp::SameAs(const Operator& other) const {
+  const auto* o = dynamic_cast<const DataScanOp*>(&other);
+  return o != nullptr && o->dataset_ == dataset_;
+}
+
 Status DataScanOp::Prepare(ExecContext& ctx) {
   SIMDB_ASSIGN_OR_RETURN(ds_, FindDataset(ctx, dataset_));
   int parts = ctx.topology.total_partitions();
@@ -40,6 +45,12 @@ Result<Rows> ConstantSourceOp::ExecutePartition(
     ExecContext&, int p, const std::vector<const Rows*>&) {
   if (p != 0) return Rows(rows_.width());
   return rows_;
+}
+
+bool PrimaryLookupOp::SameAs(const Operator& other) const {
+  const auto* o = dynamic_cast<const PrimaryLookupOp*>(&other);
+  return o != nullptr && o->dataset_ == dataset_ &&
+         o->pk_column_ == pk_column_;
 }
 
 Status PrimaryLookupOp::Prepare(ExecContext& ctx) {

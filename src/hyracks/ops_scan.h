@@ -18,6 +18,7 @@ class DataScanOp : public PartitionOperator {
  public:
   explicit DataScanOp(std::string dataset) : dataset_(std::move(dataset)) {}
   std::string name() const override { return "DATA-SCAN(" + dataset_ + ")"; }
+  bool SameAs(const Operator& other) const override;
   int num_inputs() const override { return 0; }
   Status Prepare(ExecContext& ctx) override;
   Result<Rows> ExecutePartition(ExecContext& ctx, int p,
@@ -59,6 +60,7 @@ class PrimaryLookupOp : public PartitionOperator {
   std::string name() const override {
     return "PRIMARY-LOOKUP(" + dataset_ + ")";
   }
+  bool SameAs(const Operator& other) const override;
   Status Prepare(ExecContext& ctx) override;
   Result<Rows> ExecutePartition(ExecContext& ctx, int p,
                                 const std::vector<const Rows*>& inputs)

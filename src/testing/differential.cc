@@ -24,6 +24,7 @@ void ApplyVariant(QueryProcessor& engine, const ExecVariant& v) {
   opt.enable_index_join = v.enable_index_join;
   opt.enable_three_stage_join = v.enable_three_stage_join;
   opt.enable_surrogate_join = v.enable_surrogate_join;
+  opt.enable_subplan_reuse = v.enable_subplan_reuse;
   engine.set_t_occurrence_algorithm(v.t_occurrence);
   engine.set_posting_cache_enabled(v.posting_cache);
   engine.set_batch_execution(v.batch_execution);
@@ -224,6 +225,14 @@ std::vector<ExecVariant> PlanVariantMatrix() {
   threestage.label = "threestage";
   threestage.enable_index_join = false;
   variants.push_back(threestage);
+
+  // Merging equal job nodes must be invisible to results: the three-stage
+  // plans (whose sides merge most) run again with every stage cloned and
+  // no node merged.
+  ExecVariant noreuse = threestage;
+  noreuse.label = "threestage-noreuse";
+  noreuse.enable_subplan_reuse = false;
+  variants.push_back(noreuse);
 
   ExecVariant heapmerge = indexed;
   heapmerge.label = "indexed-heapmerge";

@@ -21,6 +21,11 @@ struct ExecVariant {
   bool enable_index_join = true;
   bool enable_three_stage_join = true;
   bool enable_surrogate_join = true;
+  /// Subplan reuse (paper Figure 20): the three-stage join shares its
+  /// inputs across stages and the job generator merges equal job nodes.
+  /// Off, each stage compiles a clone and no node merges; both must be
+  /// answer-identical.
+  bool enable_subplan_reuse = true;
   storage::TOccurrenceAlgorithm t_occurrence =
       storage::TOccurrenceAlgorithm::kScanCount;
   /// Serve inverted-index probes from the decoded posting-list cache.
@@ -51,6 +56,8 @@ struct ExecVariant {
 ///                       join with surrogates / three-stage fallback)
 ///   indexed-nosurr    - index join without the surrogate optimization
 ///   threestage        - index joins off; Jaccard joins go three-stage
+///   threestage-noreuse - threestage without subplan reuse: cloned stage
+///                       plans and no merged job nodes
 ///   indexed-heapmerge - all rewrites on, heap-merge T-occurrence
 ///   indexed-nocache   - all rewrites on, posting-list cache disabled
 ///   indexed-pool1     - all rewrites on, 1-thread executor pool (the serial

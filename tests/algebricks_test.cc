@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "algebricks/jobgen.h"
 #include "algebricks/lexpr.h"
 #include "algebricks/lop.h"
@@ -350,6 +352,122 @@ TEST(JobGenTest, ProjectOfUnboundVariableFails) {
   JobGenerator gen;
   hyracks::Job job;
   EXPECT_FALSE(gen.Generate(plan, &job).ok());
+}
+
+// ---------- equal job nodes merge ----------
+
+/// UNION-ALL of two branches returning $o: `branch` builds each from its own
+/// scan (of X bound to $l, and of `right_dataset` bound to $r), its record
+/// variable and whether it is the right one.
+using Branch = std::function<LOpPtr(LOpPtr scan, const std::string& var,
+                                    bool right)>;
+LOpPtr TwoBranches(const Branch& branch,
+                   const std::string& right_dataset = "X") {
+  return MakeUnionAll(branch(MakeDataScan("X", "l"), "l", false),
+                      branch(MakeDataScan(right_dataset, "r"), "r", true),
+                      {"o"});
+}
+
+/// The nodes of `plan`'s job whose operator name starts with `prefix`.
+int CountNodes(const LOpPtr& plan, const std::string& prefix,
+               bool merge = true) {
+  JobGenerator gen(merge);
+  hyracks::Job job;
+  Status s = gen.Generate(plan, &job);
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  int n = 0;
+  for (const auto& node : job.nodes()) {
+    if (node.op->name().rfind(prefix, 0) == 0) ++n;
+  }
+  return n;
+}
+
+TEST(JobGenMergeTest, EqualBranchesRunOnceUnlessReuseIsOff) {
+  LOpPtr plan = TwoBranches([](LOpPtr scan, const std::string& v, bool) {
+    return MakeAssign(scan, {{"o", LExpr::CallF("add", {FieldOf(v, "a"),
+                                                       LExpr::Lit(Value::Int64(1))})}});
+  });
+  EXPECT_EQ(CountNodes(plan, "DATA-SCAN"), 1);
+  EXPECT_EQ(CountNodes(plan, "ASSIGN"), 1);
+  EXPECT_EQ(CountNodes(plan, "DATA-SCAN", /*merge=*/false), 2);
+  EXPECT_EQ(CountNodes(plan, "ASSIGN", /*merge=*/false), 2);
+}
+
+TEST(JobGenMergeTest, LiteralsOfDifferentTypesStayApart) {
+  LOpPtr plan = TwoBranches([](LOpPtr scan, const std::string& v, bool right) {
+    Value one = right ? Value::Double(1.0) : Value::Int64(1);
+    return MakeAssign(scan, {{"o", LExpr::CallF("add", {FieldOf(v, "a"),
+                                                       LExpr::Lit(one)})}});
+  });
+  EXPECT_EQ(CountNodes(plan, "DATA-SCAN"), 1);
+  EXPECT_EQ(CountNodes(plan, "ASSIGN"), 2);
+}
+
+TEST(JobGenMergeTest, DifferentFieldsStayApart) {
+  LOpPtr plan = TwoBranches([](LOpPtr scan, const std::string& v, bool right) {
+    return MakeAssign(scan, {{"o", FieldOf(v, right ? "b" : "a")}});
+  });
+  EXPECT_EQ(CountNodes(plan, "ASSIGN"), 2);
+}
+
+TEST(JobGenMergeTest, DifferentHashKeysStayApart) {
+  // Both branches ship the same two columns; one groups by $a and collects
+  // $b, the other the other way round.
+  auto grouped = [](bool swap) {
+    return [swap](LOpPtr scan, const std::string& v, bool right) {
+      LOpPtr fields = MakeAssign(scan, {{"a", FieldOf(v, "a")},
+                                        {"b", FieldOf(v, "b")}});
+      bool by_b = swap && right;
+      return MakeGroupBy(fields, {{"g", LExpr::Var(by_b ? "b" : "a")}},
+                         {{LAgg::Kind::kListify, LExpr::Var(by_b ? "a" : "b"),
+                           "o"}});
+    };
+  };
+  EXPECT_EQ(CountNodes(TwoBranches(grouped(false)), "HASH-EXCHANGE"), 1);
+  EXPECT_EQ(CountNodes(TwoBranches(grouped(false)), "HASH-GROUP"), 1);
+  EXPECT_EQ(CountNodes(TwoBranches(grouped(true)), "HASH-EXCHANGE"), 2);
+  EXPECT_EQ(CountNodes(TwoBranches(grouped(true)), "HASH-GROUP"), 2);
+}
+
+TEST(JobGenMergeTest, DifferentSortDirectionsStayApart) {
+  auto sorted = [](bool flip) {
+    return [flip](LOpPtr scan, const std::string& v, bool right) {
+      LOpPtr field = MakeAssign(scan, {{"o", FieldOf(v, "a")}});
+      return MakeLocalSort(field, {{LExpr::Var("o"), !(flip && right)}});
+    };
+  };
+  EXPECT_EQ(CountNodes(TwoBranches(sorted(false)), "SORT"), 1);
+  EXPECT_EQ(CountNodes(TwoBranches(sorted(true)), "SORT"), 2);
+  EXPECT_EQ(CountNodes(TwoBranches(sorted(true)), "ASSIGN"), 1);
+}
+
+TEST(JobGenMergeTest, UnnestWithAndWithoutPositionStayApart) {
+  LOpPtr plan = TwoBranches([](LOpPtr scan, const std::string& v, bool right) {
+    return MakeUnnest(scan, FieldOf(v, "tags"), "o", right ? "at" : "");
+  });
+  EXPECT_EQ(CountNodes(plan, "UNNEST"), 2);
+  EXPECT_EQ(CountNodes(plan, "DATA-SCAN"), 1);
+}
+
+TEST(JobGenMergeTest, CountAndListifyStayApart) {
+  LOpPtr plan = TwoBranches([](LOpPtr scan, const std::string& v, bool right) {
+    LOpPtr field = MakeAssign(scan, {{"a", FieldOf(v, "a")}});
+    LAgg agg = right ? LAgg{LAgg::Kind::kListify, LExpr::Var("a"), "o"}
+                     : LAgg{LAgg::Kind::kCount, nullptr, "o"};
+    return MakeGroupBy(field, {{"g", LExpr::Var("a")}}, {agg});
+  });
+  EXPECT_EQ(CountNodes(plan, "HASH-EXCHANGE"), 1);
+  EXPECT_EQ(CountNodes(plan, "HASH-GROUP"), 2);
+}
+
+TEST(JobGenMergeTest, ScansOfTwoDatasetsStayApart) {
+  LOpPtr plan = TwoBranches(
+      [](LOpPtr scan, const std::string& v, bool) {
+        return MakeAssign(scan, {{"o", FieldOf(v, "a")}});
+      },
+      "Y");
+  EXPECT_EQ(CountNodes(plan, "DATA-SCAN"), 2);
+  EXPECT_EQ(CountNodes(plan, "ASSIGN"), 2);
 }
 
 }  // namespace

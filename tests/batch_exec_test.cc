@@ -161,6 +161,35 @@ TEST_F(BatchExecTest, BatchCounterTrioPresentInProfile) {
   EXPECT_GT(ProfileCounter("exec.batch.fallback_rows"), 0);
 }
 
+// The index-NL edit-distance join's corner branch plans
+// NL-JOIN(edit-distance-check($skey, $i.reviewerName, 1)) with its first
+// argument on the right input. Neither argument can fail, so the batch
+// path runs the symmetric check with the arguments swapped, and answers as
+// the row path does.
+TEST_F(BatchExecTest, CheckWithSidesReversedRunsBatched) {
+  LoadReviews();
+  engine_->set_profile_queries(true);
+  const std::string join =
+      "set simfunction 'edit-distance'; set simthreshold '1'; "
+      "for $o in dataset Reviews for $i in dataset Reviews "
+      "where $o.reviewerName ~= $i.reviewerName and $o.id < $i.id "
+      "return {'o': $o.id, 'i': $i.id}";
+  std::vector<std::string> batched = Run(join);
+  ASSERT_NE(last_.profile, nullptr);
+  bool reversed = false;
+  for (const obs::OperatorProfile& op : last_.profile->operators) {
+    if (op.name.rfind("NL-JOIN(edit-distance-check($", 0) != 0) continue;
+    reversed = op.name.find("_skey@") < op.name.find(".reviewerName");
+  }
+  EXPECT_TRUE(reversed);
+  EXPECT_GT(ProfileCounter("exec.batch.rows"), 0);
+  EXPECT_EQ(ProfileCounter("exec.batch.fallback_rows"), 0);
+
+  engine_->set_batch_execution(false);
+  EXPECT_EQ(Run(join), batched);
+  EXPECT_EQ(ProfileCounter("exec.batch.rows"), 0);
+}
+
 // Batch on/off must be answer-identical across plan shapes: indexed
 // selection (Jaccard + edit distance), similarity join, and the three-stage
 // join (index joins disabled).

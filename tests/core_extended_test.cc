@@ -409,6 +409,84 @@ TEST_F(PkConjunctPlacementTest, ThreeStageExchangesShipOnlyLiveColumns) {
   EXPECT_EQ(pt_joins, 1);
 }
 
+// Equal job nodes run once: the self-join's sides compile to the same
+// nodes, so the job scans People once, tokenizes it once and ranks each
+// record once, and the stage-2 pt HASH-JOIN reads one exchange on both
+// inputs. With reuse off each stage keeps its cloned subplan and nothing
+// merges; the answers are the same.
+TEST_F(PkConjunctPlacementTest, ThreeStageSelfJoinRunsEachSideOnce) {
+  UsePlans(/*index_join=*/false, /*three_stage=*/true);
+  const std::string query = JaccardJoin("$l.id < $r.id");
+  struct Shape {
+    size_t nodes = 0;
+    int scans = 0, tokenizations = 0, rank_lists = 0;
+    bool pt_join_reads_one_node = false;
+  };
+  auto shape_of = [&]() {
+    Result<hyracks::Job> job = engine_->CompileJob(query);
+    EXPECT_TRUE(job.ok()) << job.status().ToString();
+    Shape shape;
+    if (!job.ok()) return shape;
+    shape.nodes = job->nodes().size();
+    for (const hyracks::Job::Node& node : job->nodes()) {
+      const std::string name = node.op->name();
+      shape.scans += name.rfind("DATA-SCAN", 0) == 0;
+      shape.tokenizations += name.rfind("UNNEST(", 0) == 0 &&
+                             name.find("word-tokens") != std::string::npos;
+      shape.rank_lists += name.rfind("ASSIGN(", 0) == 0 &&
+                          name.find("sort-list") != std::string::npos;
+      const std::vector<std::string>& cols = node.schema.columns();
+      bool reads_pt = std::any_of(cols.begin(), cols.end(), [](const auto& c) {
+        return c.size() > 3 && c.compare(c.size() - 3, 3, "_pt") == 0;
+      });
+      if (name == "HASH-JOIN" && reads_pt) {
+        shape.pt_join_reads_one_node = node.inputs[0] == node.inputs[1];
+      }
+    }
+    return shape;
+  };
+  Shape merged = shape_of();
+  EXPECT_EQ(merged.nodes, 42u);
+  EXPECT_EQ(merged.scans, 1);
+  EXPECT_EQ(merged.tokenizations, 1);
+  EXPECT_EQ(merged.rank_lists, 1);
+  EXPECT_TRUE(merged.pt_join_reads_one_node);
+  std::vector<std::string> merged_rows = Rows(query);
+  EXPECT_FALSE(merged_rows.empty());
+
+  engine_->opt_context().enable_subplan_reuse = false;
+  Shape cloned = shape_of();
+  EXPECT_EQ(cloned.nodes, 62u);
+  EXPECT_EQ(cloned.scans, 5);
+  EXPECT_EQ(cloned.tokenizations, 3);
+  EXPECT_EQ(cloned.rank_lists, 2);
+  EXPECT_FALSE(cloned.pt_join_reads_one_node);
+  EXPECT_EQ(Rows(query), merged_rows);
+  engine_->opt_context().enable_subplan_reuse = true;
+}
+
+// The index-NL edit-distance join's corner branch (an NL-JOIN over the
+// records whose T bound is not positive) shares the outer side's scan.
+TEST_F(PkConjunctPlacementTest, EdJoinCornerBranchSharesTheScan) {
+  UsePlans(/*index_join=*/true, /*three_stage=*/false);
+  auto scans = [&]() {
+    Result<hyracks::Job> job = engine_->CompileJob(EdJoin("$l.id < $r.id"));
+    EXPECT_TRUE(job.ok()) << job.status().ToString();
+    int n = 0;
+    bool nl_join = false;
+    for (const hyracks::Job::Node& node : job->nodes()) {
+      n += node.op->name().rfind("DATA-SCAN", 0) == 0;
+      nl_join |= node.op->name().rfind("NL-JOIN", 0) == 0;
+    }
+    EXPECT_TRUE(nl_join);
+    return n;
+  };
+  EXPECT_EQ(scans(), 1);
+  engine_->opt_context().enable_subplan_reuse = false;
+  EXPECT_EQ(scans(), 2);
+  engine_->opt_context().enable_subplan_reuse = true;
+}
+
 // count(...) reads only how many rows its subquery returns: the returned
 // record is never built, and the root GATHER ships zero-width rows. A
 // returned record with a call among its fields is still computed, so the

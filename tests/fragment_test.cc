@@ -264,6 +264,24 @@ TEST(FragmentSerdeTest, DecodeRowsRejectsRowsOfDifferentWidths) {
   EXPECT_EQ(zr.remaining(), 0u);
 }
 
+// A fragment frame whose cell nests 1,000,000 one-element arrays decodes to
+// kCorruption (the value decoder's depth bound), not a stack overflow.
+TEST(FragmentSerdeTest, DecodeRowsRejectsTooDeeplyNestedCells) {
+  std::string payload;
+  ByteWriter w(&payload);
+  w.PutU32(1);  // rows
+  w.PutU32(1);  // columns
+  for (int i = 0; i < 1000000; ++i) {
+    w.PutU8(static_cast<uint8_t>(adm::ValueType::kArray));
+    w.PutU32(1);
+  }
+  Value::Int64(1).Serialize(&w);
+  ByteReader r(payload);
+  Result<Rows> rows = fragment::DecodeRows(&r);
+  ASSERT_FALSE(rows.ok());
+  EXPECT_EQ(rows.status().code(), StatusCode::kCorruption);
+}
+
 // Zero-width rows and rows wider than a frame build remotely exactly as
 // locally, for every exchange kind: same rows, same widths (empty
 // destinations included), same accounting.

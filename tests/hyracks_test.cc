@@ -95,6 +95,93 @@ TEST_F(HyracksTest, ExprUnknownFunctionFailsAtBuild) {
   EXPECT_FALSE(Call("add", {Lit(Value::Int64(1))}).ok());  // arity
 }
 
+// SameAs compares structure: column positions, literal types and values,
+// field and function names. Column names are labels.
+TEST_F(HyracksTest, ExprSameAsComparesStructureNotNames) {
+  auto add = [](ExprPtr a, Value lit) { return *Call("add", {a, Lit(lit)}); };
+  auto field = [](int col, const std::string& name) {
+    return ExprPtr(std::make_shared<FieldAccessExpr>(Col(col, "x"), name));
+  };
+  EXPECT_TRUE(add(Col(0, "x"), Value::Int64(1))
+                  ->SameAs(*add(Col(0, "renamed"), Value::Int64(1))));
+  EXPECT_FALSE(add(Col(0, "x"), Value::Int64(1))
+                   ->SameAs(*add(Col(0, "x"), Value::Double(1.0))));
+  EXPECT_FALSE(add(Col(0, "x"), Value::Double(0.0))
+                   ->SameAs(*add(Col(0, "x"), Value::Double(-0.0))));
+  EXPECT_FALSE(add(Col(0, "x"), Value::Int64(1))
+                   ->SameAs(*add(Col(1, "x"), Value::Int64(1))));
+  EXPECT_FALSE(add(Col(0, "x"), Value::Int64(1))
+                   ->SameAs(**Call("sub", {Col(0, "x"), Lit(Value::Int64(1))})));
+  EXPECT_TRUE(field(0, "a")->SameAs(*field(0, "a")));
+  EXPECT_FALSE(field(0, "a")->SameAs(*field(0, "b")));
+  EXPECT_FALSE(field(0, "a")->SameAs(*Col(0, "x")));
+  Value list_int = Value::MakeArray({Value::Int64(1)});
+  Value list_double = Value::MakeArray({Value::Double(1.0)});
+  EXPECT_TRUE(Lit(list_int)->SameAs(*Lit(Value::MakeArray({Value::Int64(1)}))));
+  EXPECT_FALSE(Lit(list_int)->SameAs(*Lit(list_double)));
+  EXPECT_FALSE(
+      Lit(list_int)->SameAs(*Lit(Value::MakeMultiset({Value::Int64(1)}))));
+  EXPECT_TRUE(SameExpr(nullptr, nullptr));
+  EXPECT_FALSE(SameExpr(Col(0, "x"), nullptr));
+}
+
+// Operators of one kind are the same when every parameter is: one
+// parameter apart keeps them apart, and a kind with no comparison
+// (CONSTANT-SOURCE) never matches, not even itself.
+TEST_F(HyracksTest, OperatorSameAsComparesEveryParameter) {
+  ExprPtr pred = *Call("lt", {Col(0, "x"), Lit(Value::Int64(3))});
+  EXPECT_TRUE(SelectOp(pred).SameAs(SelectOp(
+      *Call("lt", {Col(0, "y"), Lit(Value::Int64(3))}))));
+  EXPECT_FALSE(SelectOp(pred).SameAs(SelectOp(
+      *Call("lt", {Col(0, "x"), Lit(Value::Double(3.0))}))));
+  EXPECT_FALSE(SelectOp(pred).SameAs(AssignOp({pred}, {"p"})));
+  EXPECT_TRUE(AssignOp({pred}, {"p"}).SameAs(AssignOp({pred}, {"q"})));
+  EXPECT_FALSE(AssignOp({pred}, {"p"}).SameAs(AssignOp({pred, pred}, {"p", "q"})));
+  EXPECT_TRUE(ProjectOp({1, 0}).SameAs(ProjectOp({1, 0})));
+  EXPECT_FALSE(ProjectOp({1, 0}).SameAs(ProjectOp({0, 1})));
+  EXPECT_TRUE(SortOp({{0, true}}).SameAs(SortOp({{0, true}})));
+  EXPECT_FALSE(SortOp({{0, true}}).SameAs(SortOp({{0, false}})));
+  EXPECT_FALSE(SortOp({{0, true}}).SameAs(SortOp({{1, true}})));
+  EXPECT_FALSE(MergeGatherOp({{0, true}}).SameAs(MergeGatherOp({{0, false}})));
+  EXPECT_TRUE(UnnestOp(Col(0, "l"), false).SameAs(UnnestOp(Col(0, "m"), false)));
+  EXPECT_FALSE(UnnestOp(Col(0, "l"), false).SameAs(UnnestOp(Col(0, "l"), true)));
+  EXPECT_TRUE(HashExchangeOp({0, 2}).SameAs(HashExchangeOp({0, 2})));
+  EXPECT_FALSE(HashExchangeOp({0, 2}).SameAs(HashExchangeOp({0, 1})));
+  EXPECT_FALSE(HashExchangeOp({0}).SameAs(BroadcastExchangeOp()));
+  EXPECT_TRUE(BroadcastExchangeOp().SameAs(BroadcastExchangeOp()));
+  EXPECT_TRUE(HashJoinOp({0}, {1}).SameAs(HashJoinOp({0}, {1})));
+  EXPECT_FALSE(HashJoinOp({0}, {1}).SameAs(HashJoinOp({1}, {0})));
+  EXPECT_FALSE(HashJoinOp({0}, {1}).SameAs(HashJoinOp({0}, {1}, pred)));
+  EXPECT_FALSE(NestedLoopJoinOp(pred).SameAs(
+      NestedLoopJoinOp(*Call("le", {Col(0, "x"), Lit(Value::Int64(3))}))));
+  auto group = [](AggSpec::Kind kind, ExprPtr input, ExprPtr key) {
+    return HashGroupOp({std::move(key)},
+                       {AggSpec{kind, std::move(input), "out"}});
+  };
+  EXPECT_TRUE(group(AggSpec::Kind::kCount, nullptr, Col(0, "k"))
+                  .SameAs(group(AggSpec::Kind::kCount, nullptr, Col(0, "g"))));
+  EXPECT_FALSE(group(AggSpec::Kind::kCount, nullptr, Col(0, "k"))
+                   .SameAs(group(AggSpec::Kind::kListify, nullptr, Col(0, "k"))));
+  EXPECT_FALSE(group(AggSpec::Kind::kListify, Col(1, "v"), Col(0, "k"))
+                   .SameAs(group(AggSpec::Kind::kListify, Col(2, "v"), Col(0, "k"))));
+  EXPECT_FALSE(group(AggSpec::Kind::kCount, nullptr, Col(0, "k"))
+                   .SameAs(group(AggSpec::Kind::kCount, nullptr, Col(1, "k"))));
+  EXPECT_TRUE(DataScanOp("A").SameAs(DataScanOp("A")));
+  EXPECT_FALSE(DataScanOp("A").SameAs(DataScanOp("B")));
+  EXPECT_FALSE(PrimaryLookupOp("A", 0).SameAs(PrimaryLookupOp("A", 1)));
+  EXPECT_FALSE(
+      InvertedIndexSearchOp("A", "kw", Col(0, "k"), {SimSearchSpec::Fn::kJaccard, 0.5})
+          .SameAs(InvertedIndexSearchOp("A", "kw", Col(0, "k"),
+                                        {SimSearchSpec::Fn::kJaccard, 0.6})));
+  EXPECT_FALSE(BtreeSearchOp("A", "b1", Col(0, "k"))
+                   .SameAs(BtreeSearchOp("A", "b2", Col(0, "k"))));
+  EXPECT_TRUE(RankAssignOp(1).SameAs(RankAssignOp(1)));
+  EXPECT_FALSE(RankAssignOp(1).SameAs(RankAssignOp(0)));
+  EXPECT_FALSE(LimitOp(3).SameAs(LimitOp(4)));
+  ConstantSourceOp constant{Rows(0)};
+  EXPECT_FALSE(constant.SameAs(constant));
+}
+
 TEST_F(HyracksTest, FieldAccess) {
   Value rec = Value::MakeObject({{"name", Value::String("x")}});
   Tuple row = {rec};

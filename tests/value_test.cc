@@ -301,6 +301,60 @@ TEST(SerdeTest, HugeObjectCountIsCorruptionWithoutHugeAllocation) {
   EXPECT_LT(PeakRssMib() - rss_before, 64);
 }
 
+/// `depth` arrays, each holding the next, around int64 1.
+Value NestedArrays(int depth) {
+  Value v = Value::Int64(1);
+  for (int i = 0; i < depth; ++i) v = Value::MakeArray({v});
+  return v;
+}
+
+// Arrays, objects and multisets decode nested up to kMaxValueDepth; one
+// level more is corrupt, and so is a 5 MB payload of 1,000,000 nested
+// one-element arrays, which an unbounded recursive decoder overflows its
+// stack on.
+TEST(SerdeTest, NestingIsBounded) {
+  static_assert(kMaxValueDepth >= kMaxJsonDepth);
+  std::string at_limit;
+  ByteWriter w(&at_limit);
+  NestedArrays(kMaxValueDepth).Serialize(&w);
+  ByteReader r(at_limit);
+  Result<Value> decoded = Value::Deserialize(&r);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(*decoded, NestedArrays(kMaxValueDepth));
+
+  std::string over;
+  ByteWriter ow(&over);
+  NestedArrays(kMaxValueDepth + 1).Serialize(&ow);
+  ByteReader or_(over);
+  EXPECT_EQ(Value::Deserialize(&or_).status().code(), StatusCode::kCorruption);
+
+  // An object and a multiset one past the limit are corrupt too.
+  for (ValueType outer : {ValueType::kObject, ValueType::kMultiset}) {
+    std::string wrapped;
+    ByteWriter ww(&wrapped);
+    ww.PutU8(static_cast<uint8_t>(outer));
+    ww.PutU32(1);
+    if (outer == ValueType::kObject) ww.PutString("a");
+    NestedArrays(kMaxValueDepth).Serialize(&ww);
+    ByteReader wr(wrapped);
+    EXPECT_EQ(Value::Deserialize(&wr).status().code(), StatusCode::kCorruption)
+        << ValueTypeToString(outer);
+  }
+
+  std::string deep;
+  ByteWriter dw(&deep);
+  for (int i = 0; i < 1000000; ++i) {
+    dw.PutU8(static_cast<uint8_t>(ValueType::kArray));
+    dw.PutU32(1);
+  }
+  dw.PutU8(static_cast<uint8_t>(ValueType::kMissing));
+  EXPECT_EQ(deep.size(), 5000001u);
+  ByteReader dr(deep);
+  Result<Value> too_deep = Value::Deserialize(&dr);
+  ASSERT_FALSE(too_deep.ok());
+  EXPECT_EQ(too_deep.status().code(), StatusCode::kCorruption);
+}
+
 // --- Wire framing (magic / version / length / CRC-32). The socket transport
 // wraps every channel message in one of these frames; a frame
 // that survives WriteFrame -> ReadFrame unchanged plus exhaustive rejection
